@@ -3,8 +3,6 @@
 
 import argparse
 
-import numpy as np
-
 from holoent import adiabatic
 
 
@@ -18,9 +16,6 @@ def main() -> None:
     )
 
     print(f"working pulse area Omega*T     = {sched.omega_t:.6g}")
-    transfer = adiabatic.propagate_single_photon(sched)
-    drift = np.abs(transfer @ transfer.conj().T - np.eye(4)).max()
-    print(f"transfer unitarity drift       = {drift:.3e}")
     print(f"single-photon leakage (east)   = {adiabatic.scan_leakage(sched):.6e}")
     print(f"analytic exp(-sqrt(2) Omega T) = {adiabatic.lz_error(sched.omega_t):.6e}")
     for photons in (1, 2):

@@ -1,20 +1,27 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from holoent.adiabatic import (
+    CHUNK_STEPS,
+    MODE_AUX,
+    MODE_EAST,
+    MODE_WEST,
     CouplingProfile,
     IntegrationError,
     PulseSchedule,
     ScheduleError,
+    _star_exponentials,
     dark_holonomy,
     default_schedule,
     diabatic_scan,
     fit_rotation_phase,
-    hamiltonian_at,
     load_schedule,
     lz_error,
     propagate_single_photon,
@@ -22,6 +29,13 @@ from holoent.adiabatic import (
     schedule_from_dict,
 )
 from holoent.holonomy import single_mode_rotation, u3
+from propagation_oracle import (
+    expm_hermitian,
+    four_mode_dark_block,
+    hamiltonian_at,
+    rk4_transfer,
+    star_hamiltonian,
+)
 
 FAR = 1.0e6  # a Gaussian centred this far away underflows to exactly zero
 
@@ -109,6 +123,42 @@ class TestPropagation:
         with pytest.raises(IntegrationError):
             propagate_single_photon(dataclasses.replace(schedule, steps=16))
 
+    @given(
+        couplings=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        h=st.floats(0.0, 1.0),
+    )
+    def test_star_exponential_matches_eigh(self, couplings, h):
+        b = np.zeros(4)
+        b[[MODE_EAST, MODE_WEST, MODE_AUX]] = couplings
+        expected = expm_hermitian(star_hamiltonian(b), h)
+        assert np.abs(_star_exponentials(b, h) - expected).max() < 1e-12
+
+    def test_fourth_order_convergence(self, schedule):
+        # the step-doubling estimate's factor 1/15 assumes error ~ h^4
+        u = {n: propagate_single_photon(dataclasses.replace(schedule, steps=n))
+             for n in (1000, 2000, 4000)}
+        ratio = np.abs(u[1000] - u[2000]).max() / np.abs(u[2000] - u[4000]).max()
+        assert 15.0 < ratio < 17.0
+
+    def test_agrees_with_rk4_oracle(self, schedule):
+        small = dataclasses.replace(schedule, steps=6000)
+        rk4 = rk4_transfer(small, 6000)
+        rk4_halved = rk4_transfer(small, 12000)
+        bound = np.abs(rk4 - rk4_halved).max()
+        assert np.abs(propagate_single_photon(small) - rk4_halved).max() <= bound
+
+    def test_memory_independent_of_steps(self, schedule):
+        def peak_bytes(steps: int) -> int:
+            tracemalloc.start()
+            try:
+                propagate_single_photon(dataclasses.replace(schedule, steps=steps))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        base = peak_bytes(2 * CHUNK_STEPS)
+        assert peak_bytes(16 * CHUNK_STEPS) <= 1.2 * base
+
 
 class TestDarkHolonomy:
     def test_idle_schedule_gives_identity_block(self):
@@ -133,6 +183,13 @@ class TestDarkHolonomy:
         phi1 = fit_rotation_phase(dark_blocks[1][0], 1)
         phi2 = fit_rotation_phase(dark_blocks[2][0], 2)
         assert abs(phi1 - phi2) < 1e-3
+
+    @pytest.mark.parametrize("photons", [1, 2, 3, 4])
+    def test_matches_projected_four_mode_lift(self, schedule, transfer, photons):
+        block, leakage = dark_holonomy(schedule, photons)
+        expected_block, expected_leakage = four_mode_dark_block(transfer, photons)
+        assert np.abs(block - expected_block).max() < 1e-12
+        assert leakage == pytest.approx(expected_leakage, abs=1e-12)
 
     def test_reversed_schedule_inverts_phase(self, schedule, dark_blocks):
         phi_forward = fit_rotation_phase(dark_blocks[1][0], 1)
@@ -198,6 +255,18 @@ class TestScheduleValidation:
     def test_bad_span_rejected(self):
         with pytest.raises(ScheduleError):
             PulseSchedule(far_profile(), far_profile(), far_profile(), (10.0, -10.0), steps=64)
+
+    @pytest.mark.parametrize("field", ["peak", "center", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_profile_rejected(self, field, value):
+        fields = {"peak": 1.0, "center": 0.0, "sigma": 1.0, field: value}
+        with pytest.raises(ScheduleError, match=f"{field} must be finite"):
+            CouplingProfile(**fields)
+
+    @pytest.mark.parametrize("z_span", [(math.nan, 10.0), (-10.0, math.inf)])
+    def test_non_finite_span_rejected(self, z_span):
+        with pytest.raises(ScheduleError, match="z_span must be finite"):
+            PulseSchedule(far_profile(), far_profile(), far_profile(), z_span, steps=64)
 
     def test_malformed_dict_rejected(self):
         with pytest.raises(ScheduleError):

@@ -167,6 +167,16 @@ class TestDiabaticCommand:
         assert cp.returncode == 5
         assert "error" in cp.stderr
 
+    @pytest.mark.parametrize("field, value", [("peak", math.nan), ("peak", math.inf), ("sigma", math.inf)])
+    def test_non_finite_schedule_value_exits_5(self, tmp_path, field, value):
+        data = default_schedule().to_dict()
+        data["east"][field] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(data))  # written as the JSON literals NaN / Infinity
+        cp = run_cli("diabatic", "--schedule", str(path))
+        assert cp.returncode == 5
+        assert f"{field} must be finite" in cp.stderr
+
     def test_boundary_violation_exits_5(self, tmp_path):
         data = default_schedule().to_dict()
         data["aux"]["sigma"] = 40.0
