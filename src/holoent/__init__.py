@@ -2,12 +2,10 @@
 
 from .fock import (
     DarkBasis,
-    ModeOperator,
     OccupationState,
     PureState,
     basis_state,
     dark_basis,
-    hilbert_dimension,
 )
 from .holonomy import (
     apply_holonomy,

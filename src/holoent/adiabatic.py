@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .holonomy import _golden_section_max, multimode_lift, single_mode_rotation
+from .holonomy import RotationFamily, _golden_section_max, multimode_lift
+from .open_system import IntegrationError
 
 MODE_EAST, MODE_CENTRAL, MODE_WEST, MODE_AUX = 0, 1, 2, 3
 
@@ -48,10 +49,6 @@ _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
 
 class ScheduleError(ValueError):
     """A pulse schedule is malformed or violates the facet boundary conditions."""
-
-
-class IntegrationError(RuntimeError):
-    """The propagator's step-doubling error estimate exceeds tolerance."""
 
 
 @dataclass(frozen=True)
@@ -294,22 +291,22 @@ def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarra
 def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     """Least-squares phase of the single-parameter holonomy closest to `block`.
 
-    Maximizes Re tr(lift(R(phi))^dag block) over phi in (-pi/2, pi/2]; for an
-    exactly represented rotation this recovers phi exactly.
+    Maximizes Re tr(lift(R(phi))^dag block) = Re sum_m c_m e^{i m phi} (see
+    RotationFamily) over phi in (-pi/2, pi/2]; for an exactly represented
+    rotation this recovers phi exactly.
     """
-    block = np.asarray(block, dtype=complex)
+    family = RotationFamily(photon_count)
+    coefficients = family.trace_coefficients(block)
 
-    def score(phi: float) -> float:
-        model = multimode_lift(single_mode_rotation(phi), photon_count)
-        return float(np.einsum("ij,ij->", model.conj(), block).real)
+    def score(phi):
+        return (family.phases(phi).conj() @ coefficients).real
 
     points = 720
-    grid = [-0.5 * math.pi + (k + 0.5) * math.pi / points for k in range(points)]
-    values = [score(phi) for phi in grid]
-    best = int(np.argmax(values))
+    grid = -0.5 * math.pi + (np.arange(points) + 0.5) * math.pi / points
+    best = int(np.argmax(score(grid)))
     lo = grid[best] - math.pi / points
     hi = grid[best] + math.pi / points
-    return _golden_section_max(score, lo, hi, tol=1e-12)[0]
+    return float(_golden_section_max(score, lo, hi, tol=1e-12)[0])
 
 
 def lz_error(omega_t: float) -> float:

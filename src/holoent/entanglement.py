@@ -1,9 +1,10 @@
 """Entanglement quantification for states split between east and west waveguides.
 
-Dark-basis pure states are embedded into the full two-mode occupation product
-space before tracing, because the bipartition is physical (east vs west), then
-quantified via von Neumann / Renyi-2 entropies, the purity-based separability
-test, Schmidt decomposition, and logarithmic negativity.
+The bipartition is physical (east vs west). A P-photon dark state pairs east
+occupation P-k with west occupation k, so its east reduction is diag(|a_k|^2)
+and its entropy and Schmidt coefficients come from the amplitudes. Mixed states
+get partial traces, von Neumann / Renyi-2 entropies, the purity-based
+separability test and logarithmic negativity.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ class DensityMatrix:
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
         herm_defect = np.abs(m - m.conj().T).max()
-        if herm_defect > HERMITICITY_TOL:
+        if not herm_defect <= HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
         trace_defect = abs(np.trace(m) - 1.0)
-        if trace_defect > TRACE_TOL:
+        if not trace_defect <= TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {trace_defect:.3e}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -82,16 +83,20 @@ def reduce(rho: DensityMatrix, keep: Side) -> DensityMatrix:
 
 def _checked_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     evals = np.linalg.eigvalsh(rho.matrix)
-    if evals.min() < -NEGATIVE_EIGENVALUE_TOL:
+    if not -evals.min() <= NEGATIVE_EIGENVALUE_TOL:
         raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} below tolerance")
     return np.clip(evals, 0.0, None)
 
 
+def entropy_bits(populations: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) over the last axis; populations at or below the floor count as zero."""
+    p = np.where(populations <= EIGENVALUE_FLOOR, 1.0, populations)  # NaN propagates
+    return np.maximum(0.0, -(p * np.log2(p)).sum(axis=-1)) + 0.0
+
+
 def von_neumann_entropy_bits(rho: DensityMatrix) -> float:
     """-Tr(rho log2 rho); eigenvalues below the floor contribute nothing."""
-    evals = _checked_eigenvalues(rho)
-    evals = evals[evals > EIGENVALUE_FLOOR]
-    return max(0.0, float(-(evals * np.log2(evals)).sum()))
+    return float(entropy_bits(_checked_eigenvalues(rho)))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -119,17 +124,13 @@ def entropic_inequality_violated(global_rho: DensityMatrix) -> tuple[bool, bool]
 
 
 def schmidt(state: PureState) -> np.ndarray:
-    """Descending Schmidt coefficients across the east/west split."""
-    d = state.basis.photon_count + 1
-    m = np.zeros((d, d), dtype=complex)
-    for amp, occ in zip(state.amplitudes, state.basis.states):
-        m[occ.n_east, occ.n_west] = amp
-    return np.linalg.svd(m, compute_uv=False)
+    """Descending Schmidt coefficients across the east/west split: the sorted |a_k|."""
+    return np.sort(np.abs(state.amplitudes))[::-1]
 
 
 def entanglement_entropy_bits(state: PureState) -> float:
     """Entanglement entropy of a pure dark state (entropy of the east reduction)."""
-    return von_neumann_entropy_bits(reduce(density_from_pure(state), "east"))
+    return float(entropy_bits(np.abs(state.amplitudes) ** 2))
 
 
 def partial_transpose(rho: DensityMatrix, side: Side) -> np.ndarray:

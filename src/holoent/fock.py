@@ -1,4 +1,4 @@
-"""Fock-space bookkeeping: dark bases, dimension counting, truncated ladder operators.
+"""Fock-space bookkeeping: dark bases, occupation bases, truncated ladder operators.
 
 Every other module builds its states and operators from the primitives here.
 Basis ordering is fixed (descending east occupation) so that matrices written
@@ -7,7 +7,6 @@ in the dark basis have a single, unambiguous row/column convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +74,6 @@ def dark_basis(photon_count: int) -> DarkBasis:
     return DarkBasis(photon_count, states)
 
 
-def hilbert_dimension(photon_count: int, mode_count: int) -> int:
-    """Number of ways to distribute `photon_count` photons over `mode_count` modes."""
-    if photon_count < 0:
-        raise ValueError("photon_count must be non-negative")
-    if mode_count < 1:
-        raise ValueError("mode_count must be positive")
-    return math.comb(photon_count + mode_count - 1, photon_count)
-
-
 def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...], ...]:
     """All occupation tuples with the given total, in descending lexicographic order.
 
@@ -106,42 +96,25 @@ def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...
     return tuple(_generate(photon_count, mode_count))
 
 
-@dataclass(frozen=True)
-class ModeOperator:
-    """A single-mode operator truncated at a maximum occupation (inclusive)."""
-
-    cutoff: int
-    matrix: np.ndarray
-
-
-def lowering_operator(cutoff: int) -> ModeOperator:
-    """Truncated bosonic lowering operator: entry (n-1, n) = sqrt(n)."""
+def lowering_operator(cutoff: int) -> np.ndarray:
+    """Truncated bosonic lowering operator on occupations 0..cutoff: entry (n-1, n) = sqrt(n)."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    m = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for n in range(1, cutoff + 1):
-        m[n - 1, n] = math.sqrt(n)
-    return ModeOperator(cutoff, m)
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1).astype(complex)
 
 
-def raising_operator(cutoff: int) -> ModeOperator:
-    """Conjugate transpose of the lowering operator at the same cutoff."""
-    low = lowering_operator(cutoff)
-    return ModeOperator(cutoff, low.matrix.conj().T.copy())
-
-
-def identity_operator(cutoff: int) -> ModeOperator:
+def identity_operator(cutoff: int) -> np.ndarray:
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    return ModeOperator(cutoff, np.eye(cutoff + 1, dtype=complex))
+    return np.eye(cutoff + 1, dtype=complex)
 
 
-def two_mode_embed(op_east: ModeOperator, op_west: ModeOperator) -> np.ndarray:
+def two_mode_embed(op_east: np.ndarray, op_west: np.ndarray) -> np.ndarray:
     """Kronecker product over the east-major two-mode basis.
 
     Index convention: flat index = n_east * (cutoff_west + 1) + n_west.
     """
-    return np.kron(op_east.matrix, op_west.matrix)
+    return np.kron(op_east, op_west)
 
 
 @dataclass(frozen=True)
@@ -158,7 +131,7 @@ class PureState:
                 f"amplitude vector has length {amp.shape[0]}, basis dimension is {self.basis.dimension}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amp)
 

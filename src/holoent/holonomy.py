@@ -2,8 +2,8 @@
 
 The chip's action on the (P+1)-dimensional dark subspace is generated by a
 single-parameter rotation of the east/west mode pair; multi-photon inputs see
-its bosonic lift. The explicit 3x3 form `u3` is kept as the golden reference
-for the two-photon case.
+its bosonic lift, held for every phase at once by `RotationFamily`. The dict
+polynomial `multimode_lift` and the explicit 3x3 form `u3` are its references.
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ import math
 import numpy as np
 
 from . import entanglement
-from .fock import PureState, basis_state, dark_basis, occupation_basis
+from .fock import PureState, occupation_basis
 
 UNITARITY_TOL = 1e-9
 DEFAULT_SWEEP_POINTS = 2048
+# bound on (points + P + 1) * (P + 1), the complex entries of one batched sweep and
+# its eigenvectors: a 64 MiB budget at 64 bytes per entry, temporaries included
+MAX_SWEEP_ENTRIES = (64 << 20) // 64
 
 
 def u3(phi: float) -> np.ndarray:
@@ -81,7 +84,7 @@ def fock_lift(u2: np.ndarray, photon_count: int) -> np.ndarray:
     if photon_count < 1:
         raise ValueError("photon_count must be >= 1")
     defect = np.abs(u2 @ u2.conj().T - np.eye(2)).max()
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise ValueError(f"input matrix is not unitary (defect {defect:.3e})")
     return multimode_lift(u2, photon_count)
 
@@ -120,11 +123,49 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[fl
     return x, f(x)
 
 
+def check_sweep_size(photon_count: int, points: int) -> None:
+    """Reject a sweep whose (points + P + 1) * (P + 1) exceeds MAX_SWEEP_ENTRIES."""
+    if (points + photon_count + 1) * (photon_count + 1) > MAX_SWEEP_ENTRIES:
+        raise ValueError(f"{points} points at {photon_count} photons exceed the bound {MAX_SWEEP_ENTRIES}")
+
+
+class RotationFamily:
+    """lift(R(phi)) on dark_basis(P) for every phase phi, in spectral form.
+
+    The lift of R(phi) = exp(phi [[0, -1], [1, 0]]) is exp(phi G) with the tridiagonal
+    generator G[k+1, k] = -G[k, k+1] = sqrt((P-k)(k+1)). iG is Hermitian with eigenvalues
+    m = -P, -P+2, ..., P, so one eigh gives lift(R(phi)) = V diag(e^{-i m phi}) V^dag.
+    """
+
+    def __init__(self, photon_count: int):
+        if photon_count < 1:
+            raise ValueError("photon_count must be >= 1")
+        check_sweep_size(photon_count, 0)
+        k = np.arange(photon_count)
+        off = np.sqrt((photon_count - k) * (k + 1.0))
+        self.photon_count = photon_count
+        self.charges = np.arange(-photon_count, photon_count + 1, 2)
+        self.vectors = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))[1]
+
+    def phases(self, phis) -> np.ndarray:
+        """e^{-i m phi}, shape phis.shape + (P+1,)."""
+        return np.exp(-1j * np.multiply.outer(phis, self.charges))
+
+    def outputs(self, phis, input_index: int) -> np.ndarray:
+        """Column input_index of the lift at each phase, shape phis.shape + (P+1,)."""
+        if not 0 <= input_index <= self.photon_count:
+            raise ValueError(f"input_index {input_index} out of range for {self.photon_count} photons")
+        return (self.phases(phis) * self.vectors[input_index].conj()) @ self.vectors.T
+
+    def trace_coefficients(self, block: np.ndarray) -> np.ndarray:
+        """c = diag(V^dag B V), so that tr(lift(R(phi))^dag B) = sum_m c_m e^{i m phi}."""
+        return np.einsum("km,kl,lm->m", self.vectors.conj(), block, self.vectors)
+
+
 def entropy_at_phase(phi: float, photon_count: int, input_index: int) -> float:
     """Entanglement entropy (bits) of the chip output for one dark basis input."""
-    u = fock_lift(single_mode_rotation(phi), photon_count)
-    out = apply_holonomy(u, basis_state(photon_count, input_index))
-    return entanglement.entanglement_entropy_bits(out)
+    amplitudes = RotationFamily(photon_count).outputs(phi, input_index)
+    return float(entanglement.entropy_bits(np.abs(amplitudes) ** 2))
 
 
 def max_entropy_over_phase(
@@ -135,35 +176,25 @@ def max_entropy_over_phase(
     Grid scan followed by golden-section refinement of every near-maximal grid
     peak; ties between refined maxima resolve to the lowest phase.
     """
-    if photon_count < 1:
-        raise ValueError("photon_count must be >= 1")
-    if not 0 <= input_index <= photon_count:
-        raise ValueError(f"input_index {input_index} out of range for {photon_count} photons")
     if points < 8:
         raise ValueError("points must be >= 8")
+    check_sweep_size(photon_count, points)
+    family = RotationFamily(photon_count)
 
-    def objective(phi: float) -> float:
-        return entropy_at_phase(phi, photon_count, input_index)
+    def entropies(phis):
+        return entanglement.entropy_bits(np.abs(family.outputs(phis, input_index)) ** 2)
 
     step = math.pi / points
-    values = [objective(k * step) for k in range(points)]
-    best_grid = max(values)
+    values = entropies(np.arange(points) * step)
     # the objective is pi-periodic, so neighbours wrap around the grid
-    candidates = [
-        k
-        for k in range(points)
-        if values[k] >= best_grid - 1e-6
-        and values[k] >= values[(k - 1) % points]
-        and values[k] >= values[(k + 1) % points]
-    ]
-    refined: list[tuple[float, float]] = []
-    for k in candidates:
-        lo = max(0.0, (k - 1) * step)
-        hi = min(math.pi, (k + 1) * step)
-        refined.append(_golden_section_max(objective, lo, hi))
-    refined.sort(key=lambda pair: pair[0])
+    peaks = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
+    candidates = np.flatnonzero(peaks & (values >= values.max() - 1e-6))
+    refined = sorted(
+        _golden_section_max(entropies, max(0.0, (k - 1) * step), min(math.pi, (k + 1) * step))
+        for k in candidates.tolist()
+    )
     best_phi, best_val = refined[0]
     for phi, val in refined[1:]:
         if val > best_val + 1e-12:
             best_phi, best_val = phi, val
-    return best_phi, best_val
+    return best_phi, float(best_val)

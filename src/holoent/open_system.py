@@ -22,7 +22,7 @@ POSITIVITY_ABORT = -1e-6
 
 
 class IntegrationError(RuntimeError):
-    """The fixed-step integrator produced an unphysical state."""
+    """A numerical integration missed its accuracy or physicality tolerance."""
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,12 @@ class LossConfig:
     steps: int = 1000
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        for field in ("gamma", "t_max"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field} must be positive and finite, got {value}")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.t_max / self.steps > STEP_SIZE_GUARD + 1e-15:
@@ -124,7 +124,7 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
     def record(k: int) -> None:
         times[k] = cfg.gamma * k * dt
         evals = np.linalg.eigvalsh(rho)
-        if evals.min() < POSITIVITY_ABORT:
+        if not evals.min() >= POSITIVITY_ABORT:
             raise IntegrationError(
                 f"eigenvalue {evals.min():.3e} below {POSITIVITY_ABORT} at gamma*t = {times[k]:.4g}; "
                 "reduce the step size"

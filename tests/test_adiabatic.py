@@ -28,7 +28,7 @@ from holoent.adiabatic import (
     scan_leakage,
     schedule_from_dict,
 )
-from holoent.holonomy import single_mode_rotation, u3
+from holoent.holonomy import fock_lift, single_mode_rotation, u3
 from propagation_oracle import (
     expm_hermitian,
     four_mode_dark_block,
@@ -207,6 +207,11 @@ class TestFitRotationPhase:
     @pytest.mark.parametrize("phi", [-0.4, 0.3, 1.0])
     def test_recovers_exact_two_photon_rotation(self, phi):
         assert fit_rotation_phase(u3(phi), 2) == pytest.approx(phi, abs=1e-6)
+
+    @pytest.mark.parametrize("phi", [-1.2, -0.4, 0.3, 1.4])
+    def test_recovers_exact_six_photon_rotation(self, phi):
+        block = fock_lift(single_mode_rotation(phi), 6)
+        assert fit_rotation_phase(block, 6) == pytest.approx(phi, abs=1e-6)
 
 
 class TestLandauZener:

@@ -3,11 +3,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from holoent.adiabatic import default_schedule
+from holoent.cli import main
+from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_SWEEP_ENTRIES
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -97,6 +100,45 @@ class TestSweepCommand:
 
     def test_invalid_points_exits_2(self):
         assert run_cli("sweep", "--input", "1,1", "--points", "0").returncode == 2
+
+
+def smallest_photons_above_bound(points: int) -> int:
+    photons = 1
+    while (points + photons + 1) * (photons + 1) <= MAX_SWEEP_ENTRIES:
+        photons += 1
+    return photons
+
+
+class TestSweepSizeBound:
+    """Sizes one past MAX_SWEEP_ENTRIES exit 2 before anything of that size is allocated."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--input", "1,0", "--photons", "1", "--points", str(MAX_SWEEP_ENTRIES // 2 - 1)],
+            ["volume", "--max-photons", "4", "--points", str(MAX_SWEEP_ENTRIES // 5 - 4)],
+            [
+                "sweep",
+                "--input",
+                f"{smallest_photons_above_bound(DEFAULT_SWEEP_POINTS)},0",
+                "--photons",
+                str(smallest_photons_above_bound(DEFAULT_SWEEP_POINTS)),
+            ],
+        ],
+        ids=["sweep-points", "volume-points", "sweep-photons"],
+    )
+    def test_exits_2_without_allocating(self, tmp_path, capsys, args):
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = main(args + ["--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceed the bound" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20
 
 
 class TestLossCommand:

@@ -101,6 +101,16 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4, dtype=complex), (2, 2))
 
+    @pytest.mark.parametrize("entry", ["all", (0, 0), (0, 1)])
+    def test_rejects_nan(self, entry):
+        m = np.eye(3, dtype=complex) / 3.0
+        if entry == "all":
+            m[:] = np.nan
+        else:
+            m[entry] = np.nan
+        with pytest.raises(ValueError):
+            DensityMatrix(m, (3,))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4, dtype=complex) / 4.0, (2, 3))
@@ -163,6 +173,13 @@ class TestEntropies:
         m = np.diag([1.0 + eps, -eps, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             von_neumann_entropy_bits(DensityMatrix(m, (3,)))
+
+    @pytest.mark.parametrize("evals", [[math.nan, 0.5, 0.5], [math.nan] * 3])
+    def test_entropy_rejects_nan_eigenvalues(self, monkeypatch, evals):
+        rho = DensityMatrix(np.eye(3, dtype=complex) / 3.0, (3,))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array(evals))
+        with pytest.raises(ValueError):
+            von_neumann_entropy_bits(rho)
 
     @settings(max_examples=50)
     @given(mixed_densities())
@@ -271,6 +288,25 @@ class TestPureStateIdentities:
         p = p[p > 1e-12]
         via_schmidt = float(-(p * np.log2(p)).sum())
         assert abs(via_density - via_schmidt) < 1e-10
+
+
+    @settings(max_examples=50)
+    @given(dark_states(max_photons=6))
+    def test_diagonal_east_reduction_matches_partial_trace(self, state):
+        reduced = reduce(density_from_pure(state), "east")
+        # dark-basis order is descending east occupation, the reverse of the reduced index
+        populations = np.abs(state.amplitudes[::-1]) ** 2
+        assert np.abs(reduced.matrix - np.diag(populations)).max() < 1e-12
+        assert abs(entanglement_entropy_bits(state) - von_neumann_entropy_bits(reduced)) < 1e-12
+
+    @settings(max_examples=50)
+    @given(dark_states(max_photons=6))
+    def test_schmidt_matches_svd(self, state):
+        d = state.basis.photon_count + 1
+        m = np.zeros((d, d), dtype=complex)
+        for amp, occ in zip(state.amplitudes, state.basis.states):
+            m[occ.n_east, occ.n_west] = amp
+        assert np.abs(schmidt(state) - np.linalg.svd(m, compute_uv=False)).max() < 1e-12
 
 
 class TestEntropyCeiling:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from holoent.entanglement import entanglement_entropy_bits, schmidt
 from holoent.fock import basis_state
 from holoent.holonomy import (
+    MAX_SWEEP_ENTRIES,
+    RotationFamily,
     apply_holonomy,
+    check_sweep_size,
     fock_lift,
     max_entropy_over_phase,
     multimode_lift,
@@ -138,6 +142,13 @@ class TestLift:
         with pytest.raises(ValueError):
             fock_lift(np.eye(2), 0)
 
+    @pytest.mark.parametrize(
+        "u2", [[[math.nan, 0], [0, 1]], [[1, 0], [0, complex(0, math.nan)]], [[math.nan] * 2] * 2]
+    )
+    def test_rejects_nan(self, u2):
+        with pytest.raises(ValueError):
+            fock_lift(np.array(u2, dtype=complex), 2)
+
     @given(phases)
     def test_lift_is_unitary(self, phi):
         lifted = fock_lift(single_mode_rotation(phi), 3)
@@ -145,6 +156,71 @@ class TestLift:
 
     def test_multimode_lift_vacuum_sector(self):
         assert multimode_lift(np.eye(4), 2).shape == (10, 10)
+
+
+class TestRotationFamily:
+    @settings(max_examples=60)
+    @given(st.integers(1, 6), phases)
+    def test_matches_dict_and_ladder_lifts(self, photons, phi):
+        family = RotationFamily(photons)
+        lifted = np.stack([family.outputs(phi, index) for index in range(photons + 1)], axis=1)
+        r = single_mode_rotation(phi)
+        assert np.abs(lifted - fock_lift(r, photons)).max() < 1e-12
+        assert np.abs(lifted - ladder_lift_oracle(r, photons)).max() < 1e-12
+
+    @pytest.mark.parametrize("photons", [1, 3, 6])
+    def test_batched_outputs_match_single_phases(self, photons):
+        family = RotationFamily(photons)
+        phis = np.linspace(-3.0, 3.0, 7)
+        for index in range(photons + 1):
+            outputs = family.outputs(phis, index)
+            assert outputs.shape == (len(phis), photons + 1)
+            for phi, row in zip(phis, outputs):
+                assert np.abs(row - fock_lift(single_mode_rotation(phi), photons)[:, index]).max() < 1e-12
+
+    @pytest.mark.parametrize("photons", [1, 2, 6])
+    def test_trace_coefficients_give_overlap(self, photons):
+        rng = np.random.default_rng(photons)
+        block = rng.normal(size=(photons + 1,) * 2) + 1j * rng.normal(size=(photons + 1,) * 2)
+        family = RotationFamily(photons)
+        c = family.trace_coefficients(block)
+        for phi in (-2.0, 0.1, 1.3):
+            direct = np.einsum("ij,ij->", fock_lift(single_mode_rotation(phi), photons).conj(), block)
+            assert abs(family.phases(phi).conj() @ c - direct) < 1e-12
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_rejects_out_of_range_input(self, index):
+        with pytest.raises(ValueError):
+            RotationFamily(2).outputs(0.3, index)
+
+    def test_rejects_bad_photon_count(self):
+        with pytest.raises(ValueError):
+            RotationFamily(0)
+
+
+class TestSweepSizeBound:
+    @pytest.mark.parametrize("photons", [1, 2, 6])
+    def test_bound_is_exact(self, photons):
+        points = MAX_SWEEP_ENTRIES // (photons + 1) - photons - 1
+        check_sweep_size(photons, points)
+        with pytest.raises(ValueError):
+            check_sweep_size(photons, points + 1)
+
+    def test_max_entropy_rejects_points_above_bound_without_allocating(self):
+        points = MAX_SWEEP_ENTRIES // 2 - 1  # one above the bound at one photon
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceed the bound"):
+                max_entropy_over_phase(1, 0, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_family_rejects_photons_above_bound(self):
+        photons = math.isqrt(MAX_SWEEP_ENTRIES)  # (P + 1)^2 > MAX_SWEEP_ENTRIES
+        with pytest.raises(ValueError, match="exceed the bound"):
+            RotationFamily(photons)
 
 
 class TestApplyHolonomy:

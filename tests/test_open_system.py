@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
+from holoent import adiabatic
 from holoent.entanglement import (
     DensityMatrix,
     density_from_pure,
@@ -88,6 +89,14 @@ class TestLossConfig:
         for kwargs in ({"gamma": 0.0}, {"cutoff": 0}, {"t_max": -1.0}, {"steps": 0}):
             with pytest.raises(ValueError):
                 LossConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", math.nan), ("gamma", math.inf), ("t_max", math.nan), ("t_max", math.inf)],
+    )
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LossConfig(**{field: value})
 
     def test_boundary_step_size_accepted(self):
         LossConfig(t_max=10.0, steps=1000)
@@ -180,6 +189,16 @@ class TestEvolve:
         rho0 = DensityMatrix(m, (3, 3))
         with pytest.raises(IntegrationError):
             evolve(rho0, LossConfig(t_max=1.0, steps=100))
+
+    @pytest.mark.parametrize("evals", [[math.nan] + [0.0] * 8, [math.nan] * 9])
+    def test_positivity_abort_on_nan(self, monkeypatch, evals):
+        rho0 = me_density()
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array(evals))
+        with pytest.raises(IntegrationError):
+            evolve(rho0, LossConfig(t_max=1.0, steps=100))
+
+    def test_one_integration_error_class(self):
+        assert adiabatic.IntegrationError is IntegrationError
 
     def test_vacuum_population_defined_as_zero(self):
         traj = evolve(embedded_state({(0, 0): 1.0}, 3), LossConfig(t_max=0.1, steps=10))
