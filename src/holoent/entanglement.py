@@ -60,15 +60,15 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()), (d, d))
 
 
-def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
-    if len(rho.dims) != 2:
-        raise ValueError(f"operation needs a bipartite density matrix, got dims {rho.dims}")
-    return rho.dims[0], rho.dims[1]
+def _require_bipartite(dims: tuple[int, ...]) -> tuple[int, int]:
+    if len(dims) != 2:
+        raise ValueError(f"operation needs a bipartite density matrix, got dims {dims}")
+    return dims[0], dims[1]
 
 
 def reduce(rho: DensityMatrix, keep: Side) -> DensityMatrix:
     """Partial trace over the discarded mode."""
-    d_east, d_west = _require_bipartite(rho)
+    d_east, d_west = _require_bipartite(rho.dims)
     t = rho.matrix.reshape(d_east, d_west, d_east, d_west)
     if keep == "east":
         reduced = np.einsum("ijkj->ik", t)
@@ -115,7 +115,7 @@ def entropic_inequality_violated(global_rho: DensityMatrix) -> tuple[bool, bool]
     Separable states keep each subsystem purity at or above the global purity;
     a strictly smaller subsystem purity therefore witnesses entanglement.
     """
-    _require_bipartite(global_rho)
+    _require_bipartite(global_rho.dims)
     global_purity = purity(global_rho)
     east_purity = purity(reduce(global_rho, "east"))
     west_purity = purity(reduce(global_rho, "west"))
@@ -133,22 +133,35 @@ def entanglement_entropy_bits(state: PureState) -> float:
     return float(entropy_bits(np.abs(state.amplitudes) ** 2))
 
 
-def partial_transpose(rho: DensityMatrix, side: Side) -> np.ndarray:
-    """Transpose the chosen mode's indices; Hermitian, unit trace, possibly non-PSD."""
-    d_east, d_west = _require_bipartite(rho)
-    t = rho.matrix.reshape(d_east, d_west, d_east, d_west)
+def _transpose_mode(matrices: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
+    """Partial transpose of bipartite matrices batched over leading axes."""
+    d_east, d_west = dims
+    t = matrices.reshape(matrices.shape[:-2] + (d_east, d_west, d_east, d_west))
     if side == "east":
-        swapped = t.transpose(2, 1, 0, 3)
+        swapped = np.swapaxes(t, -4, -2)
     elif side == "west":
-        swapped = t.transpose(0, 3, 2, 1)
+        swapped = np.swapaxes(t, -3, -1)
     else:
         raise ValueError(f"side must be 'east' or 'west', got {side!r}")
-    return swapped.reshape(d_east * d_west, d_east * d_west)
+    return swapped.reshape(matrices.shape)
+
+
+def partial_transpose(rho: DensityMatrix, side: Side) -> np.ndarray:
+    """Transpose the chosen mode's indices; Hermitian, unit trace, possibly non-PSD."""
+    return _transpose_mode(rho.matrix, _require_bipartite(rho.dims), side)
+
+
+def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int], side: Side = "east") -> np.ndarray:
+    """log2 of the trace norm of the partial transpose, clamped at zero, batched over leading axes.
+
+    `matrices` has shape (..., d_east * d_west, d_east * d_west) with the flat
+    index convention of DensityMatrix; one eigvalsh covers the whole batch.
+    """
+    pt = _transpose_mode(matrices, _require_bipartite(dims), side)
+    trace_norm = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1)
+    return np.maximum(0.0, np.log2(trace_norm))
 
 
 def log_negativity(rho: DensityMatrix, side: Side = "east") -> float:
     """log2 of the trace norm of the partial transpose, clamped at zero."""
-    pt = partial_transpose(rho, side)
-    evals = np.linalg.eigvalsh(pt)
-    trace_norm = float(np.abs(evals).sum())
-    return max(0.0, math.log2(trace_norm))
+    return float(log_negativity_bits(rho.matrix, rho.dims, side))

@@ -17,9 +17,11 @@ from .fock import PureState, occupation_basis
 
 UNITARITY_TOL = 1e-9
 DEFAULT_SWEEP_POINTS = 2048
+# heap budget for the arrays one command builds in proportion to its requested size
+MEMORY_BUDGET_BYTES = 64 << 20
 # bound on (points + P + 1) * (P + 1), the complex entries of one batched sweep and
-# its eigenvectors: a 64 MiB budget at 64 bytes per entry, temporaries included
-MAX_SWEEP_ENTRIES = (64 << 20) // 64
+# its eigenvectors: the budget at 64 bytes per entry, temporaries included
+MAX_SWEEP_ENTRIES = MEMORY_BUDGET_BYTES // 64
 
 
 def u3(phi: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from holoent.adiabatic import (
     CHUNK_STEPS,
+    MAX_STEPS,
     MODE_AUX,
     MODE_EAST,
     MODE_WEST,
@@ -272,6 +273,21 @@ class TestScheduleValidation:
     def test_non_finite_span_rejected(self, z_span):
         with pytest.raises(ScheduleError, match="z_span must be finite"):
             PulseSchedule(far_profile(), far_profile(), far_profile(), z_span, steps=64)
+
+    @pytest.mark.parametrize("steps", [15, MAX_STEPS + 1, 10**12])
+    def test_steps_out_of_range_rejected(self, steps):
+        with pytest.raises(ScheduleError, match="steps"):
+            PulseSchedule(far_profile(), far_profile(), far_profile(), (-10.0, 10.0), steps=steps)
+
+    def test_steps_bound_accepted(self):
+        PulseSchedule(far_profile(), far_profile(), far_profile(), (-10.0, 10.0), steps=MAX_STEPS)
+
+    @pytest.mark.parametrize("steps", [math.inf, math.nan])
+    def test_non_finite_steps_rejected(self, schedule, steps):
+        data = schedule.to_dict()
+        data["steps"] = steps
+        with pytest.raises(ScheduleError):
+            schedule_from_dict(data)
 
     def test_malformed_dict_rejected(self):
         with pytest.raises(ScheduleError):

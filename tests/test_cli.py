@@ -160,6 +160,19 @@ class TestLossCommand:
     def test_step_guard_violation_exits_2(self):
         assert run_cli("loss", "--t-max", "10", "--steps", "10").returncode == 2
 
+    def test_steps_over_bound_exits_2_without_allocating(self, tmp_path, capsys):
+        out = tmp_path / "loss.csv"
+        tracemalloc.start()
+        try:
+            code = main(["loss", "--t-max", "1", "--steps", str(10**12), "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "steps must be <=" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20
+
 
 class TestVolumeCommand:
     def test_flags_maximal_rows(self, tmp_path):
@@ -218,6 +231,18 @@ class TestDiabaticCommand:
         cp = run_cli("diabatic", "--schedule", str(path))
         assert cp.returncode == 5
         assert f"{field} must be finite" in cp.stderr
+
+    @pytest.mark.parametrize(
+        "steps, message", [(10**12, "steps must be in"), (math.inf, "malformed schedule")]
+    )
+    def test_schedule_steps_over_bound_exits_5(self, tmp_path, steps, message):
+        data = default_schedule().to_dict()
+        data["steps"] = steps
+        path = tmp_path / "many_steps.json"
+        path.write_text(json.dumps(data))
+        cp = run_cli("diabatic", "--schedule", str(path))
+        assert cp.returncode == 5
+        assert message in cp.stderr
 
     def test_boundary_violation_exits_5(self, tmp_path):
         data = default_schedule().to_dict()

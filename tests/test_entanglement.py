@@ -13,6 +13,7 @@ from holoent.entanglement import (
     entanglement_entropy_bits,
     entropic_inequality_violated,
     log_negativity,
+    log_negativity_bits,
     partial_transpose,
     purity,
     reduce,
@@ -245,6 +246,17 @@ class TestPartialTranspose:
 
     @settings(max_examples=50)
     @given(mixed_densities())
+    def test_entries_follow_index_definition(self, rho):
+        d_east, d_west = rho.dims
+        t = rho.matrix.reshape(d_east, d_west, d_east, d_west)
+        east = partial_transpose(rho, "east").reshape(t.shape)
+        west = partial_transpose(rho, "west").reshape(t.shape)
+        for a, b, c, e in np.ndindex(t.shape):
+            assert east[a, b, c, e] == t[c, b, a, e]
+            assert west[a, b, c, e] == t[a, e, c, b]
+
+    @settings(max_examples=50)
+    @given(mixed_densities())
     def test_hermitian_and_trace_preserving(self, rho):
         for side in ("east", "west"):
             pt = partial_transpose(rho, side)
@@ -269,6 +281,24 @@ class TestLogNegativity:
         expected = 2.0 * math.log2(s.sum())
         value = log_negativity(density_from_pure(state), "east")
         assert abs(value - max(0.0, expected)) < 1e-10
+
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 2)])
+    @pytest.mark.parametrize("side", ["east", "west"])
+    def test_batched_matches_single_matrix(self, dims, side):
+        rng = np.random.default_rng(3)
+        side_len = dims[0] * dims[1]
+        g = rng.normal(size=(2, 3, side_len, side_len)) + 1j * rng.normal(size=(2, 3, side_len, side_len))
+        m = g @ np.swapaxes(g.conj(), -1, -2)
+        m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+        batched = log_negativity_bits(m, dims, side)
+        assert batched.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert batched[index] == log_negativity(DensityMatrix(m[index], dims), side)
+
+    def test_batched_rejects_non_bipartite_dims(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            log_negativity_bits(np.eye(8)[None] / 8.0, (2, 2, 2))
 
 
 class TestPureStateIdentities:

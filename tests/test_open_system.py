@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -13,18 +14,23 @@ from holoent.entanglement import (
     DensityMatrix,
     density_from_pure,
     log_negativity,
+    log_negativity_bits,
     reduce,
     von_neumann_entropy_bits,
 )
 from holoent.fock import basis_state
 from holoent.holonomy import apply_holonomy, phi_maximally_entangled, u3
 from holoent.open_system import (
+    MAX_LOSS_STEPS,
     IntegrationError,
     LossConfig,
     bell_qutrit_state,
+    damped_states,
+    damping_kraus,
     evolve,
     lindblad_rhs,
 )
+from loss_oracle import rk4_states
 
 LOG2_3 = math.log2(3.0)
 
@@ -100,6 +106,14 @@ class TestLossConfig:
 
     def test_boundary_step_size_accepted(self):
         LossConfig(t_max=10.0, steps=1000)
+
+    @pytest.mark.parametrize("steps", [MAX_LOSS_STEPS + 1, 10**12])
+    def test_steps_bounded(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            LossConfig(t_max=1.0, steps=steps)
+
+    def test_steps_bound_accepted(self):
+        LossConfig(t_max=1.0, steps=MAX_LOSS_STEPS)
 
 
 class TestBellQutritState:
@@ -211,3 +225,93 @@ class TestEvolve:
         b = evolve(me_density(), cfg)
         assert np.array_equal(a.negativity, b.negativity)
         assert np.array_equal(a.single_photon_population, b.single_photon_population)
+
+
+def kraus_channel(rho0: DensityMatrix, eta: float) -> np.ndarray:
+    """sum over l, l' of (A_l x A_l') rho0 (A_l x A_l')^dag, one Kronecker product at a time."""
+    d_east, d_west = rho0.dims
+    east, west = damping_kraus(eta, d_east), damping_kraus(eta, d_west)
+    out = np.zeros_like(rho0.matrix)
+    for a in east:
+        for b in west:
+            k = np.kron(a, b)
+            out += k @ rho0.matrix @ k.T
+    return out
+
+
+class TestDampingChannel:
+    @settings(max_examples=60)
+    @given(st.floats(0.0, 1.0), st.integers(1, 5))
+    def test_kraus_completeness(self, eta, levels):
+        kraus = damping_kraus(eta, levels)
+        completeness = np.einsum("lji,ljk->ik", kraus, kraus)
+        assert np.abs(completeness - np.eye(levels)).max() < 1e-12
+
+    def test_kraus_batched_over_eta(self):
+        eta = np.array([[0.0, 0.3], [0.7, 1.0]])
+        kraus = damping_kraus(eta, 4)
+        assert kraus.shape == (2, 2, 4, 4, 4)
+        for index in np.ndindex(eta.shape):
+            assert np.array_equal(kraus[index], damping_kraus(eta[index], 4))
+        assert np.array_equal(kraus[1, 1, 0], np.eye(4))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 4), (4, 1)])
+    def test_matches_kraus_sum(self, dims):
+        rng = np.random.default_rng(7)
+        side = dims[0] * dims[1]
+        g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        m = g @ g.conj().T
+        rho0 = DensityMatrix(m / np.trace(m).real, dims)
+        gamma_t = np.array([0.0, 0.2, 1.3, 7.0])
+        states = damped_states(rho0, gamma_t)
+        assert states.shape == (4, side, side)
+        for t, state in zip(gamma_t, states):
+            assert np.abs(state - kraus_channel(rho0, math.exp(-t))).max() < 1e-14
+        assert np.array_equal(states[0], rho0.matrix)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hermitian_unit_trace(), st.floats(0.05, 5.0), st.floats(0.2, 2.0))
+    def test_central_difference_solves_lindblad(self, rho0, t, gamma):
+        h = 1e-5
+        before, at, after = damped_states(rho0, gamma * np.array([t - h, t, t + h]))
+        derivative = (after - before) / (2.0 * h)
+        assert np.abs(derivative - lindblad_rhs(DensityMatrix(at, rho0.dims), gamma)).max() < 1e-7
+
+    @pytest.mark.parametrize("make_state", [me_density, bell_qutrit_state])
+    def test_exact_within_rk4_step_halving_difference(self, make_state):
+        rho0 = make_state()
+        cfg = LossConfig(t_max=10.0, steps=1000)
+        exact = damped_states(rho0, evolve(rho0, cfg).times)
+        fine = rk4_states(rho0, cfg.t_max, 1000)
+        coarse = rk4_states(rho0, cfg.t_max, 500)
+        halving = np.abs(fine[::2] - coarse).max()
+        assert 0.0 < np.abs(exact - fine).max() <= halving
+        neg_exact = log_negativity_bits(exact, rho0.dims)
+        neg_fine = log_negativity_bits(fine, rho0.dims)
+        neg_halving = np.abs(neg_fine[::2] - log_negativity_bits(coarse, rho0.dims)).max()
+        assert np.abs(neg_exact - neg_fine).max() <= neg_halving
+
+    def test_evolve_samples_the_channel(self):
+        rho0 = me_density()
+        traj = evolve(rho0, LossConfig(t_max=2.0, steps=200))
+        states = damped_states(rho0, traj.times)
+        assert np.array_equal(traj.negativity, log_negativity_bits(states, rho0.dims))
+        for k in (0, 63, 64, 200):
+            assert traj.negativity[k] == log_negativity(DensityMatrix(states[k], rho0.dims))
+
+    def test_memory_independent_of_sample_count(self):
+        def peak_bytes(samples: int) -> int:
+            cfg = LossConfig(t_max=1.0, steps=samples - 1)
+            tracemalloc.start()
+            try:
+                evolve(bell_qutrit_state(), cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(16 * 128) <= 1.2 * peak_bytes(128)
+
+    def test_positivity_abort_names_the_initial_state(self):
+        m = np.diag([1.0 + 1e-5, -1e-5] + [0.0] * 7).astype(complex)
+        with pytest.raises(IntegrationError, match="initial state is not positive semidefinite"):
+            evolve(DensityMatrix(m, (3, 3)), LossConfig(t_max=1.0, steps=100))
