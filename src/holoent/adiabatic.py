@@ -94,6 +94,8 @@ class PulseSchedule:
             raise ScheduleError(f"z_span must be finite, got {self.z_span}")
         if not z_start < z_end:
             raise ScheduleError(f"z_span must be increasing, got {self.z_span}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ScheduleError(f"steps must be an integer, got {self.steps!r}")
         if not 16 <= self.steps <= MAX_STEPS:
             raise ScheduleError(f"steps must be in [16, {MAX_STEPS}], got {self.steps}")
         for name, profile in (("east", self.east), ("west", self.west), ("aux", self.aux)):
@@ -156,7 +158,9 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
             for name in ("east", "west", "aux")
         }
         z_span = (float(data["z_span"][0]), float(data["z_span"][1]))
-        steps = int(data.get("steps", DEFAULT_STEPS))
+        steps = data.get("steps", DEFAULT_STEPS)
+        if isinstance(steps, float) and steps == int(steps):  # int() rejects inf and NaN
+            steps = int(steps)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScheduleError):
             raise
@@ -279,16 +283,17 @@ def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarra
     west modes depend only on the east/west 2x2 sub-block of the single-photon
     transfer matrix, so the block is the P-photon lift of that sub-block,
     ordered by descending east occupation. The sub-block is sub-unitary when
-    photons leak, hence `multimode_lift` rather than `fock_lift`. Leakage is
-    1 - (smallest singular value)^2 of the block.
+    photons leak, hence `multimode_lift` rather than `fock_lift`. The lift's
+    singular values are s1^(P-k) s2^k for the sub-block's s1 >= s2, so the
+    leakage, 1 - (smallest singular value of the block)^2, is 1 - s2^(2P).
     """
     if photon_count < 1:
         raise ValueError("photon_count must be >= 1")
     transfer = propagate_single_photon(schedule)
     facet = transfer[np.ix_([MODE_EAST, MODE_WEST], [MODE_EAST, MODE_WEST])]
     block = multimode_lift(facet, photon_count)
-    smallest = np.linalg.svd(block, compute_uv=False)[-1]
-    leakage = max(0.0, 1.0 - float(smallest) ** 2)
+    smallest = np.linalg.svd(facet, compute_uv=False)[-1]
+    leakage = max(0.0, 1.0 - float(smallest) ** (2 * photon_count))
     return block, leakage
 
 

@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_loss(args) -> int:
     try:
-        cfg = open_system.LossConfig(gamma=args.gamma, t_max=args.t_max, steps=args.steps)
+        cfg = open_system.LossConfig(t_max=args.t_max, steps=args.steps)
     except ValueError as exc:
         raise CliError(EXIT_INVALID_INPUT, str(exc)) from exc
     u = holonomy.u3(holonomy.phi_maximally_entangled())
@@ -255,10 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("loss", help="negativity decay of the two reference entangled states")
+    p = sub.add_parser("loss", help="negativity decay of the two reference states under equal loss")
     p.add_argument("--t-max", type=_positive_float, default=10.0, help="duration in units of 1/gamma")
-    p.add_argument("--steps", type=_positive_int, default=1000)
-    p.add_argument("--gamma", type=_positive_float, default=1.0)
+    p.add_argument("--steps", type=_positive_int, default=1000, help="sampling intervals up to t_max")
     add_common(p)
     p.set_defaults(func=cmd_loss)
 

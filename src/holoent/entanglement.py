@@ -151,17 +151,18 @@ def partial_transpose(rho: DensityMatrix, side: Side) -> np.ndarray:
     return _transpose_mode(rho.matrix, _require_bipartite(rho.dims), side)
 
 
-def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int], side: Side = "east") -> np.ndarray:
+def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """log2 of the trace norm of the partial transpose, clamped at zero, batched over leading axes.
 
     `matrices` has shape (..., d_east * d_west, d_east * d_west) with the flat
-    index convention of DensityMatrix; one eigvalsh covers the whole batch.
+    index convention of DensityMatrix; one eigvalsh covers the whole batch. Either
+    side's partial transpose serves: the west one is the transpose of the east one.
     """
-    pt = _transpose_mode(matrices, _require_bipartite(dims), side)
+    pt = _transpose_mode(matrices, _require_bipartite(dims), "east")
     trace_norm = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1)
     return np.maximum(0.0, np.log2(trace_norm))
 
 
-def log_negativity(rho: DensityMatrix, side: Side = "east") -> float:
+def log_negativity(rho: DensityMatrix) -> float:
     """log2 of the trace norm of the partial transpose, clamped at zero."""
-    return float(log_negativity_bits(rho.matrix, rho.dims, side))
+    return float(log_negativity_bits(rho.matrix, rho.dims))

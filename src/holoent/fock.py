@@ -77,8 +77,8 @@ def dark_basis(photon_count: int) -> DarkBasis:
 def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...], ...]:
     """All occupation tuples with the given total, in descending lexicographic order.
 
-    For two modes this reproduces the dark_basis ordering; the four-mode case
-    indexes the photon sectors used by the waveguide propagation lift.
+    For two modes this reproduces the dark_basis ordering, the order
+    `holonomy.multimode_lift` uses; the tests index four-mode sectors with it.
     """
 
     def _generate(remaining: int, modes: int):

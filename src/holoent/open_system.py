@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import DensityMatrix, _require_bipartite, log_negativity_bits
 # partial_transpose is re-exported: benchmark tracing wraps it through this binding
-from .entanglement import DensityMatrix, log_negativity_bits, partial_transpose  # noqa: F401
+from .entanglement import partial_transpose  # noqa: F401
 from .fock import identity_operator, lowering_operator, two_mode_embed
 from .holonomy import MEMORY_BUDGET_BYTES
 
@@ -41,24 +42,20 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Single-photon loss model parameters; t_max counts in units of 1/gamma.
+    """Sampling of one loss trajectory; t_max is gamma*t, the duration in units of 1/gamma.
 
     `steps` is the number of sampling intervals: the trajectory is sampled at
     steps + 1 equally spaced times from 0 to t_max, at most STEP_SIZE_GUARD apart.
+    The rate itself is not a setting: with equal rates and no Hamiltonian it only
+    sets the unit of time. The mode dimensions come from the initial state.
     """
 
-    gamma: float = 1.0
-    cutoff: int = 2
     t_max: float = 10.0
     steps: int = 1000
 
     def __post_init__(self) -> None:
-        for field in ("gamma", "t_max"):
-            value = getattr(self, field)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{field} must be positive and finite, got {value}")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.steps > MAX_LOSS_STEPS:
@@ -80,21 +77,13 @@ class Trajectory:
     trace_error: np.ndarray
 
 
-def _two_mode_dims(rho: DensityMatrix) -> tuple[int, int]:
-    if len(rho.dims) != 2:
-        raise ValueError(f"loss model needs a two-mode density matrix, got dims {rho.dims}")
-    return rho.dims[0], rho.dims[1]
-
-
 def lindblad_rhs(rho: DensityMatrix, gamma: float) -> np.ndarray:
     """Time derivative under identical single-photon loss in each mode."""
-    d_east, d_west = _two_mode_dims(rho)
+    d_east, d_west = _require_bipartite(rho.dims)
     jump_ops = (
         two_mode_embed(lowering_operator(d_east - 1), identity_operator(d_west - 1)),
         two_mode_embed(identity_operator(d_east - 1), lowering_operator(d_west - 1)),
     )
-    if jump_ops[0].shape != rho.matrix.shape:
-        raise ValueError("cutoff mismatch between rho and the mode operators")
     drho = np.zeros_like(rho.matrix)
     for a in jump_ops:
         ad = a.conj().T
@@ -132,7 +121,7 @@ def damped_states(rho0: DensityMatrix, gamma_t: np.ndarray) -> np.ndarray:
     a, c; west b, e), the two damping channels act as S_E M S_W^T, where
     S = sum_l A_l (x) A_l. Returns shape gamma_t.shape + rho0.matrix.shape.
     """
-    d_east, d_west = _two_mode_dims(rho0)
+    d_east, d_west = _require_bipartite(rho0.dims)
     eta = np.exp(-np.asarray(gamma_t, dtype=float))
     m = rho0.matrix.reshape(d_east, d_west, d_east, d_west).transpose(0, 2, 1, 3)
     m = m.reshape(d_east * d_east, d_west * d_west)
@@ -150,27 +139,21 @@ def bell_qutrit_state() -> DensityMatrix:
 
 
 def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
-    """Sample the exact loss channel at cfg.steps + 1 equally spaced times up to t_max.
+    """Sample the exact loss channel at cfg.steps + 1 equally spaced gamma*t up to t_max.
 
-    Records the east-side logarithmic negativity, the total photon number
+    rho0 may be any two-mode density matrix; its dims set the occupation levels
+    of each mode. Records the logarithmic negativity, the total photon number
     normalized to its initial value, and the trace error. Samples are evaluated
     CHUNK_SAMPLES at a time, so the working memory does not grow with `steps`.
     The channel is completely positive and trace preserving, so an eigenvalue
     below the positivity tolerance (or NaN) means rho0 itself is not positive
     semidefinite; it raises IntegrationError.
     """
-    d_east, d_west = _two_mode_dims(rho0)
-    expected_side = (cfg.cutoff + 1) ** 2
-    if rho0.matrix.shape[0] != expected_side:
-        raise ValueError(
-            f"cutoff mismatch: config cutoff {cfg.cutoff} implies side {expected_side}, "
-            f"rho has side {rho0.matrix.shape[0]}"
-        )
+    d_east, d_west = _require_bipartite(rho0.dims)
     photon_number = np.add.outer(np.arange(d_east), np.arange(d_west)).ravel()
     initial_photons = float(photon_number @ np.diagonal(rho0.matrix).real)
 
-    dt = (cfg.t_max / cfg.gamma) / cfg.steps
-    times = cfg.gamma * np.arange(cfg.steps + 1) * dt
+    times = np.arange(cfg.steps + 1) * (cfg.t_max / cfg.steps)
     negativity = np.empty(cfg.steps + 1)
     population = np.empty(cfg.steps + 1)
     trace_error = np.empty(cfg.steps + 1)
@@ -186,7 +169,7 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
                 f"{times[first + worst]:.4g}; the loss channel is exact and completely positive, "
                 "so the initial state is not positive semidefinite"
             )
-        negativity[chunk] = log_negativity_bits(rho, rho0.dims, "east")
+        negativity[chunk] = log_negativity_bits(rho, rho0.dims)
         diagonal = np.diagonal(rho, axis1=-2, axis2=-1).real
         if initial_photons > 1e-12:
             population[chunk] = diagonal @ photon_number / initial_photons

@@ -1,18 +1,19 @@
 """Independent reference methods for the coupled-mode propagation tests.
 
-These are the direct forms the library's closed-form propagator replaced: the
-dense Hamiltonian, a fixed-step RK4 integrator, an eigendecomposition matrix
-exponential and the projection of the full four-mode lift onto the dark
-facet states. Tests compare the library against them.
+These are the direct forms the library's closed forms replaced: the dense
+Hamiltonian, a fixed-step RK4 integrator, an eigendecomposition matrix
+exponential, the K-mode monomial-dictionary lift and the projection of the full
+four-mode lift onto the dark facet states. Tests compare the library against them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from holoent.adiabatic import MODE_AUX, MODE_CENTRAL, MODE_EAST, MODE_WEST, PulseSchedule
 from holoent.fock import occupation_basis
-from holoent.holonomy import multimode_lift
 
 
 def star_hamiltonian(b: np.ndarray) -> np.ndarray:
@@ -59,13 +60,47 @@ def rk4_transfer(schedule: PulseSchedule, steps: int) -> np.ndarray:
     return u
 
 
+def monomial_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
+    """Lift a K-mode single-particle matrix to the `photon_count`-photon sector.
+
+    Each input occupation state is expanded as a product of transformed
+    creation operators, (sum_j u[j,k] d_j^dag)^{n_k} acting on vacuum; the
+    resulting polynomial coefficients, with the sqrt(n!) normalizations, are
+    the matrix elements over occupation_basis(photon_count, K).
+    """
+    u = np.asarray(u, dtype=complex)
+    modes = u.shape[0]
+    basis = occupation_basis(photon_count, modes)
+    index = {occ: i for i, occ in enumerate(basis)}
+    dim = len(basis)
+    lifted = np.zeros((dim, dim), dtype=complex)
+    for col, occ in enumerate(basis):
+        poly: dict[tuple[int, ...], complex] = {(0,) * modes: 1.0 + 0.0j}
+        for k, n_k in enumerate(occ):
+            for _ in range(n_k):
+                grown: dict[tuple[int, ...], complex] = {}
+                for mono, coeff in poly.items():
+                    for j in range(modes):
+                        w = u[j, k]
+                        if w == 0:
+                            continue
+                        key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                        grown[key] = grown.get(key, 0.0j) + coeff * w
+                poly = grown
+        in_norm = math.prod(math.factorial(n) for n in occ)
+        for mono, coeff in poly.items():
+            out_norm = math.prod(math.factorial(m) for m in mono)
+            lifted[index[mono], col] = coeff * math.sqrt(out_norm / in_norm)
+    return lifted
+
+
 def four_mode_dark_block(transfer: np.ndarray, photon_count: int) -> tuple[np.ndarray, float]:
     """Dark facet block and leakage from the full four-mode lift of `transfer`.
 
     The lift is projected onto the occupations with no photon in the central
     or aux mode, ordered by descending east occupation.
     """
-    lifted = multimode_lift(transfer, photon_count)
+    lifted = monomial_lift(transfer, photon_count)
     dark = [
         i
         for i, occ in enumerate(occupation_basis(photon_count, 4))

@@ -289,6 +289,24 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError):
             schedule_from_dict(data)
 
+    @pytest.mark.parametrize("steps", [100.5, "100", None])
+    def test_non_integral_steps_rejected(self, steps):
+        with pytest.raises(ScheduleError, match="steps must be an integer"):
+            PulseSchedule(far_profile(), far_profile(), far_profile(), (-10.0, 10.0), steps=steps)
+
+    @pytest.mark.parametrize("steps", [36000.5, "36000"])
+    def test_non_integral_steps_rejected_from_dict(self, schedule, steps):
+        data = schedule.to_dict()
+        data["steps"] = steps
+        with pytest.raises(ScheduleError, match="steps must be an integer"):
+            schedule_from_dict(data)
+
+    def test_integral_float_steps_load_as_int(self, schedule):
+        data = schedule.to_dict()
+        data["steps"] = 36000.0
+        loaded = schedule_from_dict(data)
+        assert loaded.steps == 36000 and isinstance(loaded.steps, int)
+
     def test_malformed_dict_rejected(self):
         with pytest.raises(ScheduleError):
             schedule_from_dict({"east": {"peak": 1.0}})

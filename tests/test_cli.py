@@ -10,7 +10,7 @@ import pytest
 
 from holoent.adiabatic import default_schedule
 from holoent.cli import main
-from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_SWEEP_ENTRIES
+from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -100,6 +100,15 @@ class TestSweepCommand:
 
     def test_invalid_points_exits_2(self):
         assert run_cli("sweep", "--input", "1,1", "--points", "0").returncode == 2
+
+    def test_photons_above_lift_bound_exits_2(self, tmp_path, capsys):
+        photons = MAX_LIFT_PHOTONS + 1
+        out = tmp_path / "out.csv"
+        code = main(["sweep", "--input", f"{photons},0", "--photons", str(photons), "--points", "16",
+                     "--output", str(out)])
+        assert code == 2
+        assert "photon_count must be in" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def smallest_photons_above_bound(points: int) -> int:
@@ -243,6 +252,15 @@ class TestDiabaticCommand:
         cp = run_cli("diabatic", "--schedule", str(path))
         assert cp.returncode == 5
         assert message in cp.stderr
+
+    @pytest.mark.parametrize("steps", [36000.5, "36000"])
+    def test_non_integral_schedule_steps_exits_5(self, tmp_path, capsys, steps):
+        data = default_schedule().to_dict()
+        data["steps"] = steps
+        path = tmp_path / "fractional_steps.json"
+        path.write_text(json.dumps(data))
+        assert main(["diabatic", "--schedule", str(path), "--output", str(tmp_path / "out.csv")]) == 5
+        assert "steps must be an integer" in capsys.readouterr().err
 
     def test_boundary_violation_exits_5(self, tmp_path):
         data = default_schedule().to_dict()

@@ -279,7 +279,7 @@ class TestLogNegativity:
     def test_pure_state_closed_form(self, state):
         s = schmidt(state)
         expected = 2.0 * math.log2(s.sum())
-        value = log_negativity(density_from_pure(state), "east")
+        value = log_negativity(density_from_pure(state))
         assert abs(value - max(0.0, expected)) < 1e-10
 
 
@@ -291,10 +291,14 @@ class TestLogNegativity:
         g = rng.normal(size=(2, 3, side_len, side_len)) + 1j * rng.normal(size=(2, 3, side_len, side_len))
         m = g @ np.swapaxes(g.conj(), -1, -2)
         m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-        batched = log_negativity_bits(m, dims, side)
+        batched = log_negativity_bits(m, dims)
         assert batched.shape == (2, 3)
         for index in np.ndindex(2, 3):
-            assert batched[index] == log_negativity(DensityMatrix(m[index], dims), side)
+            rho = DensityMatrix(m[index], dims)
+            assert batched[index] == log_negativity(rho)
+            # either side's partial transpose has the same spectrum
+            trace_norm = np.abs(np.linalg.eigvalsh(partial_transpose(rho, side))).sum()
+            assert batched[index] == pytest.approx(max(0.0, math.log2(trace_norm)), abs=1e-12)
 
     def test_batched_rejects_non_bipartite_dims(self):
         with pytest.raises(ValueError, match="bipartite"):

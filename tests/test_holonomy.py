@@ -1,15 +1,18 @@
 import math
 import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoent.entanglement import entanglement_entropy_bits, schmidt
 from holoent.fock import basis_state
 from holoent.holonomy import (
+    MAX_LIFT_PHOTONS,
     MAX_SWEEP_ENTRIES,
+    UNITARITY_TOL,
     RotationFamily,
     apply_holonomy,
     check_sweep_size,
@@ -20,6 +23,7 @@ from holoent.holonomy import (
     single_mode_rotation,
     u3,
 )
+from propagation_oracle import monomial_lift
 
 GOLDEN_U3_QUARTER_PI = np.array(
     [
@@ -30,6 +34,11 @@ GOLDEN_U3_QUARTER_PI = np.array(
 )
 
 phases = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+# real and imaginary parts of arbitrary 2x2 matrices, exact zeros drawn often
+parts = hnp.arrays(np.float64, (2, 2), elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+SUB_UNITARY = 0.9 * np.array([[0.6, -0.8j], [-0.8j, 0.6]])
+JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 def ladder_lift_oracle(u2: np.ndarray, photons: int) -> np.ndarray:
@@ -155,7 +164,72 @@ class TestLift:
         assert np.abs(lifted @ lifted.conj().T - np.eye(4)).max() < 1e-12
 
     def test_multimode_lift_vacuum_sector(self):
-        assert multimode_lift(np.eye(4), 2).shape == (10, 10)
+        # the four-mode monomial-dictionary oracle on the ten two-photon occupations
+        assert np.array_equal(monomial_lift(np.eye(4), 2), np.eye(10))
+
+
+class TestClosedFormLift:
+    @settings(max_examples=150, deadline=None)
+    @given(parts, parts, st.integers(0, 20))
+    @example(SUB_UNITARY.real, SUB_UNITARY.imag, 7)
+    @example(JORDAN, np.zeros((2, 2)), 20)
+    @example(NILPOTENT, np.zeros((2, 2)), 3)
+    @example(np.zeros((2, 2)), np.zeros((2, 2)), 4)
+    def test_matches_monomial_dictionary(self, re, im, photons):
+        u = re + 1j * im
+        scale = max(1.0, np.linalg.norm(u, 2) ** photons)
+        assert np.abs(multimode_lift(u, photons) - monomial_lift(u, photons)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("photons", [1, 2, 5, 9])
+    def test_homomorphism_for_non_unitary_matrices(self, photons):
+        rng = np.random.default_rng(photons)
+        for _ in range(5):
+            a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+            scale = (np.linalg.norm(a, 2) * np.linalg.norm(b, 2)) ** photons
+            lhs = multimode_lift(a @ b, photons)
+            rhs = multimode_lift(a, photons) @ multimode_lift(b, photons)
+            assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts, parts, st.integers(0, 12))
+    @example(SUB_UNITARY.real, SUB_UNITARY.imag, 6)
+    def test_singular_values_are_products_of_the_pair(self, re, im, photons):
+        u = re + 1j * im
+        s1, s2 = np.linalg.svd(u, compute_uv=False)
+        expected = np.sort(s1 ** (photons - np.arange(photons + 1)) * s2 ** np.arange(photons + 1))
+        got = np.sort(np.linalg.svd(multimode_lift(u, photons), compute_uv=False))
+        assert np.abs(got - expected).max() <= 1e-13 * max(1.0, s1**photons)
+
+    def test_unitary_to_ten_times_under_tolerance_at_the_bound(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            lifted = multimode_lift(random_unitary(rng), MAX_LIFT_PHOTONS)
+            defect = np.abs(lifted @ lifted.conj().T - np.eye(MAX_LIFT_PHOTONS + 1)).max()
+            assert defect <= 0.1 * UNITARITY_TOL
+
+    def test_zero_photons_is_one_by_one(self):
+        assert np.array_equal(multimode_lift(NILPOTENT, 0), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("u", [np.eye(3), np.eye(4), np.ones(2), np.ones((2, 3))])
+    def test_rejects_shapes_other_than_two_by_two(self, u):
+        with pytest.raises(ValueError, match="u must be a 2x2 matrix"):
+            multimode_lift(u, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = bad
+        with pytest.raises(ValueError, match="u has non-finite entries"):
+            multimode_lift(u, 2)
+
+    def test_rejects_overflowing_lift(self):
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="lift of u overflows"):
+            multimode_lift(1e10 * np.eye(2), MAX_LIFT_PHOTONS)
+
+    @pytest.mark.parametrize("photons", [-1, MAX_LIFT_PHOTONS + 1])
+    def test_rejects_photon_count_out_of_range(self, photons):
+        with pytest.raises(ValueError, match="photon_count must be in"):
+            multimode_lift(np.eye(2), photons)
 
 
 class TestRotationFamily:
