@@ -17,7 +17,10 @@ Propagation uses the 4th-order commutator-free Magnus scheme of Blanes & Moan
 (Appl. Numer. Math. 56, 2006). The single-photon Hamiltonian is a star graph
 around the hub, and so is every linear combination of it that the scheme
 exponentiates, so each step is a closed-form unitary. Accuracy is checked by
-step doubling rather than by unitarity, which holds by construction.
+step doubling rather than by unitarity, which holds by construction, and the
+same check chooses the step count: a schedule's `steps` is a cap, and the
+propagation stops at the first of the doubling levels steps/32, ..., steps/2,
+steps whose estimate is within STEP_ERROR_TARGET (see propagate_single_photon).
 """
 
 from __future__ import annotations
@@ -37,12 +40,16 @@ MODE_EAST, MODE_CENTRAL, MODE_WEST, MODE_AUX = 0, 1, 2, 3
 
 BOUNDARY_DECAY = 1e-6
 STEP_ERROR_ABORT = 1e-6
-DEFAULT_STEPS = 24000
+STEP_ERROR_TARGET = 1e-11  # 100x under the 1e-9 dataset rule, above the ~1e-13 roundoff floor
+STEP_DOUBLINGS = 5  # the coarsest step level is steps >> STEP_DOUBLINGS
+DEFAULT_STEPS = 24000  # step cap of a schedule that does not set one
 CHUNK_STEPS = 2048  # steps multiplied per batch; bounds propagation memory
-# upper bound on steps: a 60 s budget per checked propagation, which runs 1.5 * steps
-# CF4 steps (step doubling included) at about 0.6 M steps/s on a 2-vCPU x86 VM with
-# numpy 2.4; memory is O(CHUNK_STEPS) whatever the bound
-MAX_STEPS = 60 * 600_000
+# upper bound on the step cap: a 60 s budget per propagation, which runs at most
+# (1 + 1/2 + ... + 1/32) * steps = 63/32 * steps CF4 steps. CF4 ran at 1.29-1.49 M
+# steps/s on a 2-vCPU x86 VM with numpy 2.4 (12 runs of 2 M steps), taken here as
+# 0.86 M steps/s to hold through the 1.5x slow stretches seen on that VM; memory is
+# O(CHUNK_STEPS) whatever the bound
+MAX_STEPS = 60 * 860_000 * 32 // 63
 
 # 4th-order commutator-free Magnus: Gauss nodes (fractions of a step) and weights
 _GAUSS_1 = 0.5 - math.sqrt(3.0) / 6.0
@@ -80,7 +87,11 @@ class CouplingProfile:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Coupling profiles for the three outer waveguides over a z interval."""
+    """Coupling profiles for the three outer waveguides over a z interval.
+
+    `steps` caps the CF4 grid steps of one propagation; fewer run when the
+    step-doubling estimate meets STEP_ERROR_TARGET first.
+    """
 
     east: CouplingProfile
     west: CouplingProfile
@@ -126,17 +137,6 @@ class PulseSchedule:
             stretch(self.aux),
             (self.z_span[0] * scale, self.z_span[1] * scale),
             self.steps,
-        )
-
-    def reversed(self) -> "PulseSchedule":
-        """Mirror the schedule in z (traverse the coupling loop backwards)."""
-        z_start, z_end = self.z_span
-
-        def mirror(p: CouplingProfile) -> CouplingProfile:
-            return CouplingProfile(p.peak, z_start + z_end - p.center, p.sigma)
-
-        return PulseSchedule(
-            mirror(self.east), mirror(self.west), mirror(self.aux), self.z_span, self.steps
         )
 
     def to_dict(self) -> dict:
@@ -260,14 +260,36 @@ def _cf4_transfer(schedule: PulseSchedule, steps: int) -> np.ndarray:
 def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     """Transfer matrix of i dpsi/dz = H(z) psi across the chip.
 
-    Uses `schedule.steps` steps of the 4th-order commutator-free Magnus scheme,
-    which is unitary by construction. Memory is O(CHUNK_STEPS), independent of
-    the step count. The error is estimated by step doubling,
-    max|U_N - U_{N//2}| / 15, at the cost of half a propagation; IntegrationError
-    is raised when it is not within STEP_ERROR_ABORT (NaN included).
+    Uses the 4th-order commutator-free Magnus scheme, which is unitary by
+    construction, with memory O(CHUNK_STEPS) whatever the step count. The step
+    count is chosen by nested step doubling over the levels
+    steps >> STEP_DOUBLINGS, ..., steps >> 1, steps: each level N is checked
+    against the one before by the estimate max|U_N - U_{N/2}| / 15, and the
+    first level whose estimate is within STEP_ERROR_TARGET is returned. The
+    coarsest level is only a comparator. Levels whose step exceeds a quarter of
+    the narrowest pulse width are dropped, because their Gauss nodes can miss
+    the pulses altogether.
+
+    `schedule.steps` is the cap. If it is reached, its result is returned when
+    the estimate is within STEP_ERROR_ABORT, and IntegrationError is raised
+    otherwise (NaN included). When fewer than two resolved levels are left, the
+    cap is checked against steps // 2 without the factor 1/15, which holds only
+    once the error falls as h^4.
     """
-    u = _cf4_transfer(schedule, schedule.steps)
-    estimate = np.abs(u - _cf4_transfer(schedule, schedule.steps // 2)).max() / 15.0
+    cap = schedule.steps
+    span = schedule.z_span[1] - schedule.z_span[0]
+    step_floor = min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)) / 4.0
+    levels = [cap >> k for k in range(STEP_DOUBLINGS, -1, -1) if span <= step_floor * (cap >> k)]
+    richardson = 15.0
+    if len(levels) < 2:
+        levels, richardson = [cap // 2, cap], 1.0
+    coarse = _cf4_transfer(schedule, levels[0])
+    for steps in levels[1:]:
+        u = _cf4_transfer(schedule, steps)
+        estimate = np.abs(u - coarse).max() / richardson
+        if estimate <= STEP_ERROR_TARGET:
+            return u
+        coarse = u
     if not estimate <= STEP_ERROR_ABORT:
         raise IntegrationError(
             f"step-doubling error estimate {estimate:.3e} exceeds {STEP_ERROR_ABORT:g}; "

@@ -64,7 +64,13 @@ def _render_csv(columns: list[str], records: list[dict]) -> str:
 
 
 def _render_json(records: list[dict] | list[str]) -> str:
-    return json.dumps(records, indent=2) + "\n"
+    """JSON text whose float cells carry the same 12 significant digits as the CSV."""
+    rows = [
+        record if isinstance(record, str)
+        else {name: float(_fmt(v)) if isinstance(v, float) else v for name, v in record.items()}
+        for record in records
+    ]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -56,6 +56,8 @@ class LossConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.steps > MAX_LOSS_STEPS:

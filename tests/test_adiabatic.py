@@ -2,22 +2,26 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holoent import adiabatic
 from holoent.adiabatic import (
     CHUNK_STEPS,
     MAX_STEPS,
     MODE_AUX,
     MODE_EAST,
     MODE_WEST,
+    STEP_ERROR_TARGET,
     CouplingProfile,
     IntegrationError,
     PulseSchedule,
     ScheduleError,
+    _cf4_transfer,
     _star_exponentials,
     dark_holonomy,
     default_schedule,
@@ -48,6 +52,58 @@ def far_profile() -> CouplingProfile:
 def idle_schedule() -> PulseSchedule:
     """All couplings exactly zero over the propagation window."""
     return PulseSchedule(far_profile(), far_profile(), far_profile(), (-10.0, 10.0), steps=64)
+
+
+def narrow_pulse_schedule() -> PulseSchedule:
+    """Three sigma = 0.05 pulses at z = 0 over [-17, 17], capped at 64 steps.
+
+    The Gauss nodes of a 4-step grid all miss the pulses, so a controller that
+    let such a level decide would accept the identity; the true transfer is far
+    from it.
+    """
+    pulse = CouplingProfile(peak=7.0710678118654755, center=0.0, sigma=0.05)
+    aux = CouplingProfile(peak=9.899494936611665, center=0.0, sigma=0.05)
+    return PulseSchedule(pulse, pulse, aux, (-17.0, 17.0), steps=64)
+
+
+def wide_pulse() -> CouplingProfile:
+    return CouplingProfile(peak=1.0, center=0.0, sigma=0.5)
+
+
+def narrow_aux_pulse() -> CouplingProfile:
+    return CouplingProfile(peak=5.0, center=0.0, sigma=0.03125)
+
+
+def reversed_schedule(schedule: PulseSchedule) -> PulseSchedule:
+    """Mirror the schedule in z (traverse the coupling loop backwards)."""
+    z_start, z_end = schedule.z_span
+
+    def mirror(p: CouplingProfile) -> CouplingProfile:
+        return CouplingProfile(p.peak, z_start + z_end - p.center, p.sigma)
+
+    return dataclasses.replace(
+        schedule, east=mirror(schedule.east), west=mirror(schedule.west), aux=mirror(schedule.aux)
+    )
+
+
+def propagate_recording_levels(schedule: PulseSchedule):
+    """propagate_single_photon(schedule) and the (steps, transfer) of every level it ran."""
+    runs = []
+
+    def record(sched, steps):
+        runs.append((steps, _cf4_transfer(sched, steps)))
+        return runs[-1][1]
+
+    with mock.patch.object(adiabatic, "_cf4_transfer", record):
+        return propagate_single_photon(schedule), runs
+
+
+profiles = st.builds(
+    CouplingProfile,
+    peak=st.floats(0.5, 10.0),
+    center=st.floats(-3.0, 3.0),
+    sigma=st.floats(0.03, 1.5),
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,10 +167,59 @@ class TestPropagation:
     def test_unitarity_at_default_resolution(self, transfer):
         assert np.abs(transfer @ transfer.conj().T - np.eye(4)).max() < 1e-9
 
-    def test_step_halving_convergence(self, schedule, transfer):
-        doubled = dataclasses.replace(schedule, steps=2 * schedule.steps)
-        u2 = propagate_single_photon(doubled)
-        assert np.abs(transfer - u2).max() < 1e-8
+    @pytest.mark.parametrize("omega_t", [2.28, 5.0, 10.0])
+    def test_accepted_transfer_within_twice_target(self, schedule, omega_t):
+        dilated = schedule.dilate(omega_t / schedule.omega_t)
+        fine = _cf4_transfer(dilated, 4 * dilated.steps)
+        assert np.abs(propagate_single_photon(dilated) - fine).max() <= 2.0 * STEP_ERROR_TARGET
+
+    def test_default_schedule_stops_at_18000_steps(self, schedule):
+        _, runs = propagate_recording_levels(schedule)
+        assert [steps for steps, _ in runs] == [1125, 2250, 4500, 9000, 18000]
+
+    def test_reaching_the_cap_returns_the_cap_transfer(self, schedule):
+        capped = dataclasses.replace(schedule, steps=6000)
+        assert np.array_equal(propagate_single_photon(capped), _cf4_transfer(capped, 6000))
+
+    def test_unresolved_narrow_pulses_abort(self):
+        narrow = narrow_pulse_schedule()
+        assert np.abs(_cf4_transfer(narrow, 40000) - np.eye(4)).max() > 0.5
+        with pytest.raises(IntegrationError):
+            propagate_single_photon(narrow)
+        _, runs = propagate_recording_levels(dataclasses.replace(narrow, steps=40000))
+        assert runs[0][0] == 40000 >> 3  # the first level with a step within sigma/4
+
+    def test_unresolved_cap_is_checked_without_the_h4_factor(self):
+        # step 26/1100 > sigma/4 of the aux pulse; at a 1352-step cap the error is 2.1x diff/15
+        sched = PulseSchedule(wide_pulse(), wide_pulse(), narrow_aux_pulse(), (-13.0, 13.0), steps=1100)
+        difference = np.abs(_cf4_transfer(sched, 1100) - _cf4_transfer(sched, 550)).max()
+        with pytest.raises(IntegrationError, match=f"estimate {difference:.3e} exceeds"):
+            propagate_single_photon(sched)
+
+    @settings(max_examples=25, deadline=None)
+    @example(east=wide_pulse(), west=wide_pulse(), aux=narrow_aux_pulse(), margin=10.0, cap=1352)
+    @given(
+        east=profiles,
+        west=profiles,
+        aux=profiles,
+        margin=st.floats(0.0, 15.0),
+        cap=st.integers(64, 36000),
+    )
+    def test_accepted_transfer_within_twice_its_estimate(self, east, west, aux, margin, cap):
+        pulses = (east, west, aux)
+        half = max(abs(p.center) + 6.0 * p.sigma for p in pulses) + margin
+        sched = PulseSchedule(east, west, aux, (-half, half), steps=cap)
+        try:
+            u, runs = propagate_recording_levels(sched)
+        except IntegrationError:
+            return
+        coarse_steps, coarse = runs[-2]
+        min_sigma = min(p.sigma for p in pulses)
+        # the h^4 factor 1/15 applies only when the comparator's step is within sigma/4
+        richardson = 15.0 if 8.0 * half <= min_sigma * coarse_steps else 1.0
+        estimate = np.abs(u - coarse).max() / richardson
+        fine = _cf4_transfer(sched, 4 * max(cap, math.ceil(8.0 * half / min_sigma)))
+        assert np.abs(u - fine).max() <= 2.0 * max(STEP_ERROR_TARGET, estimate)
 
     def test_adiabatic_leakage_below_tolerance(self, schedule):
         assert schedule.omega_t == pytest.approx(10.0, abs=1e-9)
@@ -194,7 +299,7 @@ class TestDarkHolonomy:
 
     def test_reversed_schedule_inverts_phase(self, schedule, dark_blocks):
         phi_forward = fit_rotation_phase(dark_blocks[1][0], 1)
-        block_rev, _ = dark_holonomy(schedule.reversed(), 1)
+        block_rev, _ = dark_holonomy(reversed_schedule(schedule), 1)
         phi_backward = fit_rotation_phase(block_rev, 1)
         assert abs(phi_forward + phi_backward) < 1e-3
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from holoent.adiabatic import default_schedule
-from holoent.cli import main
+from holoent.cli import _fmt, main
 from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES
 
 
@@ -97,6 +97,19 @@ class TestSweepCommand:
         records = json.loads(out.read_text())
         assert records[0]["input_label"] == "1,1"
         assert {"phi", "entropy_bits", "purity", "renyi2_bits"} <= records[0].keys()
+
+    def test_json_numbers_carry_the_csv_digits(self, tmp_path):
+        args = ["sweep", "--input", "2,1", "--photons", "3", "--points", "64"]
+        assert main([*args, "--json", "--output", str(tmp_path / "sweep.json")]) == 0
+        assert main([*args, "--output", str(tmp_path / "sweep.csv")]) == 0
+        records = json.loads((tmp_path / "sweep.json").read_text())
+        numbers = [v for record in records for v in record.values() if isinstance(v, float)]
+        assert len(numbers) == 4 * len(records)
+        assert all(float(_fmt(v)) == v for v in numbers)
+        csv_rows = read_csv(tmp_path / "sweep.csv")
+        assert [{k: float(v) for k, v in r.items() if k != "input_label"} for r in csv_rows] == [
+            {k: v for k, v in r.items() if k != "input_label"} for r in records
+        ]
 
     def test_invalid_points_exits_2(self):
         assert run_cli("sweep", "--input", "1,1", "--points", "0").returncode == 2
@@ -268,6 +281,16 @@ class TestDiabaticCommand:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(data))
         assert run_cli("diabatic", "--schedule", str(path)).returncode == 5
+
+    def test_unresolved_narrow_pulses_exit_4(self, tmp_path, capsys):
+        data = default_schedule().to_dict()
+        for name in ("east", "west", "aux"):
+            data[name].update(center=0.0, sigma=0.05)
+        data["steps"] = 64
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(data))
+        assert main(["diabatic", "--schedule", str(path), "--output", str(tmp_path / "out.csv")]) == 4
+        assert "step-doubling error estimate" in capsys.readouterr().err
 
     def test_bad_scan_range_exits_2(self, tmp_path):
         sched = small_schedule_file(tmp_path)

@@ -112,6 +112,11 @@ class TestLossConfig:
     def test_steps_bound_accepted(self):
         LossConfig(t_max=1.0, steps=MAX_LOSS_STEPS)
 
+    @pytest.mark.parametrize("steps", [100.5, 100.0, "100", None])
+    def test_non_integral_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            LossConfig(t_max=1.0, steps=steps)
+
 
 class TestBellQutritState:
     def test_reduced_entropy(self):
