@@ -169,12 +169,14 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
 
 
 def load_schedule(path: str | Path) -> PulseSchedule:
-    """Read a schedule from a JSON file (keys east/west/aux, z_span, steps)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Read a schedule from a UTF-8 JSON file (keys east/west/aux, z_span, steps)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScheduleError(f"cannot read schedule file {path}: {exc}") from exc
     return schedule_from_dict(data)
 
 

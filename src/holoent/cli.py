@@ -35,10 +35,7 @@ EXIT_SCHEDULE = 5
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """The output path cannot be written (exit EXIT_UNWRITABLE)."""
 
 
 def _fmt(value: float) -> str:
@@ -82,7 +79,7 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=target.name + ".", suffix=".tmp")
     except OSError as exc:
-        raise CliError(EXIT_UNWRITABLE, f"cannot write to {path}: {exc}") from exc
+        raise CliError(f"cannot write to {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -95,7 +92,7 @@ def _write_text(path: str | None, text: str) -> None:
             os.unlink(tmp_name)
         except OSError:
             pass
-        raise CliError(EXIT_UNWRITABLE, f"cannot write to {path}: {exc}") from exc
+        raise CliError(f"cannot write to {path}: {exc}") from exc
 
 
 def _emit(args, columns: list[str], records: list[dict]) -> int:
@@ -105,15 +102,9 @@ def _emit(args, columns: list[str], records: list[dict]) -> int:
 
 
 def _parse_input_label(label: str, photons: int) -> int:
-    try:
-        occ = OccupationState.from_label(label)
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID_INPUT, str(exc)) from exc
+    occ = OccupationState.from_label(label)
     if occ.total != photons:
-        raise CliError(
-            EXIT_INVALID_INPUT,
-            f"input {label!r} has {occ.total} photons, expected {photons}",
-        )
+        raise ValueError(f"input {label!r} has {occ.total} photons, expected {photons}")
     return dark_basis(photons).index_of(occ)
 
 
@@ -140,10 +131,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    try:
-        cfg = open_system.LossConfig(t_max=args.t_max, steps=args.steps)
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID_INPUT, str(exc)) from exc
+    cfg = open_system.LossConfig(t_max=args.t_max, steps=args.steps)
     u = holonomy.u3(holonomy.phi_maximally_entangled())
     out = holonomy.apply_holonomy(u, basis_state(2, 1))
     rho_holonomic = entanglement.density_from_pure(out)
@@ -164,7 +152,7 @@ def cmd_loss(args) -> int:
 
 def cmd_volume(args) -> int:
     if args.max_photons > 6:
-        raise CliError(EXIT_INVALID_INPUT, "--max-photons is capped at 6 (desk-scale guard)")
+        raise ValueError("--max-photons is capped at 6 (desk-scale guard)")
     holonomy.check_sweep_size(args.max_photons, args.points)
     records = []
     for photons in range(1, args.max_photons + 1):
@@ -193,9 +181,9 @@ def cmd_diabatic(args) -> int:
     else:
         schedule = adiabatic.load_schedule(args.schedule)
     if args.scan_points < 2:
-        raise CliError(EXIT_INVALID_INPUT, "--scan-points must be >= 2")
+        raise ValueError("--scan-points must be >= 2")
     if not 0 < args.scan_from < args.scan_to:
-        raise CliError(EXIT_INVALID_INPUT, "scan range must satisfy 0 < from < to")
+        raise ValueError("scan range must satisfy 0 < from < to")
     omega_ts = list(np.linspace(args.scan_from, args.scan_to, args.scan_points))
     scan = adiabatic.diabatic_scan(schedule, omega_ts)
     records = [
@@ -211,6 +199,7 @@ def cmd_diabatic(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    holonomy.check_sweep_size(args.photons, 0)
     labels = list(dark_basis(args.photons).labels())
     text = _render_json(labels) if args.json else "".join(label + "\n" for label in labels)
     _write_text(args.output, text)
@@ -290,8 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNWRITABLE
     except adiabatic.ScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEDULE

@@ -1,6 +1,6 @@
-"""Fock-space bookkeeping: dark bases, occupation bases, truncated ladder operators.
+"""Fock-space bookkeeping: dark bases, occupation bases and basis states.
 
-Every other module builds its states and operators from the primitives here.
+Every other module builds its states from the primitives here.
 Basis ordering is fixed (descending east occupation) so that matrices written
 in the dark basis have a single, unambiguous row/column convention.
 """
@@ -94,27 +94,6 @@ def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...
     if mode_count < 1:
         raise ValueError("mode_count must be positive")
     return tuple(_generate(photon_count, mode_count))
-
-
-def lowering_operator(cutoff: int) -> np.ndarray:
-    """Truncated bosonic lowering operator on occupations 0..cutoff: entry (n-1, n) = sqrt(n)."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1).astype(complex)
-
-
-def identity_operator(cutoff: int) -> np.ndarray:
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    return np.eye(cutoff + 1, dtype=complex)
-
-
-def two_mode_embed(op_east: np.ndarray, op_west: np.ndarray) -> np.ndarray:
-    """Kronecker product over the east-major two-mode basis.
-
-    Index convention: flat index = n_east * (cutoff_west + 1) + n_west.
-    """
-    return np.kron(op_east, op_west)
 
 
 @dataclass(frozen=True)

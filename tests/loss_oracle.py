@@ -2,15 +2,51 @@
 
 This is the direct form the library's closed-form loss channel replaced: a
 fixed-step RK4 integration of the Lindblad generator `lindblad_rhs`, with the
-state re-Hermitized after every step. Tests compare the library against it.
+state re-Hermitized after every step, built from truncated ladder operators.
+Tests compare the library against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from holoent.entanglement import DensityMatrix
-from holoent.open_system import lindblad_rhs
+from holoent.entanglement import DensityMatrix, _require_bipartite
+
+
+def lowering_operator(cutoff: int) -> np.ndarray:
+    """Truncated bosonic lowering operator on occupations 0..cutoff: entry (n-1, n) = sqrt(n)."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1).astype(complex)
+
+
+def identity_operator(cutoff: int) -> np.ndarray:
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
+    return np.eye(cutoff + 1, dtype=complex)
+
+
+def two_mode_embed(op_east: np.ndarray, op_west: np.ndarray) -> np.ndarray:
+    """Kronecker product over the east-major two-mode basis.
+
+    Index convention: flat index = n_east * (cutoff_west + 1) + n_west.
+    """
+    return np.kron(op_east, op_west)
+
+
+def lindblad_rhs(rho: DensityMatrix, gamma: float) -> np.ndarray:
+    """Time derivative under identical single-photon loss in each mode."""
+    d_east, d_west = _require_bipartite(rho.dims)
+    jump_ops = (
+        two_mode_embed(lowering_operator(d_east - 1), identity_operator(d_west - 1)),
+        two_mode_embed(identity_operator(d_east - 1), lowering_operator(d_west - 1)),
+    )
+    drho = np.zeros_like(rho.matrix)
+    for a in jump_ops:
+        ad = a.conj().T
+        n_op = ad @ a
+        drho += a @ rho.matrix @ ad - 0.5 * (n_op @ rho.matrix + rho.matrix @ n_op)
+    return gamma * drho
 
 
 def rk4_states(rho0: DensityMatrix, gamma_t_max: float, steps: int) -> np.ndarray:

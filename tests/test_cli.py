@@ -18,6 +18,10 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
+# the largest P with (P + 1)^2 <= MAX_SWEEP_ENTRIES, the bound of holonomy.check_sweep_size(P, 0)
+BASIS_PHOTON_BOUND = math.isqrt(MAX_SWEEP_ENTRIES) - 1
+
+
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -28,6 +32,16 @@ def small_schedule_file(tmp_path: Path, steps: int = 6000) -> Path:
     data["steps"] = steps
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(data))
+    return path
+
+
+def unreadable_schedule(tmp_path: Path, case: str) -> Path:
+    if case == "missing":
+        return tmp_path / "no_such_schedule.json"
+    if case == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(default_schedule().to_dict()).encode() + b" \xff\n")
     return path
 
 
@@ -45,6 +59,26 @@ class TestBasisCommand:
     def test_json_format(self):
         cp = run_cli("basis", "--photons", "3", "--json")
         assert json.loads(cp.stdout) == ["3,0", "2,1", "1,2", "0,3"]
+
+    def test_photons_at_bound(self, tmp_path):
+        out = tmp_path / "basis.txt"
+        assert main(["basis", "--photons", str(BASIS_PHOTON_BOUND), "--output", str(out)]) == 0
+        labels = out.read_text().splitlines()
+        assert len(labels) == BASIS_PHOTON_BOUND + 1
+        assert labels[0] == f"{BASIS_PHOTON_BOUND},0" and labels[-1] == f"0,{BASIS_PHOTON_BOUND}"
+
+    def test_photons_over_bound_exits_2_without_allocating(self, tmp_path, capsys):
+        out = tmp_path / "basis.txt"
+        tracemalloc.start()
+        try:
+            code = main(["basis", "--photons", str(BASIS_PHOTON_BOUND + 1), "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceed the bound" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20
 
 
 class TestSweepCommand:
@@ -291,6 +325,21 @@ class TestDiabaticCommand:
         path.write_text(json.dumps(data))
         assert main(["diabatic", "--schedule", str(path), "--output", str(tmp_path / "out.csv")]) == 4
         assert "step-doubling error estimate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_schedule_exits_5(self, tmp_path, capsys, case):
+        path = unreadable_schedule(tmp_path, case)
+        out = tmp_path / "out.csv"
+        assert main(["diabatic", "--schedule", str(path), "--output", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert f"cannot read schedule file {path}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        cp = run_cli("diabatic", "--schedule", str(path), "--output", str(out))
+        assert cp.returncode == 5
+        assert f"cannot read schedule file {path}" in cp.stderr
+        assert "Traceback" not in cp.stderr
+        assert not out.exists()
 
     def test_bad_scan_range_exits_2(self, tmp_path):
         sched = small_schedule_file(tmp_path)

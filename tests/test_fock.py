@@ -11,11 +11,9 @@ from holoent.fock import (
     PureState,
     basis_state,
     dark_basis,
-    identity_operator,
-    lowering_operator,
     occupation_basis,
-    two_mode_embed,
 )
+from loss_oracle import identity_operator, lowering_operator, two_mode_embed
 
 
 def brute_force_occupations(photons: int, modes: int) -> list[tuple[int, ...]]:

@@ -233,7 +233,7 @@ class TestClosedFormLift:
 
 
 class TestRotationFamily:
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), phases)
     def test_matches_dict_and_ladder_lifts(self, photons, phi):
         family = RotationFamily(photons)

@@ -21,16 +21,17 @@ from holoent.entanglement import (
 from holoent.fock import basis_state
 from holoent.holonomy import apply_holonomy, phi_maximally_entangled, u3
 from holoent.open_system import (
+    CHUNK_SAMPLES,
     MAX_LOSS_STEPS,
+    POSITIVITY_ABORT,
     IntegrationError,
     LossConfig,
     bell_qutrit_state,
     damped_states,
     damping_kraus,
     evolve,
-    lindblad_rhs,
 )
-from loss_oracle import rk4_states
+from loss_oracle import lindblad_rhs, rk4_states
 
 LOG2_3 = math.log2(3.0)
 
@@ -57,6 +58,26 @@ def hermitian_unit_trace(draw):
     m = 0.5 * (a + a.conj().T)
     m += (1.0 - np.trace(m).real) / side * np.eye(side)
     return DensityMatrix(m, (3, 3))
+
+
+@composite
+def slightly_negative_states(draw):
+    """Hermitian unit-trace rho0 on dims up to (4, 4) whose eigenvalues may dip to about -1e-3."""
+    dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    side = dims[0] * dims[1]
+    elems = st.floats(-1.0, 1.0, allow_nan=False)
+    a = draw(hnp.arrays(np.float64, (side, side), elements=elems))
+    b = draw(hnp.arrays(np.float64, (side, side), elements=elems))
+    unitary = np.linalg.qr(a + 1j * b)[0]
+    weights = draw(hnp.arrays(np.float64, side, elements=st.floats(-1e-3, 1.0)))
+    weights[0] = 1.0
+    m = (unitary * (weights / weights.sum())) @ unitary.conj().T
+    return DensityMatrix(0.5 * (m + m.conj().T), dims)
+
+
+def edge_state(eps: float) -> DensityMatrix:
+    """diag(1 + 2 eps, -eps, -eps) on three east levels and one west level: negative mass -2 eps."""
+    return DensityMatrix(np.diag([1.0 + 2.0 * eps, -eps, -eps]).astype(complex), (3, 1))
 
 
 class TestLindbladRhs:
@@ -323,3 +344,46 @@ class TestDampingChannel:
         m = np.diag([1.0 + 1e-5, -1e-5] + [0.0] * 7).astype(complex)
         with pytest.raises(IntegrationError, match="initial state is not positive semidefinite"):
             evolve(DensityMatrix(m, (3, 3)), LossConfig(t_max=1.0, steps=100))
+
+
+class TestInitialPositivityCheck:
+    """evolve checks the summed negative eigenvalues of rho0 once; by complete positivity
+    they bound the lowest eigenvalue of every sample."""
+
+    @pytest.mark.parametrize("eps, aborts", [(4.5e-7, False), (9e-7, True)])
+    def test_edge_pins(self, eps, aborts):
+        cfg = LossConfig(t_max=1.0, steps=100)
+        if aborts:
+            with pytest.raises(IntegrationError, match="initial state is not positive semidefinite"):
+                evolve(edge_state(eps), cfg)
+        else:
+            assert evolve(edge_state(eps), cfg).trace_error.max() < 1e-12
+
+    def test_lowest_initial_eigenvalue_alone_is_too_weak(self):
+        # lambda_min(rho0) = -9e-7 passes POSITIVITY_ABORT, yet rho(t) dips to -1.125 eps near eta = 3/4
+        rho0 = edge_state(9e-7)
+        assert np.linalg.eigvalsh(rho0.matrix).min() > POSITIVITY_ABORT
+        lowest = np.linalg.eigvalsh(damped_states(rho0, np.linspace(0.0, 1.0, 101))).min()
+        assert lowest < POSITIVITY_ABORT
+        assert lowest == pytest.approx(-1.125 * 9e-7, rel=1e-3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(slightly_negative_states(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8))
+    def test_samples_never_below_initial_negative_mass(self, rho0, gamma_t):
+        negative_mass = np.minimum(np.linalg.eigvalsh(rho0.matrix), 0.0).sum()
+        states = damped_states(rho0, np.array(gamma_t))
+        assert np.linalg.eigvalsh(states).min() >= negative_mass - 1e-12
+
+    def test_one_positivity_eigvalsh_per_evolve(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            shapes.append(np.shape(m))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        steps = 200
+        evolve(me_density(), LossConfig(t_max=2.0, steps=steps))
+        assert len(shapes) == 1 + math.ceil((steps + 1) / CHUNK_SAMPLES)
+        assert shapes[0] == (9, 9)
