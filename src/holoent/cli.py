@@ -117,10 +117,10 @@ def cmd_sweep(args) -> int:
         if marker not in phis:
             phis.append(marker)
     phis.sort()
-    # one fock_lift per phase, the count perfbench/test_perfbench.py asserts (RotationFamily batches it)
-    amplitudes = np.array(
-        [holonomy.fock_lift(holonomy.single_mode_rotation(phi), args.photons)[:, index] for phi in phis]
-    )
+    # one fock_lift per phase, as perfbench/test_perfbench.py asserts; each lift is freed once copied
+    amplitudes = np.empty((len(phis), args.photons + 1), dtype=complex)
+    for row, phi in zip(amplitudes, phis):
+        row[:] = holonomy.fock_lift(holonomy.single_mode_rotation(phi), args.photons)[:, index]
     populations = np.abs(amplitudes) ** 2
     purities = (populations * populations).sum(axis=-1)
     records = [
@@ -199,7 +199,9 @@ def cmd_diabatic(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    holonomy.check_sweep_size(args.photons, 0)
+    bound = math.isqrt(holonomy.MAX_SWEEP_ENTRIES) - 1  # the (P + 1)^2 entries of check_sweep_size(P, 0)
+    if args.photons > bound:
+        raise ValueError(f"{args.photons} photons exceed the bound {bound} for basis")
     labels = list(dark_basis(args.photons).labels())
     text = _render_json(labels) if args.json else "".join(label + "\n" for label in labels)
     _write_text(args.output, text)

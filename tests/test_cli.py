@@ -80,6 +80,11 @@ class TestBasisCommand:
         assert not out.exists()
         assert peak < 1 << 20
 
+    def test_photons_over_bound_message_names_the_photon_bound(self, capsys):
+        assert main(["basis", "--photons", str(BASIS_PHOTON_BOUND + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"{BASIS_PHOTON_BOUND + 1} photons exceed the bound {BASIS_PHOTON_BOUND} for basis" in err
+
 
 class TestSweepCommand:
     def test_header_and_marker_rows(self, tmp_path):

@@ -14,6 +14,7 @@ from holoent.holonomy import (
     MAX_SWEEP_ENTRIES,
     UNITARITY_TOL,
     RotationFamily,
+    _lift_terms,
     apply_holonomy,
     check_sweep_size,
     fock_lift,
@@ -230,6 +231,44 @@ class TestClosedFormLift:
     def test_rejects_photon_count_out_of_range(self, photons):
         with pytest.raises(ValueError, match="photon_count must be in"):
             multimode_lift(np.eye(2), photons)
+
+    @pytest.mark.parametrize("lift", [multimode_lift, fock_lift])
+    @pytest.mark.parametrize("photons", [2.0, 2.5, np.float64(3.0)])
+    def test_rejects_non_integral_photon_count_before_the_table_cache(self, lift, photons):
+        cached = _lift_terms.cache_info().currsize
+        with pytest.raises(ValueError, match=rf"photon_count must be in \[0, {MAX_LIFT_PHOTONS}\] and integral"):
+            lift(np.eye(2), photons)
+        assert _lift_terms.cache_info().currsize == cached
+
+
+class TestLiftTerms:
+    @pytest.mark.parametrize("photons", [0, 1, 6, MAX_LIFT_PHOTONS])
+    def test_tables_are_read_only(self, photons):
+        for array in _lift_terms(photons):
+            assert not array.flags.writeable
+
+    def test_changing_a_lift_leaves_the_next_one_unchanged(self):
+        u = random_unitary(np.random.default_rng(8))
+        first = multimode_lift(u, 5)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(multimode_lift(u, 5), expected)
+
+    @pytest.mark.parametrize("photons", [0, 1, 2, 3, 4, 5, 6, MAX_LIFT_PHOTONS])
+    def test_term_count(self, photons):
+        p = photons
+        expected = sum(min(p - k, j) - max(0, j - k) + 1 for j in range(p + 1) for k in range(p + 1))
+        index, weights, starts = _lift_terms(p)
+        assert index.shape == (2, expected) and weights.shape == (expected,)
+        assert starts.shape == ((p + 1) ** 2,)
+
+    def test_homomorphism_for_unitaries_at_the_bound(self):
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            a, b = random_unitary(rng), random_unitary(rng)
+            lhs = multimode_lift(a @ b, MAX_LIFT_PHOTONS)
+            rhs = multimode_lift(a, MAX_LIFT_PHOTONS) @ multimode_lift(b, MAX_LIFT_PHOTONS)
+            assert np.abs(lhs - rhs).max() <= 0.1 * UNITARITY_TOL
 
 
 class TestRotationFamily:
