@@ -6,11 +6,11 @@ import argparse
 from holoent import adiabatic
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--schedule", metavar="PATH", default=None,
                         help="schedule JSON (default: packaged)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     sched = (
         adiabatic.load_schedule(args.schedule) if args.schedule else adiabatic.default_schedule()
     )

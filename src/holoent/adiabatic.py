@@ -21,10 +21,16 @@ step doubling rather than by unitarity, which holds by construction, and the
 same check chooses the step count: a schedule's `steps` is a cap, and the
 propagation stops at the first of the doubling levels steps/32, ..., steps/2,
 steps whose estimate is within STEP_ERROR_TARGET (see propagate_single_photon).
+
+The transfer does not depend on the photon count, so each schedule is
+propagated once: `propagate_single_photon` keeps the last
+TRANSFER_CACHE_ENTRIES transfers, keyed by the schedule's value (schedules are
+frozen and hashable), and returns them read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .holonomy import RotationFamily, _golden_section_max, multimode_lift
+from .holonomy import (
+    MAX_LIFT_PHOTONS,
+    RotationFamily,
+    _golden_section_max,
+    check_photon_count,
+    multimode_lift,
+)
 from .open_system import IntegrationError
 
 MODE_EAST, MODE_CENTRAL, MODE_WEST, MODE_AUX = 0, 1, 2, 3
@@ -50,6 +62,7 @@ CHUNK_STEPS = 2048  # steps multiplied per batch; bounds propagation memory
 # 0.86 M steps/s to hold through the 1.5x slow stretches seen on that VM; memory is
 # O(CHUNK_STEPS) whatever the bound
 MAX_STEPS = 60 * 860_000 * 32 // 63
+TRANSFER_CACHE_ENTRIES = 64  # schedules whose 4x4 transfer is kept, 256 bytes each
 
 # 4th-order commutator-free Magnus: Gauss nodes (fractions of a step) and weights
 _GAUSS_1 = 0.5 - math.sqrt(3.0) / 6.0
@@ -125,6 +138,8 @@ class PulseSchedule:
 
     def dilate(self, scale: float) -> "PulseSchedule":
         """Stretch every length scale by `scale`, leaving peak couplings fixed."""
+        if not math.isfinite(scale):
+            raise ScheduleError(f"scale must be finite, got {scale}")
         if scale <= 0:
             raise ScheduleError("scale must be positive")
 
@@ -277,7 +292,21 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     otherwise (NaN included). When fewer than two resolved levels are left, the
     cap is checked against steps // 2 without the factor 1/15, which holds only
     once the error falls as h^4.
+
+    The result is cached with the schedule's value as the key: equal schedules,
+    however they were built, share one propagation, and any changed field (one
+    ulp of a centre, `steps`, a dilation) is a new key. The module constants
+    (STEP_ERROR_TARGET, STEP_ERROR_ABORT, STEP_DOUBLINGS, CHUNK_STEPS) are not
+    part of the key. The cache holds at most TRANSFER_CACHE_ENTRIES schedules,
+    the returned matrix is read-only, and errors are not cached, so a failing
+    schedule fails on every call.
     """
+    return _propagate(schedule)
+
+
+@functools.lru_cache(maxsize=TRANSFER_CACHE_ENTRIES)
+def _propagate(schedule: PulseSchedule) -> np.ndarray:
+    """The read-only transfer of `propagate_single_photon`, computed once per schedule value."""
     cap = schedule.steps
     span = schedule.z_span[1] - schedule.z_span[0]
     step_floor = min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)) / 4.0
@@ -290,13 +319,14 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
         u = _cf4_transfer(schedule, steps)
         estimate = np.abs(u - coarse).max() / richardson
         if estimate <= STEP_ERROR_TARGET:
-            return u
+            break
         coarse = u
     if not estimate <= STEP_ERROR_ABORT:
         raise IntegrationError(
             f"step-doubling error estimate {estimate:.3e} exceeds {STEP_ERROR_ABORT:g}; "
             "increase steps"
         )
+    u.flags.writeable = False
     return u
 
 
@@ -310,9 +340,9 @@ def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarra
     photons leak, hence `multimode_lift` rather than `fock_lift`. The lift's
     singular values are s1^(P-k) s2^k for the sub-block's s1 >= s2, so the
     leakage, 1 - (smallest singular value of the block)^2, is 1 - s2^(2P).
+    photon_count is checked before the propagation.
     """
-    if photon_count < 1:
-        raise ValueError("photon_count must be >= 1")
+    check_photon_count(photon_count, 1, MAX_LIFT_PHOTONS)
     transfer = propagate_single_photon(schedule)
     facet = transfer[np.ix_([MODE_EAST, MODE_WEST], [MODE_EAST, MODE_WEST])]
     block = multimode_lift(facet, photon_count)
@@ -326,9 +356,16 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
 
     Maximizes Re tr(lift(R(phi))^dag block) = Re sum_m c_m e^{i m phi} (see
     RotationFamily) over phi in (-pi/2, pi/2]; for an exactly represented
-    rotation this recovers phi exactly.
+    rotation this recovers phi exactly. `block` must be a finite
+    (P+1)x(P+1) matrix.
     """
     family = RotationFamily(photon_count)
+    block = np.asarray(block, dtype=complex)
+    side = photon_count + 1
+    if block.shape != (side, side):
+        raise ValueError(f"block must be {side}x{side} for {photon_count} photons, got shape {block.shape}")
+    if not np.isfinite(block).all():
+        raise ValueError("block has non-finite entries")
     coefficients = family.trace_coefficients(block)
 
     def score(phi):
@@ -344,8 +381,8 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
 
 def lz_error(omega_t: float) -> float:
     """Landau-Zener style single-photon diabatic error estimate exp(-sqrt(2)*Omega*T)."""
-    if omega_t <= 0:
-        raise ValueError("omega_t must be positive")
+    if not omega_t > 0:
+        raise ValueError(f"omega_t must be positive, got {omega_t}")
     return math.exp(-math.sqrt(2.0) * omega_t)
 
 
@@ -363,13 +400,15 @@ def diabatic_scan(
     """Numeric leakage vs the analytic estimate over a range of pulse areas.
 
     Each scan point dilates the reference schedule so its working pulse area
-    matches the requested omega_t, then propagates a single east photon.
+    matches the requested omega_t, then propagates a single east photon. Every
+    point is checked and dilated before the first propagation.
     """
     base = schedule.omega_t
-    results = []
-    for omega_t in omega_t_values:
-        if omega_t <= 0:
-            raise ValueError("omega_t values must be positive")
-        dilated = schedule.dilate(omega_t / base)
-        results.append((float(omega_t), scan_leakage(dilated), lz_error(omega_t)))
-    return results
+    omega_ts = [float(omega_t) for omega_t in omega_t_values]
+    for omega_t in omega_ts:
+        if not (math.isfinite(omega_t) and omega_t > 0):
+            raise ValueError(f"omega_t values must be finite and positive, got {omega_t}")
+    dilated = [schedule.dilate(omega_t / base) for omega_t in omega_ts]
+    return [
+        (omega_t, scan_leakage(point), lz_error(omega_t)) for omega_t, point in zip(omega_ts, dilated)
+    ]

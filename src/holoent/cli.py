@@ -199,9 +199,7 @@ def cmd_diabatic(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    bound = math.isqrt(holonomy.MAX_SWEEP_ENTRIES) - 1  # the (P + 1)^2 entries of check_sweep_size(P, 0)
-    if args.photons > bound:
-        raise ValueError(f"{args.photons} photons exceed the bound {bound} for basis")
+    holonomy.check_dark_photons(args.photons, "basis")
     labels = list(dark_basis(args.photons).labels())
     text = _render_json(labels) if args.json else "".join(label + "\n" for label in labels)
     _write_text(args.output, text)

@@ -28,6 +28,8 @@ MEMORY_BUDGET_BYTES = 64 << 20
 # bound on (points + P + 1) * (P + 1), the complex entries of one batched sweep and
 # its eigenvectors: the budget at 64 bytes per entry, temporaries included
 MAX_SWEEP_ENTRIES = MEMORY_BUDGET_BYTES // 64
+# largest photon count of a dark-sector matrix: its (P + 1)^2 entries stay within MAX_SWEEP_ENTRIES
+MAX_DARK_PHOTONS = math.isqrt(MAX_SWEEP_ENTRIES) - 1
 
 
 def u3(phi: float) -> np.ndarray:
@@ -68,6 +70,18 @@ def _lift_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.broadcast_to(array, array.shape) for array in table)  # read-only views
 
 
+def check_photon_count(photon_count: int, lowest: int, highest: int) -> None:
+    """Reject a photon_count that is not an integer in [lowest, highest]."""
+    if not (isinstance(photon_count, (int, np.integer)) and lowest <= photon_count <= highest):
+        raise ValueError(f"photon_count must be in [{lowest}, {highest}] and integral, got {photon_count}")
+
+
+def check_dark_photons(photon_count: int, purpose: str) -> None:
+    """Reject a photon count above MAX_DARK_PHOTONS, naming the `purpose` it was asked for."""
+    if photon_count > MAX_DARK_PHOTONS:
+        raise ValueError(f"{photon_count} photons exceed the bound {MAX_DARK_PHOTONS} for {purpose}")
+
+
 def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
     """Lift a 2x2 mode transformation to the `photon_count`-photon sector, on dark_basis order.
 
@@ -84,8 +98,7 @@ def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
         raise ValueError(f"u must be a 2x2 matrix, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("u has non-finite entries")
-    if not (isinstance(photon_count, (int, np.integer)) and 0 <= photon_count <= MAX_LIFT_PHOTONS):
-        raise ValueError(f"photon_count must be in [0, {MAX_LIFT_PHOTONS}] and integral, got {photon_count}")
+    check_photon_count(photon_count, 0, MAX_LIFT_PHOTONS)
     index, weights, starts = _lift_terms(int(photon_count))
     powers = u.ravel(order="F")[:, None] ** np.arange(photon_count + 1)  # rows u00, u10, u01, u11
     east, west = (powers[0::2, :, None] * powers[1::2, None, :]).take(index)
@@ -158,7 +171,7 @@ class RotationFamily:
     def __init__(self, photon_count: int):
         if photon_count < 1:
             raise ValueError("photon_count must be >= 1")
-        check_sweep_size(photon_count, 0)
+        check_dark_photons(photon_count, "RotationFamily")
         k = np.arange(photon_count)
         off = np.sqrt((photon_count - k) * (k + 1.0))
         self.photon_count = photon_count

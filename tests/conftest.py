@@ -1,4 +1,4 @@
-"""Shared test settings.
+"""Shared test settings and fixtures.
 
 Hypothesis examples run without a per-example deadline: the default 200 ms
 deadline measures machine load as much as the code, so a busy machine could
@@ -6,7 +6,25 @@ fail a correct example. Example counts, strategies and tolerances are set by
 each test and are unchanged.
 """
 
+import pytest
 from hypothesis import settings
+
+from holoent import adiabatic
 
 settings.register_profile("no-deadline", deadline=None)
 settings.load_profile("no-deadline")
+
+
+@pytest.fixture
+def cf4_steps(monkeypatch):
+    """Record the step count of every CF4 propagation level, starting from an empty transfer cache."""
+    adiabatic._propagate.cache_clear()
+    cf4_transfer = adiabatic._cf4_transfer
+    steps = []
+
+    def record(schedule, n):
+        steps.append(n)
+        return cf4_transfer(schedule, n)
+
+    monkeypatch.setattr(adiabatic, "_cf4_transfer", record)
+    return steps

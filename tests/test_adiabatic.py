@@ -17,6 +17,7 @@ from holoent.adiabatic import (
     MODE_EAST,
     MODE_WEST,
     STEP_ERROR_TARGET,
+    TRANSFER_CACHE_ENTRIES,
     CouplingProfile,
     IntegrationError,
     PulseSchedule,
@@ -33,7 +34,7 @@ from holoent.adiabatic import (
     scan_leakage,
     schedule_from_dict,
 )
-from holoent.holonomy import fock_lift, single_mode_rotation, u3
+from holoent.holonomy import MAX_LIFT_PHOTONS, fock_lift, single_mode_rotation, u3
 from propagation_oracle import (
     expm_hermitian,
     four_mode_dark_block,
@@ -87,7 +88,11 @@ def reversed_schedule(schedule: PulseSchedule) -> PulseSchedule:
 
 
 def propagate_recording_levels(schedule: PulseSchedule):
-    """propagate_single_photon(schedule) and the (steps, transfer) of every level it ran."""
+    """propagate_single_photon(schedule) and the (steps, transfer) of every level it ran.
+
+    The transfer cache is cleared first, so the levels are those of a cold propagation.
+    """
+    adiabatic._propagate.cache_clear()
     runs = []
 
     def record(sched, steps):
@@ -255,6 +260,7 @@ class TestPropagation:
 
     def test_memory_independent_of_steps(self, schedule):
         def peak_bytes(steps: int) -> int:
+            adiabatic._propagate.cache_clear()
             tracemalloc.start()
             try:
                 propagate_single_photon(dataclasses.replace(schedule, steps=steps))
@@ -264,6 +270,65 @@ class TestPropagation:
 
         base = peak_bytes(2 * CHUNK_STEPS)
         assert peak_bytes(16 * CHUNK_STEPS) <= 1.2 * base
+
+
+class TestTransferCache:
+    def test_two_loads_of_one_file_propagate_once(self, tmp_path, schedule, cf4_steps):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(schedule.to_dict()))
+        first = propagate_single_photon(load_schedule(path))
+        levels = list(cf4_steps)
+        second = propagate_single_photon(load_schedule(path))
+        assert levels == [1125, 2250, 4500, 9000, 18000]
+        assert cf4_steps == levels
+        assert second is first
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s: dataclasses.replace(s, steps=s.steps + 1),
+            lambda s: s.dilate(1.0 + 2.0**-20),
+            lambda s: dataclasses.replace(
+                s, east=dataclasses.replace(s.east, center=math.nextafter(s.east.center, math.inf))
+            ),
+        ],
+        ids=["steps", "dilate", "one-ulp-centre"],
+    )
+    def test_changed_schedule_misses(self, schedule, cf4_steps, change):
+        propagate_single_photon(schedule)
+        calls = len(cf4_steps)
+        changed = change(schedule)
+        assert changed != schedule
+        propagate_single_photon(changed)
+        assert len(cf4_steps) > calls
+
+    def test_hit_is_bit_identical_and_read_only(self, schedule):
+        adiabatic._propagate.cache_clear()
+        cold = propagate_single_photon(schedule)
+        hit = propagate_single_photon(schedule)
+        assert hit is cold
+        adiabatic._propagate.cache_clear()
+        assert np.array_equal(hit, propagate_single_photon(schedule))
+        assert not hit.flags.writeable
+        with pytest.raises(ValueError):
+            hit[0, 0] = 0.0
+
+    def test_abort_is_not_cached(self, cf4_steps):
+        narrow = narrow_pulse_schedule()
+        with pytest.raises(IntegrationError):
+            propagate_single_photon(narrow)
+        calls = len(cf4_steps)
+        with pytest.raises(IntegrationError):
+            propagate_single_photon(narrow)
+        assert len(cf4_steps) == 2 * calls
+
+    def test_entries_stay_within_the_bound(self):
+        adiabatic._propagate.cache_clear()
+        for steps in range(64, 64 + TRANSFER_CACHE_ENTRIES + 5):
+            propagate_single_photon(dataclasses.replace(idle_schedule(), steps=steps))
+        info = adiabatic._propagate.cache_info()
+        assert info.maxsize == TRANSFER_CACHE_ENTRIES
+        assert info.currsize == TRANSFER_CACHE_ENTRIES
 
 
 class TestDarkHolonomy:
@@ -297,6 +362,12 @@ class TestDarkHolonomy:
         assert np.abs(block - expected_block).max() < 1e-12
         assert leakage == pytest.approx(expected_leakage, abs=1e-12)
 
+    @pytest.mark.parametrize("photons", [0, MAX_LIFT_PHOTONS + 1, 2.5, 2.0])
+    def test_bad_photon_count_rejected_before_propagating(self, schedule, cf4_steps, photons):
+        with pytest.raises(ValueError, match="photon_count must be in"):
+            dark_holonomy(schedule, photons)
+        assert cf4_steps == []
+
     def test_reversed_schedule_inverts_phase(self, schedule, dark_blocks):
         phi_forward = fit_rotation_phase(dark_blocks[1][0], 1)
         block_rev, _ = dark_holonomy(reversed_schedule(schedule), 1)
@@ -319,6 +390,18 @@ class TestFitRotationPhase:
         block = fock_lift(single_mode_rotation(phi), 6)
         assert fit_rotation_phase(block, 6) == pytest.approx(phi, abs=1e-6)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 2), (3,), (2, 2, 2)])
+    def test_rejects_block_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"block must be 3x3 for 2 photons"):
+            fit_rotation_phase(np.zeros(shape), 2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_block(self, value):
+        block = u3(0.3)
+        block[1, 2] = value
+        with pytest.raises(ValueError, match="block has non-finite entries"):
+            fit_rotation_phase(block, 2)
+
 
 class TestLandauZener:
     def test_four_percent_working_point(self):
@@ -336,6 +419,11 @@ class TestLandauZener:
         with pytest.raises(ValueError):
             lz_error(0.0)
 
+    @pytest.mark.parametrize("omega_t", [-1.0, math.nan])
+    def test_rejects_negative_and_nan(self, omega_t):
+        with pytest.raises(ValueError, match="omega_t must be positive"):
+            lz_error(omega_t)
+
 
 class TestDiabaticScan:
     def test_doubling_area_reduces_leakage(self, schedule):
@@ -351,6 +439,12 @@ class TestDiabaticScan:
         assert leaks[0] > leaks[1] > leaks[2] > 0.0
         for omega_t, _, analytic in rows:
             assert analytic == pytest.approx(lz_error(omega_t), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0])
+    def test_every_point_checked_before_propagating(self, schedule, cf4_steps, bad):
+        with pytest.raises(ValueError, match="omega_t values must be finite and positive"):
+            diabatic_scan(schedule, [3.0, bad])
+        assert cf4_steps == []
 
 
 class TestScheduleValidation:
@@ -428,6 +522,11 @@ class TestScheduleValidation:
         assert stretched.east.sigma == 2.0 * schedule.east.sigma
         assert stretched.z_span == (2.0 * schedule.z_span[0], 2.0 * schedule.z_span[1])
         assert stretched.omega_t == pytest.approx(2.0 * schedule.omega_t)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_dilation_rejects_non_finite_scale(self, schedule, scale):
+        with pytest.raises(ScheduleError, match="scale must be finite"):
+            schedule.dilate(scale)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

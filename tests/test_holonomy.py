@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from holoent.entanglement import entanglement_entropy_bits, schmidt
 from holoent.fock import basis_state
 from holoent.holonomy import (
+    MAX_DARK_PHOTONS,
     MAX_LIFT_PHOTONS,
     MAX_SWEEP_ENTRIES,
     UNITARITY_TOL,
@@ -333,6 +334,16 @@ class TestSweepSizeBound:
     def test_family_rejects_photons_above_bound(self):
         photons = math.isqrt(MAX_SWEEP_ENTRIES)  # (P + 1)^2 > MAX_SWEEP_ENTRIES
         with pytest.raises(ValueError, match="exceed the bound"):
+            RotationFamily(photons)
+
+    def test_dark_photon_bound_is_the_largest_square_within_the_entries(self):
+        check_sweep_size(MAX_DARK_PHOTONS, 0)
+        with pytest.raises(ValueError):
+            check_sweep_size(MAX_DARK_PHOTONS + 1, 0)
+
+    def test_family_bound_message_names_photons(self):
+        photons = MAX_DARK_PHOTONS + 1
+        with pytest.raises(ValueError, match=rf"^{photons} photons exceed the bound {MAX_DARK_PHOTONS} for RotationFamily$"):
             RotationFamily(photons)
 
 
