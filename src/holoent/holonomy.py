@@ -169,9 +169,8 @@ class RotationFamily:
     """
 
     def __init__(self, photon_count: int):
-        if photon_count < 1:
-            raise ValueError("photon_count must be >= 1")
         check_dark_photons(photon_count, "RotationFamily")
+        check_photon_count(photon_count, 1, MAX_DARK_PHOTONS)
         k = np.arange(photon_count)
         off = np.sqrt((photon_count - k) * (k + 1.0))
         self.photon_count = photon_count

@@ -1,12 +1,16 @@
-"""Independent reference method for the loss tests.
+"""Independent reference methods for the loss tests.
 
-This is the direct form the library's closed-form loss channel replaced: a
-fixed-step RK4 integration of the Lindblad generator `lindblad_rhs`, with the
-state re-Hermitized after every step, built from truncated ladder operators.
-Tests compare the library against it.
+These are the direct forms the library's coefficient-table loss channel
+replaced: the amplitude-damping Kraus operators `damping_kraus`, summed one
+Kronecker product at a time by the tests, and a fixed-step RK4 integration of
+the Lindblad generator `lindblad_rhs`, with the state re-Hermitized after every
+step, built from truncated ladder operators. Tests compare the library against
+them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +36,21 @@ def two_mode_embed(op_east: np.ndarray, op_west: np.ndarray) -> np.ndarray:
     Index convention: flat index = n_east * (cutoff_west + 1) + n_west.
     """
     return np.kron(op_east, op_west)
+
+
+def damping_kraus(eta: np.ndarray, levels: int) -> np.ndarray:
+    """Amplitude-damping Kraus operators on `levels` occupation levels, batched over eta.
+
+    Shape eta.shape + (levels, levels, levels), indexed [..., l, out, in]:
+    A_l = sum_n sqrt(C(n, l) eta^(n-l) (1-eta)^l) |n-l><n|, with eta the
+    single-photon survival probability.
+    """
+    eta = np.asarray(eta, dtype=float)
+    kraus = np.zeros(eta.shape + (levels, levels, levels))
+    for l in range(levels):
+        for n in range(l, levels):
+            kraus[..., l, n - l, n] = np.sqrt(math.comb(n, l) * eta ** (n - l) * (1.0 - eta) ** l)
+    return kraus
 
 
 def lindblad_rhs(rho: DensityMatrix, gamma: float) -> np.ndarray:

@@ -1,16 +1,23 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.strategies import composite
 
 from holoent.adiabatic import default_schedule
 from holoent.cli import _fmt, main
 from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES
+from holoent.open_system import MAX_LOSS_STEPS, STEP_SIZE_GUARD
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -20,6 +27,38 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 # the largest P with (P + 1)^2 <= MAX_SWEEP_ENTRIES, the bound of holonomy.check_sweep_size(P, 0)
 BASIS_PHOTON_BOUND = math.isqrt(MAX_SWEEP_ENTRIES) - 1
+
+
+def main_in_process(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run; argparse errors leave through SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# option text that neither loss option accepts: non-finite, huge, zero, empty and non-numeric
+bad_loss_text = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e308", "0", "-0", "0.0", "", "ten"])
+# with the default 1000 steps: negative or zero, or past the step-size guard at t_max = 10
+bad_t_max = bad_loss_text | st.floats(max_value=0.0).map(repr) | st.floats(min_value=10.001).map(repr)
+# non-positive, above MAX_LOSS_STEPS, or float text (integral or not), which int() refuses
+bad_steps = (
+    bad_loss_text
+    | st.integers(max_value=0).map(str)
+    | st.integers(MAX_LOSS_STEPS + 1, 10**30).map(str)
+    | st.floats().map(repr)
+)
+
+
+@composite
+def valid_loss_args(draw) -> tuple[str, str]:
+    """--t-max and --steps text inside the step-size guard."""
+    steps = draw(st.integers(1, 2000))
+    t_max = draw(st.floats(min_value=0.0, max_value=STEP_SIZE_GUARD * steps, exclude_min=True))
+    return repr(t_max), str(steps)
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -233,6 +272,32 @@ class TestLossCommand:
         assert "steps must be <=" in capsys.readouterr().err
         assert not out.exists()
         assert peak < 1 << 20
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["--t-max", "--steps"]), st.data())
+    def test_bad_values_exit_2_without_output(self, option, data):
+        value = data.draw(bad_t_max if option == "--t-max" else bad_steps)
+        other = ["--steps=1000"] if option == "--t-max" else ["--t-max=1"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "loss.csv"
+            code, err = main_in_process(["loss", f"{option}={value}", *other, "--output", str(out)])
+            assert code == 2
+            assert "error:" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    @settings(max_examples=25, deadline=None)
+    @given(valid_loss_args())
+    def test_valid_values_give_finite_cells(self, args):
+        t_max, steps = args
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "loss.csv"
+            code, err = main_in_process(["loss", f"--t-max={t_max}", f"--steps={steps}", "--output", str(out)])
+            assert code == 0, err
+            rows = read_csv(out)
+        assert len(rows) == int(steps) + 1
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
 
 
 class TestVolumeCommand:

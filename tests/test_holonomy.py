@@ -18,6 +18,7 @@ from holoent.holonomy import (
     _lift_terms,
     apply_holonomy,
     check_sweep_size,
+    entropy_at_phase,
     fock_lift,
     max_entropy_over_phase,
     multimode_lift,
@@ -310,6 +311,24 @@ class TestRotationFamily:
     def test_rejects_bad_photon_count(self):
         with pytest.raises(ValueError):
             RotationFamily(0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: RotationFamily(2.5),
+            lambda: entropy_at_phase(0.3, 2.5, 1),
+            lambda: max_entropy_over_phase(2.5, 1, 64),
+        ],
+        ids=["family", "entropy_at_phase", "max_entropy_over_phase"],
+    )
+    def test_rejects_non_integral_photon_count(self, call):
+        with pytest.raises(ValueError, match=rf"^photon_count must be in \[1, {MAX_DARK_PHOTONS}\] and integral, got 2.5$"):
+            call()
+
+    def test_accepts_numpy_integer_photon_count(self):
+        family = RotationFamily(np.int64(3))
+        assert np.array_equal(family.outputs(0.3, 1), RotationFamily(3).outputs(0.3, 1))
+        assert entropy_at_phase(0.3, np.int64(3), 1) == entropy_at_phase(0.3, 3, 1)
 
 
 class TestSweepSizeBound:

@@ -5,11 +5,11 @@ import tracemalloc
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
-from holoent import adiabatic
+from holoent import adiabatic, open_system
 from holoent.entanglement import (
     DensityMatrix,
     density_from_pure,
@@ -28,10 +28,9 @@ from holoent.open_system import (
     LossConfig,
     bell_qutrit_state,
     damped_states,
-    damping_kraus,
     evolve,
 )
-from loss_oracle import lindblad_rhs, rk4_states
+from loss_oracle import damping_kraus, lindblad_rhs, rk4_states
 
 LOG2_3 = math.log2(3.0)
 
@@ -73,6 +72,25 @@ def slightly_negative_states(draw):
     weights[0] = 1.0
     m = (unitary * (weights / weights.sum())) @ unitary.conj().T
     return DensityMatrix(0.5 * (m + m.conj().T), dims)
+
+
+@composite
+def psd_states(draw):
+    """Random positive semidefinite unit-trace rho0 on dims up to (4, 4)."""
+    dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    side = dims[0] * dims[1]
+    elems = st.floats(-1.0, 1.0, allow_nan=False)
+    a = draw(hnp.arrays(np.float64, (side, side), elements=elems))
+    b = draw(hnp.arrays(np.float64, (side, side), elements=elems))
+    m = (a + 1j * b) @ (a + 1j * b).conj().T
+    trace = np.trace(m).real
+    assume(trace > 1e-6)
+    m /= trace
+    return DensityMatrix(0.5 * (m + m.conj().T), dims)
+
+
+# gamma*t = 0 and [1e-12, 60]: from the first-order regime, where x = 1 - eta is tiny, to eta near 1e-26
+loss_times = st.just(0.0) | st.floats(1e-12, 60.0)
 
 
 def edge_state(eps: float) -> DensityMatrix:
@@ -133,7 +151,7 @@ class TestLossConfig:
     def test_steps_bound_accepted(self):
         LossConfig(t_max=1.0, steps=MAX_LOSS_STEPS)
 
-    @pytest.mark.parametrize("steps", [100.5, 100.0, "100", None])
+    @pytest.mark.parametrize("steps", [100.5, 100.0, "100", None, True])
     def test_non_integral_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps must be an integer"):
             LossConfig(t_max=1.0, steps=steps)
@@ -330,15 +348,40 @@ class TestDampingChannel:
 
     def test_memory_independent_of_sample_count(self):
         def peak_bytes(samples: int) -> int:
+            """Peak working memory: the traced peak less the returned arrays, which grow with samples."""
             cfg = LossConfig(t_max=1.0, steps=samples - 1)
             tracemalloc.start()
             try:
-                evolve(bell_qutrit_state(), cfg)
-                return tracemalloc.get_traced_memory()[1]
+                traj = evolve(bell_qutrit_state(), cfg)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            return peak - sum(getattr(traj, field.name).nbytes for field in dataclasses.fields(traj))
 
         assert peak_bytes(16 * 128) <= 1.2 * peak_bytes(128)
+
+    @settings(max_examples=80, deadline=None)
+    @given(psd_states(), loss_times)
+    def test_matches_kraus_sum_over_dims_and_times(self, rho0, gamma_t):
+        state = damped_states(rho0, gamma_t)
+        assert np.isfinite(state).all()
+        assert np.abs(state - kraus_channel(rho0, math.exp(-gamma_t))).max() <= 1e-13
+        assert abs(np.trace(state) - 1.0) <= 1e-12
+        if gamma_t == 0.0:
+            assert np.array_equal(state, rho0.matrix)
+
+    def test_one_table_per_evolve(self, monkeypatch):
+        builds = []
+        damping_table = open_system._damping_table
+
+        def record(rho0):
+            builds.append(rho0.dims)
+            return damping_table(rho0)
+
+        monkeypatch.setattr(open_system, "_damping_table", record)
+        for rho0 in (me_density(), bell_qutrit_state()):
+            evolve(rho0, LossConfig(t_max=10.0, steps=1000))
+        assert builds == [(3, 3), (3, 3)]
 
     def test_positivity_abort_names_the_initial_state(self):
         m = np.diag([1.0 + 1e-5, -1e-5] + [0.0] * 7).astype(complex)
