@@ -4,6 +4,12 @@ Subcommands: basis, sweep, loss, volume, diabatic. All numeric output is
 formatted to 12 significant digits and files are written atomically (temp file
 plus rename), so identical invocations produce byte-identical files.
 
+A dataset command hands `_emit` its table as columns, not rows: an ordered
+mapping from column name to a 1-D float array, a constant string, or a short
+sequence of per-row text cells. Each format renders a table through one row
+template (for CSV, such as "%.12g,%.12g,..." with its text quoted once by the
+csv rules), ROW_BLOCK rows at a time, straight into the output file.
+
 Exit codes: 0 success, 2 invalid input, 3 unwritable output path,
 4 integrator abort, 5 schedule boundary-condition violation.
 """
@@ -11,6 +17,7 @@ Exit codes: 0 success, 2 invalid input, 3 unwritable output path,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -33,71 +40,100 @@ EXIT_UNWRITABLE = 3
 EXIT_INTEGRATOR = 4
 EXIT_SCHEDULE = 5
 
+FLOAT_CELL = "%.12g"  # the one rule for a float cell: 12 significant digits
+ROW_BLOCK = 256  # rows rendered per write, so the text held at once does not grow with the table
+
 
 class CliError(Exception):
     """The output path cannot be written (exit EXIT_UNWRITABLE)."""
 
 
 def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
+    return FLOAT_CELL % float(value)
 
 
-def _render_csv(columns: list[str], records: list[dict]) -> str:
+def _csv_line(cells) -> str:
+    """One row as the csv module writes it: minimal quoting, CRLF."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns)
-    for record in records:
-        row = []
-        for name in columns:
-            value = record[name]
-            if isinstance(value, bool):
-                row.append("true" if value else "false")
-            elif isinstance(value, str):
-                row.append(value)
-            else:
-                row.append(_fmt(value))
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
     return buf.getvalue()
 
 
-def _render_json(records: list[dict] | list[str]) -> str:
-    """JSON text whose float cells carry the same 12 significant digits as the CSV."""
-    rows = [
-        record if isinstance(record, str)
-        else {name: float(_fmt(v)) if isinstance(v, float) else v for name, v in record.items()}
-        for record in records
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+def _csv_cell(cell: str | bool) -> str:
+    """A per-row text cell as the csv module writes it within a row; a bool is true/false."""
+    return _csv_line((("true" if cell else "false") if isinstance(cell, bool) else cell, ""))[:-3]
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _json_number(value: float) -> str:
+    """float(_fmt(value)) as json.dumps writes it, without a json.dumps call per finite cell."""
+    number = float(_fmt(value))
+    return float.__repr__(number) if math.isfinite(number) else json.dumps(number)
+
+
+def _row_blocks(columns: dict, number, text):
+    """Row tuples of the per-row cells, ROW_BLOCK rows at a time: number(x) per float (x if number
+    is None), text(cell) per text cell. Constant strings are left to the row template."""
+    varying = [column for column in columns.values() if not isinstance(column, str)]
+    for start in range(0, len(varying[0]), ROW_BLOCK):
+        block = [column[start : start + ROW_BLOCK] for column in varying]
+        yield zip(*(map(text, cells) if not isinstance(cells, np.ndarray) else
+                    cells.tolist() if number is None else map(number, cells.tolist()) for cells in block))
+
+
+def _render_csv(columns: dict):
+    yield _csv_line(columns)
+    template = _csv_line(FLOAT_CELL if isinstance(column, np.ndarray) else column.replace("%", "%%")
+                         if isinstance(column, str) else "%s" for column in columns.values())
+    for rows in _row_blocks(columns, None, _csv_cell):
+        yield "".join(map(template.__mod__, rows))
+
+
+def _render_json(columns: dict):
+    """The text of json.dumps(rows, indent=2) for the row objects, each float as float(_fmt(x))."""
+    template = "  {\n" + ",\n".join(
+        f"    {json.dumps(name)}: ".replace("%", "%%")
+        + (json.dumps(column).replace("%", "%%") if isinstance(column, str) else "%s")
+        for name, column in columns.items()
+    ) + "\n  }"
+    opening = "[\n"
+    for rows in _row_blocks(columns, _json_number, json.dumps):
+        yield opening + ",\n".join(map(template.__mod__, rows))
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
+
+
+def _write_text(path: str | None, chunks) -> None:
+    """Write the text chunks to stdout, or to `path` atomically: temp file plus rename."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = Path(path)
-    parent = target.parent if str(target.parent) else Path(".")
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=target.name + ".", suffix=".tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     except OSError as exc:
         raise CliError(f"cannot write to {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except OSError as exc:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
         raise CliError(f"cannot write to {path}: {exc}") from exc
+    finally:  # the temp file is gone after the rename, and removed on any failure, rendering included
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
 
 
-def _emit(args, columns: list[str], records: list[dict]) -> int:
-    text = _render_json(records) if args.json else _render_csv(columns, records)
-    _write_text(args.output, text)
+def _emit(args, columns: dict) -> int:
+    """Write `columns` in the format `args` asks for, rendered through one row template as written.
+
+    `columns` maps each column name, in output order, to a 1-D float array (cells written
+    by the rule of `_fmt`), a constant string, or a short sequence of per-row text cells
+    (str, or bool written true/false). The table is never held as rows.
+    """
+    _write_text(args.output, (_render_json if args.json else _render_csv)(columns))
     return 0
 
 
@@ -111,50 +147,38 @@ def _parse_input_label(label: str, photons: int) -> int:
 def cmd_sweep(args) -> int:
     holonomy.check_sweep_size(args.photons, args.points)
     index = _parse_input_label(args.input, args.photons)
-    step = math.pi / args.points
-    phis = [k * step for k in range(args.points)]
-    for marker in (holonomy.phi_maximally_entangled(), math.pi / 4.0):
-        if marker not in phis:
-            phis.append(marker)
-    phis.sort()
+    grid = np.arange(args.points) * (math.pi / args.points)
+    markers = [phi for phi in (holonomy.phi_maximally_entangled(), math.pi / 4.0) if phi not in grid]
+    phis = np.sort(np.concatenate([grid, markers]))  # not np.union1d: np.unique imports numpy.ma, 12 ms
     # one fock_lift per phase, as perfbench/test_perfbench.py asserts; each lift is freed once copied
     amplitudes = np.empty((len(phis), args.photons + 1), dtype=complex)
     for row, phi in zip(amplitudes, phis):
         row[:] = holonomy.fock_lift(holonomy.single_mode_rotation(phi), args.photons)[:, index]
-    populations = np.abs(amplitudes) ** 2
+    populations = np.abs(amplitudes)
+    del amplitudes, row  # row, a view, would keep the table alive; the peak holds one such table
+    populations **= 2
     purities = (populations * populations).sum(axis=-1)
-    records = [
-        dict(phi=phi, entropy_bits=s, purity=p, renyi2_bits=-math.log2(p) + 0.0, input_label=args.input)
-        for phi, s, p in zip(phis, entanglement.entropy_bits(populations), purities)
-    ]
-    return _emit(args, ["phi", "entropy_bits", "purity", "renyi2_bits", "input_label"], records)
+    renyi2 = -np.fromiter(map(math.log2, purities), float, len(purities)) + 0.0
+    return _emit(args, {"phi": phis, "entropy_bits": entanglement.entropy_bits(populations),
+                        "purity": purities, "renyi2_bits": renyi2, "input_label": args.input})
 
 
 def cmd_loss(args) -> int:
     cfg = open_system.LossConfig(t_max=args.t_max, steps=args.steps)
-    u = holonomy.u3(holonomy.phi_maximally_entangled())
-    out = holonomy.apply_holonomy(u, basis_state(2, 1))
-    rho_holonomic = entanglement.density_from_pure(out)
-    rho_bell = open_system.bell_qutrit_state()
-    traj_holonomic = open_system.evolve(rho_holonomic, cfg)
-    traj_bell = open_system.evolve(rho_bell, cfg)
-    records = [
-        {
-            "t_gamma": t,
-            "negativity_holonomic": n_h,
-            "negativity_bell": n_b,
-            "exp_decay": math.exp(-t),
-        }
-        for t, n_h, n_b in zip(traj_holonomic.times, traj_holonomic.negativity, traj_bell.negativity)
-    ]
-    return _emit(args, ["t_gamma", "negativity_holonomic", "negativity_bell", "exp_decay"], records)
+    out = holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
+    traj_holonomic = open_system.evolve(entanglement.density_from_pure(out), cfg)
+    traj_bell = open_system.evolve(open_system.bell_qutrit_state(), cfg)
+    times = traj_holonomic.times
+    exp_decay = np.fromiter(map(math.exp, -times), float, len(times))
+    return _emit(args, {"t_gamma": times, "negativity_holonomic": traj_holonomic.negativity,
+                        "negativity_bell": traj_bell.negativity, "exp_decay": exp_decay})
 
 
 def cmd_volume(args) -> int:
     if args.max_photons > 6:
         raise ValueError("--max-photons is capped at 6 (desk-scale guard)")
     holonomy.check_sweep_size(args.max_photons, args.points)
-    records = []
+    rows = []
     for photons in range(1, args.max_photons + 1):
         dimension = photons + 1
         best_phi, best_entropy, best_index = None, -1.0, 0
@@ -163,46 +187,31 @@ def cmd_volume(args) -> int:
             if entropy > best_entropy + 1e-12:
                 best_phi, best_entropy, best_index = phi, entropy, index
         ceiling = math.log2(dimension)
-        records.append(
-            {
-                "volume": ceiling,
-                "best_entropy_bits": best_entropy,
-                "best_phi": best_phi,
-                "best_input": dark_basis(photons).states[best_index].label,
-                "maximal": best_entropy >= ceiling - 1e-6,
-            }
-        )
-    return _emit(args, ["volume", "best_entropy_bits", "best_phi", "best_input", "maximal"], records)
+        label = dark_basis(photons).states[best_index].label
+        rows.append((ceiling, best_entropy, best_phi, label, best_entropy >= ceiling - 1e-6))
+    volume, entropy, phi, label, maximal = zip(*rows)
+    return _emit(args, {"volume": np.array(volume), "best_entropy_bits": np.array(entropy),
+                        "best_phi": np.array(phi), "best_input": label, "maximal": maximal})
 
 
 def cmd_diabatic(args) -> int:
-    if args.schedule is None:
-        schedule = adiabatic.default_schedule()
-    else:
-        schedule = adiabatic.load_schedule(args.schedule)
+    path = args.schedule
+    schedule = adiabatic.default_schedule() if path is None else adiabatic.load_schedule(path)
     if args.scan_points < 2:
         raise ValueError("--scan-points must be >= 2")
     if not 0 < args.scan_from < args.scan_to:
         raise ValueError("scan range must satisfy 0 < from < to")
-    omega_ts = list(np.linspace(args.scan_from, args.scan_to, args.scan_points))
-    scan = adiabatic.diabatic_scan(schedule, omega_ts)
-    records = [
-        {
-            "omega_t": omega_t,
-            "leakage": leakage,
-            "lz_error": analytic,
-            "u3_total": 2.0 * analytic,
-        }
-        for omega_t, leakage, analytic in scan
-    ]
-    return _emit(args, ["omega_t", "leakage", "lz_error", "u3_total"], records)
+    omega_ts = np.linspace(args.scan_from, args.scan_to, args.scan_points)
+    omega_t, leakage, analytic = np.array(adiabatic.diabatic_scan(schedule, omega_ts)).T
+    return _emit(args, {"omega_t": omega_t, "leakage": leakage, "lz_error": analytic,
+                        "u3_total": 2.0 * analytic})
 
 
 def cmd_basis(args) -> int:
     holonomy.check_dark_photons(args.photons, "basis")
     labels = list(dark_basis(args.photons).labels())
-    text = _render_json(labels) if args.json else "".join(label + "\n" for label in labels)
-    _write_text(args.output, text)
+    text = json.dumps(labels, indent=2) + "\n" if args.json else "".join(label + "\n" for label in labels)
+    _write_text(args.output, [text])
     return 0
 
 
@@ -273,23 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error, most specific first: a ScheduleError is a ValueError
+_EXIT_CODES = ((CliError, EXIT_UNWRITABLE), (adiabatic.ScheduleError, EXIT_SCHEDULE),
+               (open_system.IntegrationError, EXIT_INTEGRATOR), (ValueError, EXIT_INVALID_INPUT))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, open_system.IntegrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-    except adiabatic.ScheduleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEDULE
-    except open_system.IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -77,8 +77,8 @@ def check_photon_count(photon_count: int, lowest: int, highest: int) -> None:
 
 
 def check_dark_photons(photon_count: int, purpose: str) -> None:
-    """Reject a photon count above MAX_DARK_PHOTONS, naming the `purpose` it was asked for."""
-    if photon_count > MAX_DARK_PHOTONS:
+    """Reject an integral photon count above MAX_DARK_PHOTONS, naming the `purpose` it was asked for."""
+    if isinstance(photon_count, (int, np.integer)) and photon_count > MAX_DARK_PHOTONS:
         raise ValueError(f"{photon_count} photons exceed the bound {MAX_DARK_PHOTONS} for {purpose}")
 
 

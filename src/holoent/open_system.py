@@ -28,6 +28,7 @@ eigenvalues of rho0. A rho0 that passes the check cannot fail it later.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,9 @@ STEP_SIZE_GUARD = 0.01
 POSITIVITY_ABORT = -1e-6
 CHUNK_SAMPLES = 64  # sample times evaluated per batch; bounds the working memory of evolve
 # upper bound on steps: the memory budget at 1024 bytes per sample. One `holoent loss`
-# run holds four float64 arrays for each of its two trajectories plus the CSV row
-# (record dict, formatted text) of each sample; its tracemalloc peak grows by 537
-# bytes per sample, rounded up here for headroom
+# run holds four float64 arrays for each of its two trajectories and one more column,
+# and renders its table a block of rows at a time; its tracemalloc peak grows by 66
+# bytes per sample, so the bound leaves ample headroom
 MAX_LOSS_STEPS = MEMORY_BUDGET_BYTES // 1024 - 1
 
 
@@ -66,8 +67,9 @@ class LossConfig:
     steps: int = 1000
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        real = isinstance(self.t_max, numbers.Real) and not isinstance(self.t_max, bool)
+        if not (real and math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
         if not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:

@@ -3,21 +3,25 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
+from holoent import holonomy
 from holoent.adiabatic import default_schedule
-from holoent.cli import _fmt, main
-from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES
+from holoent.cli import ROW_BLOCK, _fmt, _render_csv, _render_json, main
+from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES, MEMORY_BUDGET_BYTES
 from holoent.open_system import MAX_LOSS_STEPS, STEP_SIZE_GUARD
+from render_oracle import render_csv, render_json
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -59,6 +63,61 @@ def valid_loss_args(draw) -> tuple[str, str]:
     steps = draw(st.integers(1, 2000))
     t_max = draw(st.floats(min_value=0.0, max_value=STEP_SIZE_GUARD * steps, exclude_min=True))
     return repr(t_max), str(steps)
+
+
+# signed zeros, subnormals, extremes, non-finite values and inexact decimals
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, math.nan, math.inf, -math.inf, 1 / 3, 0.1 + 0.2]
+)
+# text with what CSV quotes (comma, quote, line breaks), what a %-template reads, spaces and a non-ASCII letter
+cell_text = st.text(alphabet=',"% \r\nab1\u00e9', max_size=6)
+
+
+@composite
+def tables(draw) -> tuple[dict, list[dict]]:
+    """A table as renderer columns, with at least one float column, and as the oracle's per-row records.
+
+    Each float or text column repeats a short drawn list up to the row count, which runs past two row blocks.
+    """
+    rows = draw(st.integers(0, 2 * ROW_BLOCK + 3))
+    kinds = draw(st.lists(st.sampled_from(["float", "constant", "text"]), min_size=1, max_size=5).filter(
+        lambda kinds: "float" in kinds))
+    names = draw(st.lists(cell_text.filter(bool), min_size=len(kinds), max_size=len(kinds), unique=True))
+    columns = {}
+    for name, kind in zip(names, kinds):
+        if kind == "float":
+            columns[name] = np.resize(draw(st.lists(edge_floats | st.floats(), min_size=1, max_size=8)), rows)
+        elif kind == "constant":
+            columns[name] = draw(cell_text)
+        else:
+            cells = draw(st.lists(cell_text | st.booleans(), min_size=1, max_size=8))
+            columns[name] = [cells[k % len(cells)] for k in range(rows)]
+    records = [
+        {name: column if isinstance(column, str) else column[k] for name, column in columns.items()}
+        for k in range(rows)
+    ]
+    return columns, records
+
+
+def first_difference(text: str, expected: str) -> tuple[int, str, str] | None:
+    """None if the texts are equal, else the first differing offset and the text of each around it.
+
+    Short, so a failing example is reported without diffing two whole tables.
+    """
+    if text == expected:
+        return None
+    k = len(os.path.commonprefix([text, expected]))
+    return k, text[max(0, k - 40) : k + 40], expected[max(0, k - 40) : k + 40]
+
+
+def peak_bytes(argv: list[str]) -> int:
+    """The tracemalloc peak of one successful in-process run."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -241,6 +300,42 @@ class TestSweepSizeBound:
         assert peak < 1 << 20
 
 
+class TestSweepMemory:
+    def test_peak_growth_per_point_fits_the_budget(self, tmp_path, monkeypatch):
+        # the one-photon lift of R is R itself: skipping the lift keeps this run to a second or two
+        monkeypatch.setattr(holonomy, "fock_lift", lambda u2, photon_count: u2)
+        argv = ["sweep", "--input", "1,0", "--photons", "1", "--output", str(tmp_path / "sweep.csv"), "--points"]
+        main([*argv, "8"])  # a first run imports modules: keep that out of the growth
+        # both counts are past where the per-point arrays, not one rendered row block, set the peak
+        small, large = peak_bytes([*argv, "8192"]), peak_bytes([*argv, "32768"])
+        most_points = MAX_SWEEP_ENTRIES // 2 - 2  # the largest sweep check_sweep_size allows, at one photon
+        assert (large - small) / (32768 - 8192) * most_points <= MEMORY_BUDGET_BYTES
+
+
+class TestRenderers:
+    """The columnar renderers write what the per-row oracle writes, byte for byte."""
+
+    @settings(max_examples=100)
+    @given(tables())
+    def test_csv_matches_per_row_oracle(self, table):
+        columns, records = table
+        assert first_difference("".join(_render_csv(columns)), render_csv(list(columns), records)) is None
+
+    @settings(max_examples=100)
+    @given(tables())
+    def test_json_matches_per_row_oracle(self, table):
+        columns, records = table
+        assert first_difference("".join(_render_json(columns)), render_json(records)) is None
+
+    @given(st.floats())
+    @example(-0.0)
+    @example(5e-324)
+    @example(1 / 3)
+    @example(0.1 + 0.2)
+    def test_percent_format_is_the_format_rule(self, x):
+        assert "%.12g" % x == format(x, ".12g") == _fmt(x)
+
+
 class TestLossCommand:
     def test_columns_and_invariants(self, tmp_path):
         out = tmp_path / "loss.csv"
@@ -273,6 +368,14 @@ class TestLossCommand:
         assert not out.exists()
         assert peak < 1 << 20
 
+
+    def test_peak_growth_per_sample_within_the_step_bound(self, tmp_path):
+        argv = ["loss", "--t-max", "1", "--output", str(tmp_path / "loss.csv"), "--steps"]
+        main([*argv, "100"])  # a first run imports modules: keep that out of the growth
+        small, large = peak_bytes([*argv, "2048"]), peak_bytes([*argv, "16384"])
+        # MAX_LOSS_STEPS allows MEMORY_BUDGET_BYTES at 1024 bytes per sample
+        assert (large - small) / (16384 - 2048) <= 1024
+        assert (MAX_LOSS_STEPS + 1) * 1024 <= MEMORY_BUDGET_BYTES
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["--t-max", "--steps"]), st.data())

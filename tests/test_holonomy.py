@@ -325,6 +325,10 @@ class TestRotationFamily:
         with pytest.raises(ValueError, match=rf"^photon_count must be in \[1, {MAX_DARK_PHOTONS}\] and integral, got 2.5$"):
             call()
 
+    def test_rejects_text_photon_count_by_name(self):
+        with pytest.raises(ValueError, match=rf"^photon_count must be in \[1, {MAX_DARK_PHOTONS}\] and integral, got 3$"):
+            RotationFamily("3")
+
     def test_accepts_numpy_integer_photon_count(self):
         family = RotationFamily(np.int64(3))
         assert np.array_equal(family.outputs(0.3, 1), RotationFamily(3).outputs(0.3, 1))

@@ -140,6 +140,11 @@ class TestLossConfig:
         with pytest.raises(ValueError, match=field):
             LossConfig(**{field: value})
 
+    @pytest.mark.parametrize("t_max", ["1", None, True], ids=["text", "none", "bool"])
+    def test_non_real_t_max_rejected_by_name(self, t_max):
+        with pytest.raises(ValueError, match="^t_max must be positive and finite"):
+            LossConfig(t_max=t_max, steps=100)
+
     def test_boundary_step_size_accepted(self):
         LossConfig(t_max=10.0, steps=1000)
 
