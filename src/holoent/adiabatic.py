@@ -39,13 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .holonomy import (
-    MAX_LIFT_PHOTONS,
-    RotationFamily,
-    _golden_section_max,
-    check_photon_count,
-    multimode_lift,
-)
+from .fock import check_finite, check_integer
+from .holonomy import MAX_LIFT_PHOTONS, RotationFamily, _golden_section_max, multimode_lift
 from .open_system import IntegrationError
 
 MODE_EAST, MODE_CENTRAL, MODE_WEST, MODE_AUX = 0, 1, 2, 3
@@ -85,9 +80,7 @@ class CouplingProfile:
 
     def __post_init__(self) -> None:
         for field in ("peak", "center", "sigma"):
-            value = getattr(self, field)
-            if not math.isfinite(value):
-                raise ScheduleError(f"{field} must be finite, got {value}")
+            check_finite(field, getattr(self, field), ScheduleError)
         if self.peak <= 0:
             raise ScheduleError(f"peak coupling must be positive, got {self.peak}")
         if self.sigma <= 0:
@@ -114,14 +107,11 @@ class PulseSchedule:
 
     def __post_init__(self) -> None:
         z_start, z_end = self.z_span
-        if not (math.isfinite(z_start) and math.isfinite(z_end)):
-            raise ScheduleError(f"z_span must be finite, got {self.z_span}")
+        check_finite("z_span", z_start, ScheduleError)
+        check_finite("z_span", z_end, ScheduleError)
         if not z_start < z_end:
             raise ScheduleError(f"z_span must be increasing, got {self.z_span}")
-        if not isinstance(self.steps, (int, np.integer)):
-            raise ScheduleError(f"steps must be an integer, got {self.steps!r}")
-        if not 16 <= self.steps <= MAX_STEPS:
-            raise ScheduleError(f"steps must be in [16, {MAX_STEPS}], got {self.steps}")
+        check_integer("steps", self.steps, 16, MAX_STEPS, ScheduleError)
         for name, profile in (("east", self.east), ("west", self.west), ("aux", self.aux)):
             for z in (z_start, z_end):
                 if not profile.value(z) <= BOUNDARY_DECAY * profile.peak:
@@ -138,8 +128,7 @@ class PulseSchedule:
 
     def dilate(self, scale: float) -> "PulseSchedule":
         """Stretch every length scale by `scale`, leaving peak couplings fixed."""
-        if not math.isfinite(scale):
-            raise ScheduleError(f"scale must be finite, got {scale}")
+        check_finite("scale", scale, ScheduleError)
         if scale <= 0:
             raise ScheduleError("scale must be positive")
 
@@ -342,7 +331,7 @@ def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarra
     leakage, 1 - (smallest singular value of the block)^2, is 1 - s2^(2P).
     photon_count is checked before the propagation.
     """
-    check_photon_count(photon_count, 1, MAX_LIFT_PHOTONS)
+    check_integer("photon_count", photon_count, 1, MAX_LIFT_PHOTONS)
     transfer = propagate_single_photon(schedule)
     facet = transfer[np.ix_([MODE_EAST, MODE_WEST], [MODE_EAST, MODE_WEST])]
     block = multimode_lift(facet, photon_count)

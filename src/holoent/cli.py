@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adiabatic, entanglement, holonomy, open_system
-from .fock import OccupationState, basis_state, dark_basis
+from .fock import MEMORY_BUDGET_BYTES, OccupationState, basis_state, check_integer, dark_basis
 
 # pulse area at which the analytic single-photon diabatic error is 4%
 WORKING_POINT_OMEGA_T = -math.log(0.04) / math.sqrt(2.0)
@@ -39,6 +39,10 @@ EXIT_INVALID_INPUT = 2
 EXIT_UNWRITABLE = 3
 EXIT_INTEGRATOR = 4
 EXIT_SCHEDULE = 5
+# upper bound on --scan-points: the memory budget at 1024 bytes per point. A diabatic run
+# holds a dilated schedule and a result row per point; its tracemalloc peak grows by about
+# 790 bytes per point (2000 to 8000 points of a cheap schedule)
+MAX_SCAN_POINTS = MEMORY_BUDGET_BYTES // 1024
 
 FLOAT_CELL = "%.12g"  # the one rule for a float cell: 12 significant digits
 ROW_BLOCK = 256  # rows rendered per write, so the text held at once does not grow with the table
@@ -175,8 +179,7 @@ def cmd_loss(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    if args.max_photons > 6:
-        raise ValueError("--max-photons is capped at 6 (desk-scale guard)")
+    check_integer("--max-photons", args.max_photons, 1, 6)  # a desk-scale guard
     holonomy.check_sweep_size(args.max_photons, args.points)
     rows = []
     for photons in range(1, args.max_photons + 1):
@@ -197,8 +200,7 @@ def cmd_volume(args) -> int:
 def cmd_diabatic(args) -> int:
     path = args.schedule
     schedule = adiabatic.default_schedule() if path is None else adiabatic.load_schedule(path)
-    if args.scan_points < 2:
-        raise ValueError("--scan-points must be >= 2")
+    check_integer("--scan-points", args.scan_points, 2, MAX_SCAN_POINTS)
     if not 0 < args.scan_from < args.scan_to:
         raise ValueError("scan range must satisfy 0 < from < to")
     omega_ts = np.linspace(args.scan_from, args.scan_to, args.scan_points)

@@ -91,7 +91,8 @@ def _checked_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 def entropy_bits(populations: np.ndarray) -> np.ndarray:
     """Shannon entropy (bits) over the last axis; populations at or below the floor count as zero."""
     p = np.where(populations <= EIGENVALUE_FLOOR, 1.0, populations)  # NaN propagates
-    return np.maximum(0.0, -(p * np.log2(p)).sum(axis=-1)) + 0.0
+    p *= np.log2(p)  # in place: one population-sized temporary besides p
+    return np.maximum(0.0, -p.sum(axis=-1)) + 0.0
 
 
 def von_neumann_entropy_bits(rho: DensityMatrix) -> float:

@@ -3,15 +3,43 @@
 Every other module builds its states from the primitives here.
 Basis ordering is fixed (descending east occupation) so that matrices written
 in the dark basis have a single, unambiguous row/column convention.
+
+It also owns the input rules every module applies where a value enters (`check_integer`
+for counts, indices and step counts; `check_finite` for reals) and the dark-sector bounds.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 NORM_TOL = 1e-12
+# heap budget for the arrays one command builds in proportion to its requested size; the size
+# bounds of holonomy, open_system and cli derive from it
+MEMORY_BUDGET_BYTES = 64 << 20
+# bound on (points + P + 1) * (P + 1), the complex entries of one batched sweep and
+# its eigenvectors: the budget at 64 bytes per entry, temporaries included
+MAX_SWEEP_ENTRIES = MEMORY_BUDGET_BYTES // 64
+# largest photon count of a dark basis or dark-sector matrix: its (P + 1)^2 entries stay
+# within MAX_SWEEP_ENTRIES
+MAX_DARK_PHOTONS = math.isqrt(MAX_SWEEP_ENTRIES) - 1
+
+
+def check_integer(name: str, value, lowest, highest, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` naming `name` unless value is an int or numpy integer (not a bool) in [lowest, highest]."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if not lowest <= value <= highest:
+        raise error(f"{name} must be in [{lowest}, {highest}], got {value}")
+
+
+def check_finite(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` naming `name` unless value is a finite real number (not a bool)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)):
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -22,8 +50,8 @@ class OccupationState:
     n_west: int
 
     def __post_init__(self) -> None:
-        if self.n_east < 0 or self.n_west < 0:
-            raise ValueError(f"occupations must be non-negative, got {self}")
+        check_integer("n_east", self.n_east, 0, MAX_DARK_PHOTONS)
+        check_integer("n_west", self.n_west, 0, MAX_DARK_PHOTONS)
 
     @property
     def total(self) -> int:
@@ -68,8 +96,7 @@ class DarkBasis:
 
 def dark_basis(photon_count: int) -> DarkBasis:
     """Dark basis for `photon_count` photons, ordered (P,0), (P-1,1), ..., (0,P)."""
-    if photon_count < 0:
-        raise ValueError("photon_count must be non-negative")
+    check_integer("photon_count", photon_count, 0, MAX_DARK_PHOTONS)
     states = tuple(OccupationState(photon_count - k, k) for k in range(photon_count + 1))
     return DarkBasis(photon_count, states)
 
@@ -89,10 +116,8 @@ def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...
             for rest in _generate(remaining - n, modes - 1):
                 yield (n, *rest)
 
-    if photon_count < 0:
-        raise ValueError("photon_count must be non-negative")
-    if mode_count < 1:
-        raise ValueError("mode_count must be positive")
+    check_integer("photon_count", photon_count, 0, MAX_DARK_PHOTONS)
+    check_integer("mode_count", mode_count, 1, MAX_DARK_PHOTONS)
     return tuple(_generate(photon_count, mode_count))
 
 
@@ -118,8 +143,7 @@ class PureState:
 def basis_state(photon_count: int, index: int) -> PureState:
     """The pure state |n_east, n_west> at the given dark-basis index."""
     basis = dark_basis(photon_count)
-    if not 0 <= index < basis.dimension:
-        raise ValueError(f"index {index} out of range for a {basis.dimension}-dimensional basis")
+    check_integer("index", index, 0, photon_count)
     amplitudes = np.zeros(basis.dimension, dtype=complex)
     amplitudes[index] = 1.0
     return PureState(basis, amplitudes)

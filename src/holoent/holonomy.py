@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from . import entanglement
-from .fock import PureState
+from .fock import MAX_DARK_PHOTONS, MAX_SWEEP_ENTRIES, PureState, check_integer
+from .fock import MEMORY_BUDGET_BYTES  # noqa: F401  (re-exported: holonomy.MEMORY_BUDGET_BYTES resolves)
 
 UNITARITY_TOL = 1e-9
 # largest photon count multimode_lift accepts: the worst unitarity defect of the lift of a unitary
@@ -23,13 +24,6 @@ UNITARITY_TOL = 1e-9
 MAX_LIFT_PHOTONS = 42
 _IDENTITY_2 = np.broadcast_to(np.eye(2), (2, 2))  # a read-only view
 DEFAULT_SWEEP_POINTS = 2048
-# heap budget for the arrays one command builds in proportion to its requested size
-MEMORY_BUDGET_BYTES = 64 << 20
-# bound on (points + P + 1) * (P + 1), the complex entries of one batched sweep and
-# its eigenvectors: the budget at 64 bytes per entry, temporaries included
-MAX_SWEEP_ENTRIES = MEMORY_BUDGET_BYTES // 64
-# largest photon count of a dark-sector matrix: its (P + 1)^2 entries stay within MAX_SWEEP_ENTRIES
-MAX_DARK_PHOTONS = math.isqrt(MAX_SWEEP_ENTRIES) - 1
 
 
 def u3(phi: float) -> np.ndarray:
@@ -70,15 +64,10 @@ def _lift_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.broadcast_to(array, array.shape) for array in table)  # read-only views
 
 
-def check_photon_count(photon_count: int, lowest: int, highest: int) -> None:
-    """Reject a photon_count that is not an integer in [lowest, highest]."""
-    if not (isinstance(photon_count, (int, np.integer)) and lowest <= photon_count <= highest):
-        raise ValueError(f"photon_count must be in [{lowest}, {highest}] and integral, got {photon_count}")
-
-
 def check_dark_photons(photon_count: int, purpose: str) -> None:
-    """Reject an integral photon count above MAX_DARK_PHOTONS, naming the `purpose` it was asked for."""
-    if isinstance(photon_count, (int, np.integer)) and photon_count > MAX_DARK_PHOTONS:
+    """Reject a non-integer photon count, and one above MAX_DARK_PHOTONS naming the `purpose` it was asked for."""
+    check_integer("photon_count", photon_count, -math.inf, math.inf)
+    if photon_count > MAX_DARK_PHOTONS:
         raise ValueError(f"{photon_count} photons exceed the bound {MAX_DARK_PHOTONS} for {purpose}")
 
 
@@ -98,7 +87,7 @@ def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
         raise ValueError(f"u must be a 2x2 matrix, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("u has non-finite entries")
-    check_photon_count(photon_count, 0, MAX_LIFT_PHOTONS)
+    check_integer("photon_count", photon_count, 0, MAX_LIFT_PHOTONS)
     index, weights, starts = _lift_terms(int(photon_count))
     powers = u.ravel(order="F")[:, None] ** np.arange(photon_count + 1)  # rows u00, u10, u01, u11
     east, west = (powers[0::2, :, None] * powers[1::2, None, :]).take(index)
@@ -110,9 +99,8 @@ def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
 
 def fock_lift(u2: np.ndarray, photon_count: int) -> np.ndarray:
     """(P+1)x(P+1) representation of a 2x2 unitary on dark_basis(photon_count)."""
-    if photon_count < 1:
-        raise ValueError("photon_count must be >= 1")
-    lifted = multimode_lift(u2, photon_count)  # rejects a non-2x2 or non-finite u2 first
+    lifted = multimode_lift(u2, photon_count)  # rejects a non-integer count, a non-2x2 or non-finite u2 first
+    check_integer("photon_count", photon_count, 1, MAX_LIFT_PHOTONS)
     u2 = np.asarray(u2, dtype=complex)
     defect = np.abs(u2 @ u2.conj().T - _IDENTITY_2).max()
     if not defect <= UNITARITY_TOL:
@@ -170,7 +158,7 @@ class RotationFamily:
 
     def __init__(self, photon_count: int):
         check_dark_photons(photon_count, "RotationFamily")
-        check_photon_count(photon_count, 1, MAX_DARK_PHOTONS)
+        check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)
         k = np.arange(photon_count)
         off = np.sqrt((photon_count - k) * (k + 1.0))
         self.photon_count = photon_count
@@ -183,8 +171,7 @@ class RotationFamily:
 
     def outputs(self, phis, input_index: int) -> np.ndarray:
         """Column input_index of the lift at each phase, shape phis.shape + (P+1,)."""
-        if not 0 <= input_index <= self.photon_count:
-            raise ValueError(f"input_index {input_index} out of range for {self.photon_count} photons")
+        check_integer("input_index", input_index, 0, self.photon_count)
         return (self.phases(phis) * self.vectors[input_index].conj()) @ self.vectors.T
 
     def trace_coefficients(self, block: np.ndarray) -> np.ndarray:
@@ -206,8 +193,8 @@ def max_entropy_over_phase(
     Grid scan followed by golden-section refinement of every near-maximal grid
     peak; ties between refined maxima resolve to the lowest phase.
     """
-    if points < 8:
-        raise ValueError("points must be >= 8")
+    check_integer("points", points, 8, MAX_SWEEP_ENTRIES)
+    check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)  # before check_sweep_size's arithmetic
     check_sweep_size(photon_count, points)
     family = RotationFamily(photon_count)
 

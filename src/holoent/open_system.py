@@ -36,7 +36,7 @@ import numpy as np
 from .entanglement import DensityMatrix, _require_bipartite, log_negativity_bits
 # partial_transpose is re-exported: benchmark tracing wraps it through this binding
 from .entanglement import partial_transpose  # noqa: F401
-from .holonomy import MEMORY_BUDGET_BYTES
+from .fock import MEMORY_BUDGET_BYTES, check_integer
 
 STEP_SIZE_GUARD = 0.01
 # lower bound on the summed negative eigenvalues of rho0, which bound those of every rho(t)
@@ -70,12 +70,7 @@ class LossConfig:
         real = isinstance(self.t_max, numbers.Real) and not isinstance(self.t_max, bool)
         if not (real and math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
-        if not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if self.steps > MAX_LOSS_STEPS:
-            raise ValueError(f"steps must be <= {MAX_LOSS_STEPS}, got {self.steps}")
+        check_integer("steps", self.steps, 1, MAX_LOSS_STEPS)
         if self.t_max / self.steps > STEP_SIZE_GUARD + 1e-15:
             raise ValueError(
                 f"sampling-density guard violated: gamma*dt = {self.t_max / self.steps:.4g} "
@@ -85,7 +80,8 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled observables along one loss evolution; times are gamma*t."""
+    """Sampled observables along one loss evolution; times are gamma*t. `single_photon_population`
+    is the mean photon number over its initial value, and `trace_error` is |tr rho(t) - 1|."""
 
     times: np.ndarray
     negativity: np.ndarray

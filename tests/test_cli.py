@@ -364,7 +364,7 @@ class TestLossCommand:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "steps must be <=" in capsys.readouterr().err
+        assert f"steps must be in [1, {MAX_LOSS_STEPS}]" in capsys.readouterr().err
         assert not out.exists()
         assert peak < 1 << 20
 

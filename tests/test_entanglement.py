@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -12,6 +13,7 @@ from holoent.entanglement import (
     density_from_pure,
     entanglement_entropy_bits,
     entropic_inequality_violated,
+    entropy_bits,
     log_negativity,
     log_negativity_bits,
     partial_transpose,
@@ -369,3 +371,26 @@ class TestGhzReference:
     def test_me_output_matches_ghz_entropy(self):
         out = apply_holonomy(u3(phi_maximally_entangled()), basis_state(2, 1))
         assert abs(entanglement_entropy_bits(out) - LOG2_3) < 1e-12
+
+
+class TestEntropyBitsMemory:
+    # (P + 1) = 2 and 3 columns at sweep-like row counts, below and above numpy's temporary elision size
+    @pytest.mark.parametrize("shape", [(1026, 3), (100_000, 2)])
+    def test_peak_is_about_two_inputs(self, shape):
+        """The floored copy and one log2 temporary: at most 2.1 times the input's bytes."""
+        populations = np.full(shape, 1.0 / shape[1])
+        populations[::7, 0] = 0.0  # floored cells take the copy's 1.0
+        tracemalloc.start()
+        try:
+            entropy_bits(populations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * populations.nbytes
+
+    def test_nan_propagates(self):
+        populations = np.full((4, 3), 1.0 / 3.0)
+        populations[2, 1] = math.nan
+        values = entropy_bits(populations)
+        assert math.isnan(values[2])
+        assert np.array_equal(np.delete(values, 2), np.full(3, values[0]))

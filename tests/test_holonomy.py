@@ -238,7 +238,7 @@ class TestClosedFormLift:
     @pytest.mark.parametrize("photons", [2.0, 2.5, np.float64(3.0)])
     def test_rejects_non_integral_photon_count_before_the_table_cache(self, lift, photons):
         cached = _lift_terms.cache_info().currsize
-        with pytest.raises(ValueError, match=rf"photon_count must be in \[0, {MAX_LIFT_PHOTONS}\] and integral"):
+        with pytest.raises(ValueError, match=r"^photon_count must be an integer, got "):
             lift(np.eye(2), photons)
         assert _lift_terms.cache_info().currsize == cached
 
@@ -322,11 +322,11 @@ class TestRotationFamily:
         ids=["family", "entropy_at_phase", "max_entropy_over_phase"],
     )
     def test_rejects_non_integral_photon_count(self, call):
-        with pytest.raises(ValueError, match=rf"^photon_count must be in \[1, {MAX_DARK_PHOTONS}\] and integral, got 2.5$"):
+        with pytest.raises(ValueError, match=r"^photon_count must be an integer, got 2.5$"):
             call()
 
     def test_rejects_text_photon_count_by_name(self):
-        with pytest.raises(ValueError, match=rf"^photon_count must be in \[1, {MAX_DARK_PHOTONS}\] and integral, got 3$"):
+        with pytest.raises(ValueError, match=r"^photon_count must be an integer, got '3'$"):
             RotationFamily("3")
 
     def test_accepts_numpy_integer_photon_count(self):
