@@ -106,7 +106,13 @@ class PulseSchedule:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self) -> None:
-        z_start, z_end = self.z_span
+        for name in ("east", "west", "aux"):
+            if not isinstance(getattr(self, name), CouplingProfile):
+                raise ScheduleError(f"{name} must be a CouplingProfile, got {getattr(self, name)!r}")
+        try:
+            z_start, z_end = self.z_span
+        except (TypeError, ValueError):
+            raise ScheduleError(f"z_span must be a pair of finite reals, got {self.z_span!r}") from None
         check_finite("z_span", z_start, ScheduleError)
         check_finite("z_span", z_end, ScheduleError)
         if not z_start < z_end:

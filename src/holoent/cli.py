@@ -185,7 +185,10 @@ def cmd_volume(args) -> int:
     for photons in range(1, args.max_photons + 1):
         dimension = photons + 1
         best_phi, best_entropy, best_index = None, -1.0, 0
-        for index in range(dimension):
+        # Mirror symmetry: swapping east and west maps R(phi) to R(-phi), and the entropy is
+        # pi-periodic in phi, so input P-k reaches the entropy of input k at pi - phi and peaks
+        # as high. Ties keep the lower index, so the inputs k <= P/2 decide the row.
+        for index in range(photons // 2 + 1):
             phi, entropy = holonomy.max_entropy_over_phase(photons, index, args.points)
             if entropy > best_entropy + 1e-12:
                 best_phi, best_entropy, best_index = phi, entropy, index

@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import PureState
+from .fock import PureState, check_integer
 
 Side = Literal["east", "west"]
 
@@ -37,6 +37,8 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for dim in self.dims:
+            check_integer("dims", dim, 1, math.inf)
         m = np.asarray(self.matrix, dtype=complex)
         side = math.prod(self.dims)
         if m.shape != (side, side):

@@ -106,6 +106,8 @@ def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...
 
     For two modes this reproduces the dark_basis ordering, the order
     `holonomy.multimode_lift` uses; the tests index four-mode sectors with it.
+    The sector's C(P + M - 1, P) tuples of M entries each must stay within
+    MAX_SWEEP_ENTRIES, checked before any is built.
     """
 
     def _generate(remaining: int, modes: int):
@@ -118,6 +120,9 @@ def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...
 
     check_integer("photon_count", photon_count, 0, MAX_DARK_PHOTONS)
     check_integer("mode_count", mode_count, 1, MAX_DARK_PHOTONS)
+    if math.comb(photon_count + mode_count - 1, photon_count) * mode_count > MAX_SWEEP_ENTRIES:
+        raise ValueError(f"{photon_count} photons in {mode_count} modes exceed the bound {MAX_SWEEP_ENTRIES} "
+                         "on occupation entries")
     return tuple(_generate(photon_count, mode_count))
 
 

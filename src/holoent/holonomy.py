@@ -9,6 +9,7 @@ built once per photon count, and the explicit 3x3 form `u3` are its references.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -22,7 +23,6 @@ UNITARITY_TOL = 1e-9
 # largest photon count multimode_lift accepts: the worst unitarity defect of the lift of a unitary
 # stays 10x under UNITARITY_TOL up to here (measured 8.1e-11 at 42, 1.2e-10 at 43, 1.4e-10 at 44)
 MAX_LIFT_PHOTONS = 42
-_IDENTITY_2 = np.broadcast_to(np.eye(2), (2, 2))  # a read-only view
 DEFAULT_SWEEP_POINTS = 2048
 
 
@@ -71,6 +71,30 @@ def check_dark_photons(photon_count: int, purpose: str) -> None:
         raise ValueError(f"{photon_count} photons exceed the bound {MAX_DARK_PHOTONS} for {purpose}")
 
 
+def _lift(u, photon_count: int, lowest: int) -> tuple[np.ndarray, list[complex]]:
+    """The lift of u and its entries u00, u10, u01, u11 as Python scalars, after one validation pass.
+
+    Checks, in order: u is 2x2; its four entries are finite; photon_count is an integer in
+    [lowest, MAX_LIFT_PHOTONS]; the lift is finite. The public lifts call this once and add
+    nothing to it but fock_lift's unitarity check on the returned scalars.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"u must be a 2x2 matrix, got shape {u.shape}")
+    entries = u.ravel(order="F")  # u00, u10, u01, u11
+    scalars = entries.tolist()
+    if not all(map(cmath.isfinite, scalars)):
+        raise ValueError("u has non-finite entries")
+    check_integer("photon_count", photon_count, lowest, MAX_LIFT_PHOTONS)
+    index, weights, starts = _lift_terms(int(photon_count))
+    powers = entries[:, None] ** np.arange(photon_count + 1)
+    east, west = (powers[0::2, :, None] * powers[1::2, None, :]).take(index)
+    lifted = np.add.reduceat(east * west * weights, starts).reshape(photon_count + 1, photon_count + 1)
+    if not np.isfinite(lifted).all():
+        raise ValueError(f"the {photon_count}-photon lift of u overflows")
+    return lifted, scalars
+
+
 def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
     """Lift a 2x2 mode transformation to the `photon_count`-photon sector, on dark_basis order.
 
@@ -80,29 +104,28 @@ def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
     with np.add.reduceat; their weights hold sqrt(C(P, k) / C(P, j)), the ratio of Fock norms,
     finite where a float sqrt(n!) would overflow. Any finite 2x2 whose lift stays finite is
     accepted (a leaky chip's facet block is sub-unitary); photon_count is an integer up to
-    MAX_LIFT_PHOTONS, the accuracy limit of the expansion.
+    MAX_LIFT_PHOTONS, the accuracy limit of the expansion. The shape, finiteness, photon-count
+    and overflow checks run once, in `_lift`.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"u must be a 2x2 matrix, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("u has non-finite entries")
-    check_integer("photon_count", photon_count, 0, MAX_LIFT_PHOTONS)
-    index, weights, starts = _lift_terms(int(photon_count))
-    powers = u.ravel(order="F")[:, None] ** np.arange(photon_count + 1)  # rows u00, u10, u01, u11
-    east, west = (powers[0::2, :, None] * powers[1::2, None, :]).take(index)
-    lifted = np.add.reduceat(east * west * weights, starts).reshape(photon_count + 1, photon_count + 1)
-    if not np.isfinite(lifted).all():
-        raise ValueError(f"the {photon_count}-photon lift of u overflows")
-    return lifted
+    return _lift(u, photon_count, 0)[0]
+
+
+def _unitarity_defect(u00: complex, u10: complex, u01: complex, u11: complex) -> float:
+    """max |u u^dag - I| of the 2x2 matrix [[u00, u01], [u10, u11]]: its row norms minus 1 and row overlap."""
+    norm0 = u00 * u00.conjugate() + u01 * u01.conjugate()
+    norm1 = u10 * u10.conjugate() + u11 * u11.conjugate()
+    return max(abs(norm0 - 1.0), abs(norm1 - 1.0), abs(u00 * u10.conjugate() + u01 * u11.conjugate()))
 
 
 def fock_lift(u2: np.ndarray, photon_count: int) -> np.ndarray:
-    """(P+1)x(P+1) representation of a 2x2 unitary on dark_basis(photon_count)."""
-    lifted = multimode_lift(u2, photon_count)  # rejects a non-integer count, a non-2x2 or non-finite u2 first
-    check_integer("photon_count", photon_count, 1, MAX_LIFT_PHOTONS)
-    u2 = np.asarray(u2, dtype=complex)
-    defect = np.abs(u2 @ u2.conj().T - _IDENTITY_2).max()
+    """(P+1)x(P+1) representation of a 2x2 unitary on dark_basis(photon_count).
+
+    One `_lift` pass checks the shape, the finiteness, photon_count in [1, MAX_LIFT_PHOTONS]
+    and overflow; the unitarity defect is then taken from the four scalars it returns, and
+    must be within UNITARITY_TOL.
+    """
+    lifted, scalars = _lift(u2, photon_count, 1)
+    defect = _unitarity_defect(*scalars)
     if not defect <= UNITARITY_TOL:
         raise ValueError(f"input matrix is not unitary (defect {defect:.3e})")
     return lifted

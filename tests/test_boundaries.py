@@ -6,6 +6,7 @@ line and no traceback, and writes no file.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -16,8 +17,17 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from holoent.adiabatic import CouplingProfile, PulseSchedule, ScheduleError, dark_holonomy, fit_rotation_phase
+from holoent import fock
+from holoent.adiabatic import (
+    CouplingProfile,
+    PulseSchedule,
+    ScheduleError,
+    dark_holonomy,
+    default_schedule,
+    fit_rotation_phase,
+)
 from holoent.cli import MAX_SCAN_POINTS, main
+from holoent.entanglement import DensityMatrix
 from holoent.fock import (
     MAX_DARK_PHOTONS,
     OccupationState,
@@ -121,6 +131,13 @@ class TestLibraryEntryPoints:
             ("peak", lambda: CouplingProfile(True, 0.0, 1.0), ScheduleError),
             ("z_span", lambda: idle_schedule(z_span=(None, 1.0)), ScheduleError),
             ("scale", lambda: idle_schedule().dilate("2"), ScheduleError),
+            ("dims", lambda: DensityMatrix(np.eye(1), (1.0,)), ValueError),
+            ("dims", lambda: DensityMatrix(np.eye(1), (True, 1)), ValueError),
+            ("east", lambda: dataclasses.replace(default_schedule(), east=None), ScheduleError),
+            ("aux", lambda: dataclasses.replace(default_schedule(), aux=(1.0, 0.0, 1.0)), ScheduleError),
+            ("z_span", lambda: dataclasses.replace(default_schedule(), z_span=None), ScheduleError),
+            ("z_span", lambda: idle_schedule(z_span=(-10.0,)), ScheduleError),
+            ("z_span", lambda: idle_schedule(z_span=(-10.0, 0.0, 10.0)), ScheduleError),
         ],
     )
     def test_inputs_that_used_to_reach_numpy(self, name, call, error):
@@ -150,6 +167,17 @@ class TestCheckers:
             check_finite("x", math.nan)
         for value in (0, -1e308, np.float32(2.5), np.int64(3)):
             check_finite("x", value)
+
+    def test_occupation_sector_is_bounded_before_it_is_enumerated(self, monkeypatch):
+        # C(6, 3) = 20 four-mode tuples hold 80 entries; a bound this small also keeps an
+        # unbounded enumeration from being reached where the sector check is missing
+        monkeypatch.setattr(fock, "MAX_SWEEP_ENTRIES", 80)
+        assert len(occupation_basis(3, 4)) == 20
+        with pytest.raises(ValueError, match=r"^4 photons in 4 modes exceed the bound 80 on occupation entries$"):
+            occupation_basis(4, 4)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"^1023 photons in 1023 modes exceed the bound"):
+            occupation_basis(MAX_DARK_PHOTONS, MAX_DARK_PHOTONS)
 
     def test_dark_photon_bound_is_inclusive(self):
         assert len(dark_basis(MAX_DARK_PHOTONS).states) == MAX_DARK_PHOTONS + 1

@@ -423,6 +423,25 @@ class TestVolumeCommand:
     def test_guard_on_photon_count(self):
         assert run_cli("volume", "--max-photons", "7").returncode == 2
 
+    def test_half_search_matches_a_search_over_every_input(self, tmp_path):
+        # the command searches inputs k <= P/2 only; the full search here keeps the same tie rule
+        out = tmp_path / "volume.csv"
+        assert main(["volume", "--max-photons", "6", "--points", "512", "--output", str(out)]) == 0
+        rows = []
+        for photons in range(1, 7):
+            best_phi, best_entropy, best_index = None, -1.0, 0
+            for index in range(photons + 1):
+                phi, entropy = holonomy.max_entropy_over_phase(photons, index, 512)
+                if entropy > best_entropy + 1e-12:
+                    best_phi, best_entropy, best_index = phi, entropy, index
+            ceiling = math.log2(photons + 1)
+            label = f"{photons - best_index},{best_index}"
+            rows.append((ceiling, best_entropy, best_phi, label, best_entropy >= ceiling - 1e-6))
+        volume, entropy, phi, label, maximal = zip(*rows)
+        expected = "".join(_render_csv({"volume": np.array(volume), "best_entropy_bits": np.array(entropy),
+                                        "best_phi": np.array(phi), "best_input": label, "maximal": maximal}))
+        assert out.read_bytes() == expected.encode()
+
 
 class TestDiabaticCommand:
     def test_columns_and_totals(self, tmp_path):

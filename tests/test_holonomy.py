@@ -16,6 +16,7 @@ from holoent.holonomy import (
     UNITARITY_TOL,
     RotationFamily,
     _lift_terms,
+    _unitarity_defect,
     apply_holonomy,
     check_sweep_size,
     entropy_at_phase,
@@ -149,6 +150,23 @@ class TestLift:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             fock_lift(np.array([[1.0, 0.0], [0.0, 2.0]]), 2)
+
+    def test_rejects_just_over_the_unitarity_tolerance(self):
+        # row norms^2 of diag(s, 1) R are s^2 and 1, and the rows stay orthogonal
+        def stretched(excess):
+            return np.diag([math.sqrt(1.0 + excess), 1.0]) @ single_mode_rotation(0.3)
+
+        fock_lift(stretched(0.99 * UNITARITY_TOL), 3)
+        with pytest.raises(ValueError, match=r"^input matrix is not unitary \(defect 1\.010e-09\)$"):
+            fock_lift(stretched(1.01 * UNITARITY_TOL), 3)
+
+    def test_scalar_unitarity_defect_matches_the_matrix_product(self):
+        rng = np.random.default_rng(13)
+        for scale in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            for _ in range(50):
+                u = random_unitary(rng) + scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                expected = np.abs(u @ u.conj().T - np.eye(2)).max()
+                assert abs(_unitarity_defect(*u.ravel(order="F").tolist()) - expected) <= 1e-15
 
     def test_rejects_bad_photon_count(self):
         with pytest.raises(ValueError):
@@ -464,3 +482,12 @@ class TestMirrorSymmetry:
         east_in = apply_holonomy(u3(phi), basis_state(2, 0))
         west_in = apply_holonomy(u3(phi), basis_state(2, 2))
         assert np.abs(schmidt(east_in) - schmidt(west_in)).max() < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 20), st.data(), st.floats(0.0, math.pi))
+    def test_input_p_minus_k_at_pi_minus_phi_matches_input_k(self, photons, data, phi):
+        # swapping east and west maps R(phi) to R(-phi), and the entropy is pi-periodic:
+        # the argument behind cmd_volume searching inputs k <= P/2 only
+        k = data.draw(st.integers(0, photons), label="input_index")
+        mirrored = entropy_at_phase(math.pi - phi, photons, photons - k)
+        assert abs(mirrored - entropy_at_phase(phi, photons, k)) <= 1e-12
