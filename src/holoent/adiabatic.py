@@ -81,6 +81,7 @@ class CouplingProfile:
     def __post_init__(self) -> None:
         for field in ("peak", "center", "sigma"):
             check_finite(field, getattr(self, field), ScheduleError)
+            object.__setattr__(self, field, float(getattr(self, field)))
         if self.peak <= 0:
             raise ScheduleError(f"peak coupling must be positive, got {self.peak}")
         if self.sigma <= 0:
@@ -151,23 +152,23 @@ class PulseSchedule:
 
     def to_dict(self) -> dict:
         return {
-            "east": vars(self.east),
-            "west": vars(self.west),
-            "aux": vars(self.aux),
+            "east": dict(vars(self.east)),
+            "west": dict(vars(self.west)),
+            "aux": dict(vars(self.aux)),
             "z_span": list(self.z_span),
             "steps": self.steps,
         }
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
+    """The schedule a JSON object describes (keys east/west/aux, z_span, steps). Values reach
+    CouplingProfile and PulseSchedule as they are, and the constructors validate every field."""
     try:
         profiles = {
-            name: CouplingProfile(
-                float(data[name]["peak"]), float(data[name]["center"]), float(data[name]["sigma"])
-            )
+            name: CouplingProfile(data[name]["peak"], data[name]["center"], data[name]["sigma"])
             for name in ("east", "west", "aux")
         }
-        z_span = (float(data["z_span"][0]), float(data["z_span"][1]))
+        z_span = data["z_span"]
         steps = data.get("steps", DEFAULT_STEPS)
         if isinstance(steps, float) and steps == int(steps):  # int() rejects inf and NaN
             steps = int(steps)

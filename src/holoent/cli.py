@@ -10,6 +10,10 @@ sequence of per-row text cells. Each format renders a table through one row
 template (for CSV, such as "%.12g,%.12g,..." with its text quoted once by the
 csv rules), ROW_BLOCK rows at a time, straight into the output file.
 
+Argparse only turns option text into an int or a float. Each value is then checked
+once, by the library function it reaches or by the command's own `check_integer`, and
+a value that fails exits 2 with `error: ...` on stderr.
+
 Exit codes: 0 success, 2 invalid input, 3 unwritable output path,
 4 integrator abort, 5 schedule boundary-condition violation.
 """
@@ -149,6 +153,7 @@ def _parse_input_label(label: str, photons: int) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_integer("--points", args.points, 1, holonomy.MAX_SWEEP_ENTRIES)
     holonomy.check_sweep_size(args.photons, args.points)
     index = _parse_input_label(args.input, args.photons)
     grid = np.arange(args.points) * (math.pi / args.points)
@@ -204,8 +209,8 @@ def cmd_diabatic(args) -> int:
     path = args.schedule
     schedule = adiabatic.default_schedule() if path is None else adiabatic.load_schedule(path)
     check_integer("--scan-points", args.scan_points, 2, MAX_SCAN_POINTS)
-    if not 0 < args.scan_from < args.scan_to:
-        raise ValueError("scan range must satisfy 0 < from < to")
+    if not 0 < args.scan_from < args.scan_to < math.inf:  # before np.linspace meets an inf
+        raise ValueError(f"scan range must satisfy 0 < from < to < inf, got {args.scan_from} to {args.scan_to}")
     omega_ts = np.linspace(args.scan_from, args.scan_to, args.scan_points)
     omega_t, leakage, analytic = np.array(adiabatic.diabatic_scan(schedule, omega_ts)).T
     return _emit(args, {"omega_t": omega_t, "leakage": leakage, "lz_error": analytic,
@@ -220,27 +225,6 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0 or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holoent",
@@ -253,34 +237,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
 
     p = sub.add_parser("basis", help="print the dark basis for a photon number")
-    p.add_argument("--photons", type=_non_negative_int, default=2)
+    p.add_argument("--photons", type=int, default=2)
     add_common(p)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("sweep", help="entanglement measures vs phase for one basis input")
     p.add_argument("--input", required=True, metavar="LABEL", help="basis state, e.g. '1,1'")
-    p.add_argument("--photons", type=_positive_int, default=2)
-    p.add_argument("--points", type=_positive_int, default=holonomy.DEFAULT_SWEEP_POINTS)
+    p.add_argument("--photons", type=int, default=2)
+    p.add_argument("--points", type=int, default=holonomy.DEFAULT_SWEEP_POINTS)
     add_common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("loss", help="negativity decay of the two reference states under equal loss")
-    p.add_argument("--t-max", type=_positive_float, default=10.0, help="duration in units of 1/gamma")
-    p.add_argument("--steps", type=_positive_int, default=1000, help="sampling intervals up to t_max")
+    p.add_argument("--t-max", type=float, default=10.0, help="duration in units of 1/gamma")
+    p.add_argument("--steps", type=int, default=1000, help="sampling intervals up to t_max")
     add_common(p)
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("volume", help="best achievable entropy per photon number")
-    p.add_argument("--max-photons", type=_positive_int, default=4)
-    p.add_argument("--points", type=_positive_int, default=holonomy.DEFAULT_SWEEP_POINTS)
+    p.add_argument("--max-photons", type=int, default=4)
+    p.add_argument("--points", type=int, default=holonomy.DEFAULT_SWEEP_POINTS)
     add_common(p)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("diabatic", help="numeric dark-subspace leakage vs the analytic estimate")
     p.add_argument("--schedule", metavar="PATH", default=None, help="schedule JSON (default: packaged)")
-    p.add_argument("--scan-from", type=_positive_float, default=WORKING_POINT_OMEGA_T)
-    p.add_argument("--scan-to", type=_positive_float, default=5.0)
-    p.add_argument("--scan-points", type=_positive_int, default=10)
+    p.add_argument("--scan-from", type=float, default=WORKING_POINT_OMEGA_T)
+    p.add_argument("--scan-to", type=float, default=5.0)
+    p.add_argument("--scan-points", type=int, default=10)
     add_common(p)
     p.set_defaults(func=cmd_diabatic)
 

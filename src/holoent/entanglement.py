@@ -10,6 +10,7 @@ separability test and logarithmic negativity.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
 
@@ -37,6 +38,8 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.dims, Sequence) and self.dims):
+            raise ValueError(f"dims must be a non-empty sequence of mode dimensions, got {self.dims!r}")
         for dim in self.dims:
             check_integer("dims", dim, 1, math.inf)
         m = np.asarray(self.matrix, dtype=complex)

@@ -37,8 +37,12 @@ def check_integer(name: str, value, lowest, highest, error: type[ValueError] = V
 
 
 def check_finite(name: str, value, error: type[ValueError] = ValueError) -> None:
-    """Raise `error` naming `name` unless value is a finite real number (not a bool)."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)):
+    """Raise `error` naming `name` unless value is a finite real number (not a bool) within the float range."""
+    try:
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise error(f"{name} must be finite, got {value!r}")
 
 

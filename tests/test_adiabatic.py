@@ -510,6 +510,15 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError):
             schedule_from_dict({"east": {"peak": 1.0}})
 
+    def test_editing_to_dict_leaves_the_schedule(self):
+        schedule = default_schedule()
+        peak, key = schedule.east.peak, hash(schedule)
+        data = schedule.to_dict()
+        data["east"]["peak"] = 1.0
+        data["z_span"][0] = 0.0
+        assert schedule.east.peak == peak and schedule.z_span == (-17.0, 17.0)
+        assert hash(schedule) == key and schedule == default_schedule()
+
     def test_round_trip_through_json(self, tmp_path, schedule):
         path = tmp_path / "sched.json"
         path.write_text(json.dumps(schedule.to_dict()))

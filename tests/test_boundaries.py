@@ -8,6 +8,7 @@ line and no traceback, and writes no file.
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import os
 import tempfile
@@ -25,6 +26,7 @@ from holoent.adiabatic import (
     dark_holonomy,
     default_schedule,
     fit_rotation_phase,
+    schedule_from_dict,
 )
 from holoent.cli import MAX_SCAN_POINTS, main
 from holoent.entanglement import DensityMatrix
@@ -133,6 +135,9 @@ class TestLibraryEntryPoints:
             ("scale", lambda: idle_schedule().dilate("2"), ScheduleError),
             ("dims", lambda: DensityMatrix(np.eye(1), (1.0,)), ValueError),
             ("dims", lambda: DensityMatrix(np.eye(1), (True, 1)), ValueError),
+            ("dims", lambda: DensityMatrix(np.eye(1), 1), ValueError),
+            ("dims", lambda: DensityMatrix(np.eye(1), None), ValueError),
+            ("dims", lambda: DensityMatrix(np.eye(1), ()), ValueError),
             ("east", lambda: dataclasses.replace(default_schedule(), east=None), ScheduleError),
             ("aux", lambda: dataclasses.replace(default_schedule(), aux=(1.0, 0.0, 1.0)), ScheduleError),
             ("z_span", lambda: dataclasses.replace(default_schedule(), z_span=None), ScheduleError),
@@ -250,3 +255,70 @@ class TestCliBoundaries:
     def test_scan_points_over_bound_exit_2_before_allocating(self):
         code, err, text = run_main(["diabatic", "--scan-points", str(MAX_SCAN_POINTS + 1)])
         assert code == 2 and f"--scan-points must be in [2, {MAX_SCAN_POINTS}]" in err and text is None
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (command, option, value)
+            for command, option in [
+                (["basis"], "--photons"),
+                (["sweep", "--input", "1,1"], "--photons"),
+                (["sweep", "--input", "1,1"], "--points"),
+                (["loss"], "--t-max"),
+                (["loss"], "--steps"),
+                (["volume"], "--max-photons"),
+                (["volume"], "--points"),
+                (["diabatic"], "--scan-from"),
+                (["diabatic"], "--scan-to"),
+                (["diabatic"], "--scan-points"),
+            ]
+            for value in ["0", "-1", "nan", "inf", "-inf"]
+            if command + [option, value] != ["basis", "--photons", "0"]  # the zero-photon basis is valid
+        ],
+    )
+    def test_out_of_range_option_exits_2(self, command, option, value):
+        # OPTION=VALUE, so that argparse reads "-inf" as a value, not as an option
+        code, err, text = run_main(command + [f"{option}={value}"])
+        assert code == 2, (command, option, value, err)
+        assert "error:" in err and "Traceback" not in err
+        assert text is None
+
+
+# schedule values the loader used to coerce with float() or cut to two z_span entries, and ints
+# beyond the float range, which float() refused without naming the field
+LOADER_CASES = [
+    ("peak", lambda data: data["east"].update(peak="1.5")),
+    ("peak", lambda data: data["east"].update(peak=True)),
+    ("sigma", lambda data: data["west"].update(sigma=None)),
+    ("z_span", lambda data: data.update(z_span=["-17", 17])),
+    ("z_span", lambda data: data.update(z_span=[-17, 17, 0])),
+    ("peak", lambda data: data["east"].update(peak=10**400)),
+    ("z_span", lambda data: data.update(z_span=[-17, 10**400])),
+]
+
+
+class TestScheduleLoader:
+    @pytest.mark.parametrize("field, edit", LOADER_CASES)
+    def test_field_passes_to_its_constructor_uncoerced(self, field, edit):
+        data = default_schedule().to_dict()
+        edit(data)
+        with pytest.raises(ScheduleError, match=rf"^{field} must be"):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize("field, edit", LOADER_CASES)
+    def test_diabatic_rejects_it_with_exit_5(self, tmp_path, field, edit):
+        data = default_schedule().to_dict()
+        edit(data)
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(data))
+        code, err, text = run_main(["diabatic", "--schedule", str(path)])
+        assert code == 5 and f"error: {field} must be" in err and "Traceback" not in err
+        assert text is None
+
+    def test_numbers_load_as_floats(self):
+        data = default_schedule().to_dict()
+        data["aux"]["center"] = 0
+        data["z_span"] = [-17, 17]
+        loaded = schedule_from_dict(data)
+        assert type(loaded.aux.center) is float and loaded.z_span == (-17.0, 17.0)
+        assert loaded == default_schedule() and hash(loaded) == hash(default_schedule())
