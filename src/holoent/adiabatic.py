@@ -16,11 +16,18 @@ a JSON file and the packaged default is representative, not a device model.
 Propagation uses the 4th-order commutator-free Magnus scheme of Blanes & Moan
 (Appl. Numer. Math. 56, 2006). The single-photon Hamiltonian is a star graph
 around the hub, and so is every linear combination of it that the scheme
-exponentiates, so each step is a closed-form unitary. Accuracy is checked by
-step doubling rather than by unitarity, which holds by construction, and the
-same check chooses the step count: a schedule's `steps` is a cap, and the
-propagation stops at the first of the doubling levels steps/32, ..., steps/2,
-steps whose estimate is within STEP_ERROR_TARGET (see propagate_single_photon).
+exponentiates, so each step is a closed-form unitary. The scheme is symmetric,
+so its global error has only even powers of h: the extrapolant
+X_N = U_N + (U_N - U_{N/2})/15 of two doubling levels cancels the h^4 term, and
+max|X_N - X_{N/2}|/63 estimates the h^6 error left (Hairer, Norsett & Wanner,
+Solving ODEs I, II.9; an odd level uses its exact step ratio). That estimate
+chooses the step count: a schedule's `steps` is a cap, and the propagation
+stops at the first of the doubling levels steps/32, ..., steps/2, steps whose
+estimate is within STEP_ERROR_TARGET (see propagate_single_photon). Unitarity
+is no error estimate, and X_N is not unitary by construction, but with
+D = U_N - U_{N/2}, N even and both factors unitary,
+X_N^dag X_N - I = (16/225) D^dag D exactly: 1.2e-18 on the default schedule,
+under the ~1e-14 roundoff of the CF4 products themselves.
 
 The transfer does not depend on the photon count, so each schedule is
 propagated once: `propagate_single_photon` keeps the last
@@ -47,15 +54,15 @@ MODE_EAST, MODE_CENTRAL, MODE_WEST, MODE_AUX = 0, 1, 2, 3
 
 BOUNDARY_DECAY = 1e-6
 STEP_ERROR_ABORT = 1e-6
-STEP_ERROR_TARGET = 1e-11  # 100x under the 1e-9 dataset rule, above the ~1e-13 roundoff floor
+STEP_ERROR_TARGET = 1e-11  # on the h^6 estimate: 100x under the 1e-9 dataset rule, above ~1e-13 roundoff
 STEP_DOUBLINGS = 5  # the coarsest step level is steps >> STEP_DOUBLINGS
 DEFAULT_STEPS = 24000  # step cap of a schedule that does not set one
 CHUNK_STEPS = 2048  # steps multiplied per batch; bounds propagation memory
 # upper bound on the step cap: a 60 s budget per propagation, which runs at most
-# (1 + 1/2 + ... + 1/32) * steps = 63/32 * steps CF4 steps. CF4 ran at 1.29-1.49 M
-# steps/s on a 2-vCPU x86 VM with numpy 2.4 (12 runs of 2 M steps), taken here as
-# 0.86 M steps/s to hold through the 1.5x slow stretches seen on that VM; memory is
-# O(CHUNK_STEPS) whatever the bound
+# (1 + 1/2 + ... + 1/32) * steps = 63/32 * steps CF4 steps when it reaches the cap.
+# CF4 ran at 1.29-1.49 M steps/s on a 2-vCPU x86 VM with numpy 2.4 (12 runs of 2 M
+# steps), taken here as 0.86 M steps/s to hold through the 1.5x slow stretches seen
+# on that VM; memory is O(CHUNK_STEPS) whatever the bound
 MAX_STEPS = 60 * 860_000 * 32 // 63
 TRANSFER_CACHE_ENTRIES = 64  # schedules whose 4x4 transfer is kept, 256 bytes each
 
@@ -184,10 +191,10 @@ def load_schedule(path: str | Path) -> PulseSchedule:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ScheduleError(f"cannot read schedule file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also an int over the digit limit, deep nesting
+        raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
     return schedule_from_dict(data)
 
 
@@ -273,21 +280,25 @@ def _cf4_transfer(schedule: PulseSchedule, steps: int) -> np.ndarray:
 def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     """Transfer matrix of i dpsi/dz = H(z) psi across the chip.
 
-    Uses the 4th-order commutator-free Magnus scheme, which is unitary by
-    construction, with memory O(CHUNK_STEPS) whatever the step count. The step
-    count is chosen by nested step doubling over the levels
-    steps >> STEP_DOUBLINGS, ..., steps >> 1, steps: each level N is checked
-    against the one before by the estimate max|U_N - U_{N/2}| / 15, and the
-    first level whose estimate is within STEP_ERROR_TARGET is returned. The
-    coarsest level is only a comparator. Levels whose step exceeds a quarter of
-    the narrowest pulse width are dropped, because their Gauss nodes can miss
+    Uses the 4th-order commutator-free Magnus scheme with memory O(CHUNK_STEPS)
+    whatever the step count, and Richardson extrapolation of its step-doubling
+    levels steps >> STEP_DOUBLINGS, ..., steps >> 1, steps. Each level N after
+    the coarsest forms X_N = U_N + (U_N - U_M) / (r^4 - 1) with M = N >> 1 and
+    r = N / M, whose h^4 error term cancels, and from the third level on X_N is
+    checked against X_M by the h^6 estimate max|X_N - X_M| / (r^6 - 1). For even
+    N, r = 2 and these are / 15 and / 63; an odd N needs the exact r, because
+    r = 2 would leave about 4 / N of the h^4 error. The first X_N whose estimate
+    is within STEP_ERROR_TARGET is returned. Levels whose step exceeds a quarter
+    of the narrowest pulse width are dropped, because their Gauss nodes can miss
     the pulses altogether.
 
     `schedule.steps` is the cap. If it is reached, its result is returned when
     the estimate is within STEP_ERROR_ABORT, and IntegrationError is raised
-    otherwise (NaN included). When fewer than two resolved levels are left, the
-    cap is checked against steps // 2 without the factor 1/15, which holds only
-    once the error falls as h^4.
+    otherwise (NaN included). With fewer than three resolved levels there is no
+    h^6 estimate, and U_N itself is checked against U_{N/2}: by
+    max|U_N - U_{N/2}| / 15 over two resolved levels, and over fewer, at the
+    cap against steps // 2, without the factor 1/15, which holds only once the
+    error falls as h^4.
 
     The result is cached with the schedule's value as the key: equal schedules,
     however they were built, share one propagation, and any changed field (one
@@ -307,16 +318,21 @@ def _propagate(schedule: PulseSchedule) -> np.ndarray:
     span = schedule.z_span[1] - schedule.z_span[0]
     step_floor = min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)) / 4.0
     levels = [cap >> k for k in range(STEP_DOUBLINGS, -1, -1) if span <= step_floor * (cap >> k)]
-    richardson = 15.0
+    extrapolate, richardson = len(levels) > 2, 15.0  # an h^6 estimate needs two extrapolants
     if len(levels) < 2:
         levels, richardson = [cap // 2, cap], 1.0
-    coarse = _cf4_transfer(schedule, levels[0])
+    coarse, u = _cf4_transfer(schedule, levels[0]), None
     for steps in levels[1:]:
-        u = _cf4_transfer(schedule, steps)
-        estimate = np.abs(u - coarse).max() / richardson
+        fine = _cf4_transfer(schedule, steps)
+        if extrapolate:
+            ratio = steps / (steps >> 1)  # 2, or just over 2 where the level is odd
+            u, previous = fine + (fine - coarse) / (ratio**4 - 1.0), u
+            estimate = math.inf if previous is None else np.abs(u - previous).max() / (ratio**6 - 1.0)
+        else:
+            u, estimate = fine, np.abs(fine - coarse).max() / richardson
         if estimate <= STEP_ERROR_TARGET:
             break
-        coarse = u
+        coarse = fine
     if not estimate <= STEP_ERROR_ABORT:
         raise IntegrationError(
             f"step-doubling error estimate {estimate:.3e} exceeds {STEP_ERROR_ABORT:g}; "

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -271,13 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.lru_cache(maxsize=1)(build_parser)  # one per process: a build takes ~1 ms
+
 # the exit code of each error, most specific first: a ScheduleError is a ValueError
 _EXIT_CODES = ((CliError, EXIT_UNWRITABLE), (adiabatic.ScheduleError, EXIT_SCHEDULE),
                (open_system.IntegrationError, EXIT_INTEGRATOR), (ValueError, EXIT_INVALID_INPUT))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, open_system.IntegrationError, ValueError) as exc:

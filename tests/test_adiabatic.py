@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from holoent import adiabatic
@@ -103,6 +103,32 @@ def propagate_recording_levels(schedule: PulseSchedule):
         return propagate_single_photon(schedule), runs
 
 
+def extrapolant(fine: np.ndarray, coarse: np.ndarray, ratio: float = 2.0) -> np.ndarray:
+    """X_N = U_N + (U_N - U_M) / (r^4 - 1) for r = N / M, written as the propagator writes it."""
+    return fine + (fine - coarse) / (ratio**4 - 1.0)
+
+
+def extrapolated(schedule: PulseSchedule, steps: int) -> np.ndarray:
+    """The extrapolant of the CF4 transfers over `steps` and `steps // 2` grid steps."""
+    return extrapolant(_cf4_transfer(schedule, steps), _cf4_transfer(schedule, steps // 2))
+
+
+def unitarity_identity_residual(x: np.ndarray, u: np.ndarray, v: np.ndarray, ratio: float = 2.0) -> float:
+    """How far X = extrapolant(U, V, r) is from X^dag X - I = c(1+c) D^dag D + (1+c) G_U - c G_V.
+
+    c = 1 / (r^4 - 1), which is 1/15 at r = 2, so that c(1+c) = 16/225; D = U - V and
+    G_M = M^dag M - I. The identity is exact for any U and V; the G terms are the factors' own
+    unitarity defects, about 1e-14 for CF4 products of thousands of steps, and vanish for
+    unitary factors.
+    """
+    def gram(m):
+        return m.conj().T @ m - np.eye(4)
+
+    c, d = 1.0 / (ratio**4 - 1.0), u - v
+    expected = c * (1.0 + c) * (d.conj().T @ d) + (1.0 + c) * gram(u) - c * gram(v)
+    return float(np.abs(gram(x) - expected).max())
+
+
 profiles = st.builds(
     CouplingProfile,
     peak=st.floats(0.5, 10.0),
@@ -175,16 +201,28 @@ class TestPropagation:
     @pytest.mark.parametrize("omega_t", [2.28, 5.0, 10.0])
     def test_accepted_transfer_within_twice_target(self, schedule, omega_t):
         dilated = schedule.dilate(omega_t / schedule.omega_t)
-        fine = _cf4_transfer(dilated, 4 * dilated.steps)
+        fine = extrapolated(dilated, 4 * dilated.steps)
         assert np.abs(propagate_single_photon(dilated) - fine).max() <= 2.0 * STEP_ERROR_TARGET
 
-    def test_default_schedule_stops_at_18000_steps(self, schedule):
+    def test_default_schedule_stops_at_4500_steps(self, schedule):
         _, runs = propagate_recording_levels(schedule)
-        assert [steps for steps, _ in runs] == [1125, 2250, 4500, 9000, 18000]
+        assert [steps for steps, _ in runs] == [1125, 2250, 4500]
 
     def test_reaching_the_cap_returns_the_cap_transfer(self, schedule):
-        capped = dataclasses.replace(schedule, steps=6000)
-        assert np.array_equal(propagate_single_photon(capped), _cf4_transfer(capped, 6000))
+        capped = dataclasses.replace(schedule, steps=1500)
+        u, runs = propagate_recording_levels(capped)
+        steps, transfers = zip(*runs)
+        assert steps == (187, 375, 750, 1500)
+        # the estimate at the cap misses the target, so the cap rule, not the target, accepts it
+        assert np.abs(u - extrapolant(transfers[2], transfers[1])).max() / 63.0 > STEP_ERROR_TARGET
+        assert np.array_equal(u, extrapolated(capped, 1500))
+
+    def test_extrapolant_unitarity_identity(self, schedule):
+        u, runs = propagate_recording_levels(schedule)
+        assert unitarity_identity_residual(u, runs[-1][1], runs[-2][1]) <= 1e-15
+        # at 40 steps D is 0.5, so the D^dag D term is large enough to pin the factor 1/15
+        fine, coarse = _cf4_transfer(schedule, 40), _cf4_transfer(schedule, 20)
+        assert unitarity_identity_residual(extrapolant(fine, coarse), fine, coarse) <= 1e-15
 
     def test_unresolved_narrow_pulses_abort(self):
         narrow = narrow_pulse_schedule()
@@ -203,6 +241,9 @@ class TestPropagation:
 
     @settings(max_examples=25, deadline=None)
     @example(east=wide_pulse(), west=wide_pulse(), aux=narrow_aux_pulse(), margin=10.0, cap=1352)
+    # an odd cap: its last step ratio is 385/192, and a factor 1/15 left 2.1e-11 of h^4 error
+    @example(east=CouplingProfile(1.0, 0.0, 1.0), west=CouplingProfile(1.0, 0.0, 1.0),
+             aux=CouplingProfile(1.0, 0.0, 0.5), margin=0.0, cap=385)
     @given(
         east=profiles,
         west=profiles,
@@ -218,12 +259,18 @@ class TestPropagation:
             u, runs = propagate_recording_levels(sched)
         except IntegrationError:
             return
-        coarse_steps, coarse = runs[-2]
+        steps, transfers = zip(*runs)
         min_sigma = min(p.sigma for p in pulses)
-        # the h^4 factor 1/15 applies only when the comparator's step is within sigma/4
-        richardson = 15.0 if 8.0 * half <= min_sigma * coarse_steps else 1.0
-        estimate = np.abs(u - coarse).max() / richardson
-        fine = _cf4_transfer(sched, 4 * max(cap, math.ceil(8.0 * half / min_sigma)))
+        resolved = 8.0 * half <= min_sigma * steps[0]  # the coarsest level's step is within sigma/4
+        event(f"{len(runs)} levels, {'resolved' if resolved else 'unresolved'}")
+        if resolved and len(runs) > 2:  # the h^6 estimate of the extrapolant, at the exact step ratios
+            ratio, coarse_ratio = steps[-1] / steps[-2], steps[-2] / steps[-3]
+            previous = extrapolant(transfers[-2], transfers[-3], coarse_ratio)
+            estimate = np.abs(u - previous).max() / (ratio**6 - 1.0)
+            assert unitarity_identity_residual(u, transfers[-1], transfers[-2], ratio) <= 1e-15
+        else:  # the h^4 factor 1/15 applies only when the comparator's step is within sigma/4
+            estimate = np.abs(u - transfers[-2]).max() / (15.0 if resolved else 1.0)
+        fine = extrapolated(sched, 4 * max(cap, math.ceil(8.0 * half / min_sigma)))
         assert np.abs(u - fine).max() <= 2.0 * max(STEP_ERROR_TARGET, estimate)
 
     def test_adiabatic_leakage_below_tolerance(self, schedule):
@@ -245,11 +292,16 @@ class TestPropagation:
         assert np.abs(_star_exponentials(b, h) - expected).max() < 1e-12
 
     def test_fourth_order_convergence(self, schedule):
-        # the step-doubling estimate's factor 1/15 assumes error ~ h^4
-        u = {n: propagate_single_photon(dataclasses.replace(schedule, steps=n))
-             for n in (1000, 2000, 4000)}
+        # the extrapolant's factor 1/15 assumes the CF4 error ~ h^4
+        u = {n: _cf4_transfer(schedule, n) for n in (1000, 2000, 4000)}
         ratio = np.abs(u[1000] - u[2000]).max() / np.abs(u[2000] - u[4000]).max()
         assert 15.0 < ratio < 17.0
+
+    def test_sixth_order_extrapolant(self, schedule):
+        # the estimate's factor 1/63 assumes the extrapolant's error ~ h^6
+        x = {n: extrapolated(schedule, n) for n in (1000, 2000, 4000)}
+        ratio = np.abs(x[1000] - x[2000]).max() / np.abs(x[2000] - x[4000]).max()
+        assert 50.0 < ratio < 80.0
 
     def test_agrees_with_rk4_oracle(self, schedule):
         small = dataclasses.replace(schedule, steps=6000)
@@ -279,7 +331,7 @@ class TestTransferCache:
         first = propagate_single_photon(load_schedule(path))
         levels = list(cf4_steps)
         second = propagate_single_photon(load_schedule(path))
-        assert levels == [1125, 2250, 4500, 9000, 18000]
+        assert levels == [1125, 2250, 4500]
         assert cf4_steps == levels
         assert second is first
 

@@ -26,6 +26,7 @@ from holoent.adiabatic import (
     dark_holonomy,
     default_schedule,
     fit_rotation_phase,
+    load_schedule,
     schedule_from_dict,
 )
 from holoent.cli import MAX_SCAN_POINTS, main
@@ -322,3 +323,16 @@ class TestScheduleLoader:
         loaded = schedule_from_dict(data)
         assert type(loaded.aux.center) is float and loaded.z_span == (-17.0, 17.0)
         assert loaded == default_schedule() and hash(loaded) == hash(default_schedule())
+
+    # json.load raises a plain ValueError for an integer literal over Python's 4300-digit limit,
+    # and a RecursionError for nesting deeper than the interpreter's recursion limit
+    @pytest.mark.parametrize("text", ['{"steps": 1' + "0" * 5000 + "}", "[" * 200_000 + "]" * 200_000],
+                             ids=["5001-digit-steps", "200000-deep"])
+    def test_unparsable_file_is_a_schedule_error(self, tmp_path, text):
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        with pytest.raises(ScheduleError, match="^schedule file is not valid JSON"):
+            load_schedule(path)
+        code, err, out = run_main(["diabatic", "--schedule", str(path)])
+        assert code == 5 and "error: schedule file is not valid JSON" in err and "Traceback" not in err
+        assert out is None

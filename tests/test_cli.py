@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
-from holoent import holonomy
+from holoent import cli, holonomy
 from holoent.adiabatic import default_schedule
 from holoent.cli import ROW_BLOCK, _fmt, _render_csv, _render_json, main
 from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES, MEMORY_BUDGET_BYTES
@@ -578,3 +578,13 @@ class TestCliBasics:
         cp = run_cli("sweep", "--input", "1,0", "--photons", "1", "--points", "8")
         assert cp.returncode == 0
         assert cp.stdout.startswith("phi,entropy_bits")
+
+    def test_one_parser_serves_every_call_without_leaking_options(self, tmp_path, capsys):
+        argv = ["sweep", "--input", "1,0", "--photons", "1", "--points", "8"]
+        assert main(argv + ["--json", "--output", str(tmp_path / "a.json")]) == 0
+        assert main(argv + ["--output", str(tmp_path / "b.csv")]) == 0
+        assert main(argv) == 0
+        assert (tmp_path / "a.json").read_text().startswith("[\n  {")
+        assert (tmp_path / "b.csv").read_text().startswith("phi,entropy_bits")
+        assert capsys.readouterr().out.startswith("phi,entropy_bits")
+        assert cli._parser.cache_info().misses == 1
