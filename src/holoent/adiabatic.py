@@ -20,14 +20,15 @@ exponentiates, so each step is a closed-form unitary. The scheme is symmetric,
 so its global error has only even powers of h: the extrapolant
 X_N = U_N + (U_N - U_{N/2})/15 of two doubling levels cancels the h^4 term, and
 max|X_N - X_{N/2}|/63 estimates the h^6 error left (Hairer, Norsett & Wanner,
-Solving ODEs I, II.9; an odd level uses its exact step ratio). That estimate
-chooses the step count: a schedule's `steps` is a cap, and the propagation
-stops at the first of the doubling levels steps/32, ..., steps/2, steps whose
-estimate is within STEP_ERROR_TARGET (see propagate_single_photon). Unitarity
-is no error estimate, and X_N is not unitary by construction, but with
-D = U_N - U_{N/2}, N even and both factors unitary,
-X_N^dag X_N - I = (16/225) D^dag D exactly: 1.2e-18 on the default schedule,
-under the ~1e-14 roundoff of the CF4 products themselves.
+Solving ODEs I, II.9). That estimate chooses the step count. The levels are
+N0, 2 N0, 4 N0, ..., where N0 is the first step count whose step is within a
+quarter of the narrowest pulse width, so every step ratio is exactly 2; the
+propagation stops at the first level whose estimate is within
+STEP_ERROR_TARGET, and a schedule's `steps` caps the levels (see
+propagate_single_photon). Unitarity is no error estimate, and X_N is not
+unitary by construction, but with D = U_N - U_{N/2} and both factors unitary,
+X_N^dag X_N - I = (16/225) D^dag D exactly: about 1e-18 on the default
+schedule, under the ~1e-14 roundoff of the CF4 products themselves.
 
 The transfer does not depend on the photon count, so each schedule is
 propagated once: `propagate_single_photon` keeps the last
@@ -54,16 +55,15 @@ MODE_EAST, MODE_CENTRAL, MODE_WEST, MODE_AUX = 0, 1, 2, 3
 
 BOUNDARY_DECAY = 1e-6
 STEP_ERROR_ABORT = 1e-6
-STEP_ERROR_TARGET = 1e-11  # on the h^6 estimate: 100x under the 1e-9 dataset rule, above ~1e-13 roundoff
-STEP_DOUBLINGS = 5  # the coarsest step level is steps >> STEP_DOUBLINGS
+STEP_ERROR_TARGET = 1e-11  # on a level's h^6 estimate: 100x under the 1e-9 dataset rule, above ~1e-13 roundoff
 DEFAULT_STEPS = 24000  # step cap of a schedule that does not set one
 CHUNK_STEPS = 2048  # steps multiplied per batch; bounds propagation memory
-# upper bound on the step cap: a 60 s budget per propagation, which runs at most
-# (1 + 1/2 + ... + 1/32) * steps = 63/32 * steps CF4 steps when it reaches the cap.
+# upper bound on the step cap: a 60 s budget per propagation, whose doubling levels
+# N0, 2 N0, ..., 2^K N0 <= steps run N0 (2^(K+1) - 1) < 2 * steps CF4 steps in all.
 # CF4 ran at 1.29-1.49 M steps/s on a 2-vCPU x86 VM with numpy 2.4 (12 runs of 2 M
 # steps), taken here as 0.86 M steps/s to hold through the 1.5x slow stretches seen
 # on that VM; memory is O(CHUNK_STEPS) whatever the bound
-MAX_STEPS = 60 * 860_000 * 32 // 63
+MAX_STEPS = 60 * 860_000 // 2
 TRANSFER_CACHE_ENTRIES = 64  # schedules whose 4x4 transfer is kept, 256 bytes each
 
 # 4th-order commutator-free Magnus: Gauss nodes (fractions of a step) and weights
@@ -103,8 +103,9 @@ class CouplingProfile:
 class PulseSchedule:
     """Coupling profiles for the three outer waveguides over a z interval.
 
-    `steps` caps the CF4 grid steps of one propagation; fewer run when the
-    step-doubling estimate meets STEP_ERROR_TARGET first.
+    `steps` caps the step-doubling levels of one propagation, which stop earlier
+    when their error estimate meets STEP_ERROR_TARGET; it must admit at least
+    three levels from the step count resolving the narrowest pulse.
     """
 
     east: CouplingProfile
@@ -282,28 +283,21 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
 
     Uses the 4th-order commutator-free Magnus scheme with memory O(CHUNK_STEPS)
     whatever the step count, and Richardson extrapolation of its step-doubling
-    levels steps >> STEP_DOUBLINGS, ..., steps >> 1, steps. Each level N after
-    the coarsest forms X_N = U_N + (U_N - U_M) / (r^4 - 1) with M = N >> 1 and
-    r = N / M, whose h^4 error term cancels, and from the third level on X_N is
-    checked against X_M by the h^6 estimate max|X_N - X_M| / (r^6 - 1). For even
-    N, r = 2 and these are / 15 and / 63; an odd N needs the exact r, because
-    r = 2 would leave about 4 / N of the h^4 error. The first X_N whose estimate
-    is within STEP_ERROR_TARGET is returned. Levels whose step exceeds a quarter
-    of the narrowest pulse width are dropped, because their Gauss nodes can miss
-    the pulses altogether.
-
-    `schedule.steps` is the cap. If it is reached, its result is returned when
-    the estimate is within STEP_ERROR_ABORT, and IntegrationError is raised
-    otherwise (NaN included). With fewer than three resolved levels there is no
-    h^6 estimate, and U_N itself is checked against U_{N/2}: by
-    max|U_N - U_{N/2}| / 15 over two resolved levels, and over fewer, at the
-    cap against steps // 2, without the factor 1/15, which holds only once the
-    error falls as h^4.
+    levels N0, 2 N0, 4 N0, ... up to the cap `schedule.steps`. N0 is the first
+    step count whose step is within a quarter of the narrowest pulse width: a
+    coarser grid's Gauss nodes can miss the pulses altogether. Each level N
+    after N0 forms X_N = U_N + (U_N - U_{N/2}) / 15, whose h^4 error term
+    cancels, and from the third level on max|X_N - X_{N/2}| / 63 estimates the
+    h^6 error of X_N. The first X_N whose estimate is within STEP_ERROR_TARGET is
+    returned. If the cap comes first, the last X_N is returned when its
+    estimate is within STEP_ERROR_ABORT, and IntegrationError is raised
+    otherwise (NaN included). A cap under 4 N0 admits fewer than three levels,
+    so it raises IntegrationError before any propagation, naming the cap 4 N0.
 
     The result is cached with the schedule's value as the key: equal schedules,
     however they were built, share one propagation, and any changed field (one
     ulp of a centre, `steps`, a dilation) is a new key. The module constants
-    (STEP_ERROR_TARGET, STEP_ERROR_ABORT, STEP_DOUBLINGS, CHUNK_STEPS) are not
+    (STEP_ERROR_TARGET, STEP_ERROR_ABORT, CHUNK_STEPS) are not
     part of the key. The cache holds at most TRANSFER_CACHE_ENTRIES schedules,
     the returned matrix is read-only, and errors are not cached, so a failing
     schedule fails on every call.
@@ -316,30 +310,28 @@ def _propagate(schedule: PulseSchedule) -> np.ndarray:
     """The read-only transfer of `propagate_single_photon`, computed once per schedule value."""
     cap = schedule.steps
     span = schedule.z_span[1] - schedule.z_span[0]
-    step_floor = min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)) / 4.0
-    levels = [cap >> k for k in range(STEP_DOUBLINGS, -1, -1) if span <= step_floor * (cap >> k)]
-    extrapolate, richardson = len(levels) > 2, 15.0  # an h^6 estimate needs two extrapolants
-    if len(levels) < 2:
-        levels, richardson = [cap // 2, cap], 1.0
-    coarse, u = _cf4_transfer(schedule, levels[0]), None
-    for steps in levels[1:]:
+    first = np.ceil(4.0 * span / min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)))
+    if not 4.0 * first <= cap:  # an h^6 estimate needs three levels
+        raise IntegrationError(
+            f"step cap {cap} admits fewer than three doubling levels from {first:.0f} steps, the first "
+            f"within a quarter of the narrowest pulse width; increase steps to at least {4.0 * first:.0f}"
+        )
+    steps = int(first)
+    coarse, x, estimate = _cf4_transfer(schedule, steps), None, math.inf
+    while 2 * steps <= cap and not estimate <= STEP_ERROR_TARGET:
+        steps *= 2
         fine = _cf4_transfer(schedule, steps)
-        if extrapolate:
-            ratio = steps / (steps >> 1)  # 2, or just over 2 where the level is odd
-            u, previous = fine + (fine - coarse) / (ratio**4 - 1.0), u
-            estimate = math.inf if previous is None else np.abs(u - previous).max() / (ratio**6 - 1.0)
-        else:
-            u, estimate = fine, np.abs(fine - coarse).max() / richardson
-        if estimate <= STEP_ERROR_TARGET:
-            break
+        x, previous = fine + (fine - coarse) / 15.0, x
+        if previous is not None:
+            estimate = np.abs(x - previous).max() / 63.0
         coarse = fine
     if not estimate <= STEP_ERROR_ABORT:
         raise IntegrationError(
             f"step-doubling error estimate {estimate:.3e} exceeds {STEP_ERROR_ABORT:g}; "
             "increase steps"
         )
-    u.flags.writeable = False
-    return u
+    x.flags.writeable = False
+    return x
 
 
 def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarray, float]:

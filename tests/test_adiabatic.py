@@ -51,8 +51,17 @@ def far_profile() -> CouplingProfile:
 
 
 def idle_schedule() -> PulseSchedule:
-    """All couplings exactly zero over the propagation window."""
-    return PulseSchedule(far_profile(), far_profile(), far_profile(), (-10.0, 10.0), steps=64)
+    """All couplings exactly zero over the propagation window.
+
+    The ladder starts at N0 = 20 / (1/4) = 80 steps, so the cap 320 = 4 N0 admits its three levels.
+    """
+    return PulseSchedule(far_profile(), far_profile(), far_profile(), (-10.0, 10.0), steps=320)
+
+
+def floor_steps(schedule: PulseSchedule) -> int:
+    """N0, the first step count whose step is within a quarter of the narrowest pulse width."""
+    span = schedule.z_span[1] - schedule.z_span[0]
+    return math.ceil(4.0 * span / min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)))
 
 
 def narrow_pulse_schedule() -> PulseSchedule:
@@ -60,11 +69,28 @@ def narrow_pulse_schedule() -> PulseSchedule:
 
     The Gauss nodes of a 4-step grid all miss the pulses, so a controller that
     let such a level decide would accept the identity; the true transfer is far
-    from it.
+    from it. The ladder starts at N0 = 34 / (0.05/4) = 2720 steps, so the cap is
+    far under the 4 N0 = 10880 that three levels need.
     """
     pulse = CouplingProfile(peak=7.0710678118654755, center=0.0, sigma=0.05)
     aux = CouplingProfile(peak=9.899494936611665, center=0.0, sigma=0.05)
     return PulseSchedule(pulse, pulse, aux, (-17.0, 17.0), steps=64)
+
+
+def strong_pulse_schedule() -> PulseSchedule:
+    """The default schedule with every peak coupling 10x, capped at 4 N0 = 544 steps.
+
+    Its three levels run, but a step of sigma/16 is still coarse against the 10x couplings,
+    so the estimate at the cap is about 1e-3, over STEP_ERROR_ABORT.
+    """
+    sched = default_schedule()
+
+    def strong(p: CouplingProfile) -> CouplingProfile:
+        return dataclasses.replace(p, peak=10.0 * p.peak)
+
+    return dataclasses.replace(
+        sched, east=strong(sched.east), west=strong(sched.west), aux=strong(sched.aux), steps=544
+    )
 
 
 def wide_pulse() -> CouplingProfile:
@@ -103,9 +129,9 @@ def propagate_recording_levels(schedule: PulseSchedule):
         return propagate_single_photon(schedule), runs
 
 
-def extrapolant(fine: np.ndarray, coarse: np.ndarray, ratio: float = 2.0) -> np.ndarray:
-    """X_N = U_N + (U_N - U_M) / (r^4 - 1) for r = N / M, written as the propagator writes it."""
-    return fine + (fine - coarse) / (ratio**4 - 1.0)
+def extrapolant(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """X_N = U_N + (U_N - U_{N/2}) / 15, written as the propagator writes it."""
+    return fine + (fine - coarse) / 15.0
 
 
 def extrapolated(schedule: PulseSchedule, steps: int) -> np.ndarray:
@@ -113,18 +139,17 @@ def extrapolated(schedule: PulseSchedule, steps: int) -> np.ndarray:
     return extrapolant(_cf4_transfer(schedule, steps), _cf4_transfer(schedule, steps // 2))
 
 
-def unitarity_identity_residual(x: np.ndarray, u: np.ndarray, v: np.ndarray, ratio: float = 2.0) -> float:
-    """How far X = extrapolant(U, V, r) is from X^dag X - I = c(1+c) D^dag D + (1+c) G_U - c G_V.
+def unitarity_identity_residual(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """How far X = extrapolant(U, V) is from X^dag X - I = c(1+c) D^dag D + (1+c) G_U - c G_V.
 
-    c = 1 / (r^4 - 1), which is 1/15 at r = 2, so that c(1+c) = 16/225; D = U - V and
-    G_M = M^dag M - I. The identity is exact for any U and V; the G terms are the factors' own
-    unitarity defects, about 1e-14 for CF4 products of thousands of steps, and vanish for
-    unitary factors.
+    c = 1/15, so that c(1+c) = 16/225; D = U - V and G_M = M^dag M - I. The identity is exact
+    for any U and V; the G terms are the factors' own unitarity defects, about 1e-14 for CF4
+    products of thousands of steps, and vanish for unitary factors.
     """
     def gram(m):
         return m.conj().T @ m - np.eye(4)
 
-    c, d = 1.0 / (ratio**4 - 1.0), u - v
+    c, d = 1.0 / 15.0, u - v
     expected = c * (1.0 + c) * (d.conj().T @ d) + (1.0 + c) * gram(u) - c * gram(v)
     return float(np.abs(gram(x) - expected).max())
 
@@ -204,18 +229,21 @@ class TestPropagation:
         fine = extrapolated(dilated, 4 * dilated.steps)
         assert np.abs(propagate_single_photon(dilated) - fine).max() <= 2.0 * STEP_ERROR_TARGET
 
-    def test_default_schedule_stops_at_4500_steps(self, schedule):
+    def test_default_schedule_stops_at_2176_steps(self, schedule):
         _, runs = propagate_recording_levels(schedule)
-        assert [steps for steps, _ in runs] == [1125, 2250, 4500]
+        assert floor_steps(schedule) == 136
+        assert [steps for steps, _ in runs] == [136, 272, 544, 1088, 2176]
 
-    def test_reaching_the_cap_returns_the_cap_transfer(self, schedule):
-        capped = dataclasses.replace(schedule, steps=1500)
+    @pytest.mark.parametrize("cap", [1088, 2175])
+    def test_reaching_the_cap_returns_the_last_level_transfer(self, schedule, cap):
+        # 1088 = 8 N0 is the last level itself; under 2176 = 16 N0 the ladder stops at 1088 too
+        capped = dataclasses.replace(schedule, steps=cap)
         u, runs = propagate_recording_levels(capped)
         steps, transfers = zip(*runs)
-        assert steps == (187, 375, 750, 1500)
+        assert steps == (136, 272, 544, 1088)
         # the estimate at the cap misses the target, so the cap rule, not the target, accepts it
         assert np.abs(u - extrapolant(transfers[2], transfers[1])).max() / 63.0 > STEP_ERROR_TARGET
-        assert np.array_equal(u, extrapolated(capped, 1500))
+        assert np.array_equal(u, extrapolated(capped, 1088))
 
     def test_extrapolant_unitarity_identity(self, schedule):
         u, runs = propagate_recording_levels(schedule)
@@ -224,26 +252,46 @@ class TestPropagation:
         fine, coarse = _cf4_transfer(schedule, 40), _cf4_transfer(schedule, 20)
         assert unitarity_identity_residual(extrapolant(fine, coarse), fine, coarse) <= 1e-15
 
-    def test_unresolved_narrow_pulses_abort(self):
+    def test_narrow_pulses_need_a_cap_of_four_floor_levels(self, cf4_steps):
         narrow = narrow_pulse_schedule()
         assert np.abs(_cf4_transfer(narrow, 40000) - np.eye(4)).max() > 0.5
-        with pytest.raises(IntegrationError):
-            propagate_single_photon(narrow)
-        _, runs = propagate_recording_levels(dataclasses.replace(narrow, steps=40000))
-        assert runs[0][0] == 40000 >> 3  # the first level with a step within sigma/4
+        cf4_steps.clear()
+        for cap in (64, 10879):
+            with pytest.raises(IntegrationError, match="at least 10880$"):
+                propagate_single_photon(dataclasses.replace(narrow, steps=cap))
+        assert cf4_steps == []  # the cap is checked before any propagation
+        _, runs = propagate_recording_levels(dataclasses.replace(narrow, steps=10880))
+        assert [steps for steps, _ in runs][:3] == [2720, 5440, 10880]  # N0 has a step within sigma/4
 
-    def test_unresolved_cap_is_checked_without_the_h4_factor(self):
-        # step 26/1100 > sigma/4 of the aux pulse; at a 1352-step cap the error is 2.1x diff/15
+    def test_cap_under_four_floor_levels_is_named(self, cf4_steps):
+        # the aux pulse's sigma/4 = 1/128 over a span of 26 gives N0 = 3328
         sched = PulseSchedule(wide_pulse(), wide_pulse(), narrow_aux_pulse(), (-13.0, 13.0), steps=1100)
-        difference = np.abs(_cf4_transfer(sched, 1100) - _cf4_transfer(sched, 550)).max()
-        with pytest.raises(IntegrationError, match=f"estimate {difference:.3e} exceeds"):
+        assert floor_steps(sched) == 3328
+        message = (
+            "step cap 1100 admits fewer than three doubling levels from 3328 steps, the first within a "
+            "quarter of the narrowest pulse width; increase steps to at least 13312"
+        )
+        with pytest.raises(IntegrationError, match=f"^{message}$"):
             propagate_single_photon(sched)
+        assert cf4_steps == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the facet-decay check's own overflow
+    @pytest.mark.parametrize("sigma, z_span", [(5e-324, (-10.0, 10.0)), (1.0, (-1e308, 1e308))],
+                             ids=["subnormal-sigma", "overflowing-span"])
+    def test_floor_level_past_every_cap_is_named(self, cf4_steps, sigma, z_span):
+        # 4 span / sigma overflows to inf, which no cap admits
+        sched = PulseSchedule(CouplingProfile(1.0, 0.0, sigma), far_profile(), far_profile(), z_span, steps=320)
+        with pytest.raises(IntegrationError, match="at least inf$"):
+            propagate_single_photon(sched)
+        assert cf4_steps == []
 
     @settings(max_examples=25, deadline=None)
     @example(east=wide_pulse(), west=wide_pulse(), aux=narrow_aux_pulse(), margin=10.0, cap=1352)
-    # an odd cap: its last step ratio is 385/192, and a factor 1/15 left 2.1e-11 of h^4 error
+    # N0 = 12 / (0.5/4) = 96: a cap one under 4 N0 = 384 is refused, and 384 runs exactly three levels
     @example(east=CouplingProfile(1.0, 0.0, 1.0), west=CouplingProfile(1.0, 0.0, 1.0),
-             aux=CouplingProfile(1.0, 0.0, 0.5), margin=0.0, cap=385)
+             aux=CouplingProfile(1.0, 0.0, 0.5), margin=0.0, cap=383)
+    @example(east=CouplingProfile(1.0, 0.0, 1.0), west=CouplingProfile(1.0, 0.0, 1.0),
+             aux=CouplingProfile(1.0, 0.0, 0.5), margin=0.0, cap=384)
     @given(
         east=profiles,
         west=profiles,
@@ -255,22 +303,20 @@ class TestPropagation:
         pulses = (east, west, aux)
         half = max(abs(p.center) + 6.0 * p.sigma for p in pulses) + margin
         sched = PulseSchedule(east, west, aux, (-half, half), steps=cap)
-        try:
-            u, runs = propagate_recording_levels(sched)
-        except IntegrationError:
+        first = floor_steps(sched)
+        if cap < 4 * first:  # fewer than three levels: refused before any propagation
+            event("cap under 4 N0")
+            with pytest.raises(IntegrationError, match=f"from {first} steps, .* at least {4 * first}$"):
+                propagate_recording_levels(sched)
             return
+        u, runs = propagate_recording_levels(sched)
         steps, transfers = zip(*runs)
-        min_sigma = min(p.sigma for p in pulses)
-        resolved = 8.0 * half <= min_sigma * steps[0]  # the coarsest level's step is within sigma/4
-        event(f"{len(runs)} levels, {'resolved' if resolved else 'unresolved'}")
-        if resolved and len(runs) > 2:  # the h^6 estimate of the extrapolant, at the exact step ratios
-            ratio, coarse_ratio = steps[-1] / steps[-2], steps[-2] / steps[-3]
-            previous = extrapolant(transfers[-2], transfers[-3], coarse_ratio)
-            estimate = np.abs(u - previous).max() / (ratio**6 - 1.0)
-            assert unitarity_identity_residual(u, transfers[-1], transfers[-2], ratio) <= 1e-15
-        else:  # the h^4 factor 1/15 applies only when the comparator's step is within sigma/4
-            estimate = np.abs(u - transfers[-2]).max() / (15.0 if resolved else 1.0)
-        fine = extrapolated(sched, 4 * max(cap, math.ceil(8.0 * half / min_sigma)))
+        event(f"{len(runs)} levels")
+        assert steps[0] == first and len(steps) >= 3
+        assert all(fine == 2 * coarse for coarse, fine in zip(steps, steps[1:]))
+        estimate = np.abs(u - extrapolant(transfers[-2], transfers[-3])).max() / 63.0
+        assert unitarity_identity_residual(u, transfers[-1], transfers[-2]) <= 1e-15
+        fine = extrapolated(sched, 4 * cap)
         assert np.abs(u - fine).max() <= 2.0 * max(STEP_ERROR_TARGET, estimate)
 
     def test_adiabatic_leakage_below_tolerance(self, schedule):
@@ -291,10 +337,13 @@ class TestPropagation:
         expected = expm_hermitian(star_hamiltonian(b), h)
         assert np.abs(_star_exponentials(b, h) - expected).max() < 1e-12
 
-    def test_fourth_order_convergence(self, schedule):
-        # the extrapolant's factor 1/15 assumes the CF4 error ~ h^4
-        u = {n: _cf4_transfer(schedule, n) for n in (1000, 2000, 4000)}
-        ratio = np.abs(u[1000] - u[2000]).max() / np.abs(u[2000] - u[4000]).max()
+    @pytest.mark.parametrize("steps", [1000, 272, 544])
+    def test_fourth_order_convergence(self, schedule, steps):
+        # the extrapolant's factor 1/15 assumes the CF4 error ~ h^4. It holds from the ladder's
+        # second level (ratios 16.51 at 272 and 16.12 at 544); at N0 = 136 the ratio is 18.58, so
+        # the first extrapolant is pre-asymptotic, and the h^6 estimate against it absorbs that
+        u = {n: _cf4_transfer(schedule, n) for n in (steps, 2 * steps, 4 * steps)}
+        ratio = np.abs(u[steps] - u[2 * steps]).max() / np.abs(u[2 * steps] - u[4 * steps]).max()
         assert 15.0 < ratio < 17.0
 
     def test_sixth_order_extrapolant(self, schedule):
@@ -311,17 +360,18 @@ class TestPropagation:
         assert np.abs(propagate_single_photon(small) - rk4_halved).max() <= bound
 
     def test_memory_independent_of_steps(self, schedule):
-        def peak_bytes(steps: int) -> int:
+        def peak_bytes(sched: PulseSchedule) -> int:
             adiabatic._propagate.cache_clear()
             tracemalloc.start()
             try:
-                propagate_single_photon(dataclasses.replace(schedule, steps=steps))
+                propagate_single_photon(sched)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        base = peak_bytes(2 * CHUNK_STEPS)
-        assert peak_bytes(16 * CHUNK_STEPS) <= 1.2 * base
+        # the default schedule stops at 2176 steps; the 10x couplings run the ladder up to 17408
+        base = peak_bytes(dataclasses.replace(schedule, steps=2 * CHUNK_STEPS))
+        assert peak_bytes(dataclasses.replace(strong_pulse_schedule(), steps=16 * CHUNK_STEPS)) <= 1.2 * base
 
 
 class TestTransferCache:
@@ -331,7 +381,7 @@ class TestTransferCache:
         first = propagate_single_photon(load_schedule(path))
         levels = list(cf4_steps)
         second = propagate_single_photon(load_schedule(path))
-        assert levels == [1125, 2250, 4500]
+        assert levels == [136, 272, 544, 1088, 2176]
         assert cf4_steps == levels
         assert second is first
 
@@ -366,17 +416,20 @@ class TestTransferCache:
             hit[0, 0] = 0.0
 
     def test_abort_is_not_cached(self, cf4_steps):
-        narrow = narrow_pulse_schedule()
+        strong = strong_pulse_schedule()
+        u136, u272, u544 = (_cf4_transfer(strong, n) for n in (136, 272, 544))
+        estimate = np.abs(extrapolant(u544, u272) - extrapolant(u272, u136)).max() / 63.0
+        cf4_steps.clear()
+        with pytest.raises(IntegrationError, match=f"estimate {estimate:.3e} exceeds"):
+            propagate_single_photon(strong)
+        assert cf4_steps == [136, 272, 544]
         with pytest.raises(IntegrationError):
-            propagate_single_photon(narrow)
-        calls = len(cf4_steps)
-        with pytest.raises(IntegrationError):
-            propagate_single_photon(narrow)
-        assert len(cf4_steps) == 2 * calls
+            propagate_single_photon(strong)
+        assert cf4_steps == 2 * [136, 272, 544]
 
     def test_entries_stay_within_the_bound(self):
         adiabatic._propagate.cache_clear()
-        for steps in range(64, 64 + TRANSFER_CACHE_ENTRIES + 5):
+        for steps in range(320, 320 + TRANSFER_CACHE_ENTRIES + 5):
             propagate_single_photon(dataclasses.replace(idle_schedule(), steps=steps))
         info = adiabatic._propagate.cache_info()
         assert info.maxsize == TRANSFER_CACHE_ENTRIES

@@ -51,7 +51,7 @@ from holoent.open_system import LossConfig
 from test_adiabatic import far_profile
 
 
-def idle_schedule(z_span=(-10.0, 10.0), steps=64) -> PulseSchedule:
+def idle_schedule(z_span=(-10.0, 10.0), steps=320) -> PulseSchedule:
     """test_adiabatic.idle_schedule with its span or step cap replaced."""
     return PulseSchedule(far_profile(), far_profile(), far_profile(), z_span, steps=steps)
 

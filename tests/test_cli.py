@@ -516,7 +516,8 @@ class TestDiabaticCommand:
         path = tmp_path / "narrow.json"
         path.write_text(json.dumps(data))
         assert main(["diabatic", "--schedule", str(path), "--output", str(tmp_path / "out.csv")]) == 4
-        assert "step-doubling error estimate" in capsys.readouterr().err
+        # the first scan point dilates sigma and span alike, so N0 = 34 / (0.05/4) = 2720 holds
+        assert "step cap 64 admits fewer than three doubling levels from 2720 steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
     def test_unreadable_schedule_exits_5(self, tmp_path, capsys, case):

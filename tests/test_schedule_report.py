@@ -19,7 +19,7 @@ def schedule_report():
 def test_default_schedule_report_propagates_once(schedule_report, cf4_steps, capsys):
     schedule_report.main([])
     lines = capsys.readouterr().out.splitlines()
-    assert cf4_steps == [1125, 2250, 4500]
+    assert cf4_steps == [136, 272, 544, 1088, 2176]
 
     sched = adiabatic.default_schedule()
     expected = [
