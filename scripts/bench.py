@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Write one BENCH file: the L0/L1 rows of ROADMAP aim 1 and the end-to-end benchmark.
+
+Usage (from anywhere; holoent is imported from this checkout's src):
+  python scripts/bench.py --output BENCH_<pr>.json [--repeats 30] [--seconds 10]
+
+L0 and L1 rows run in this process through holoent.diagnostics.StageTimer: each
+row is called --repeats times after one untimed call, and the file keeps the min
+and the median. A "cold" row clears the transfer cache before every call.
+L2 runs perfbench/run.py once per workload (seed L2_SEED, --seconds each, tracing
+off) and copies its drift-corrected medians; --seconds 0 skips it. The file also
+records the git SHA, the numpy and Python versions, nproc and whether
+PYTHONDONTWRITEBYTECODE is set, which makes setup_s include compiling holoent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from holoent import adiabatic, holonomy  # noqa: E402
+from holoent.diagnostics import StageTimer  # noqa: E402
+from holoent.open_system import LossConfig, bell_qutrit_state, evolve  # noqa: E402
+
+L2_SEED = 1
+L2_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+
+
+def cold(fn):
+    def call():
+        adiabatic._propagate.cache_clear()
+        return fn()
+    return call
+
+
+def rows() -> list[tuple[str, str, object]]:
+    """(layer, name, call) of every timed row."""
+    schedule = adiabatic.default_schedule()
+    rotation = holonomy.single_mode_rotation(0.3)
+    bell = bell_qutrit_state()
+
+    def propagate():
+        return adiabatic.propagate_single_photon(schedule)
+
+    out = [
+        ("L0", "propagate_single_photon default, cold", cold(propagate)),
+        ("L0", "propagate_single_photon default, cache hit", propagate),
+    ]
+    out += [  # the default schedule's ladder
+        ("L0", f"_cf4_transfer default, {n} steps", lambda n=n: adiabatic._cf4_transfer(schedule, n))
+        for n in (136, 272, 544, 1088, 2176)
+    ]
+    out += [
+        ("L0", "fock_lift P=1", lambda: holonomy.fock_lift(rotation, 1)),
+        ("L0", "fock_lift P=6", lambda: holonomy.fock_lift(rotation, 6)),
+        ("L0", "entropy_at_phase P=6", lambda: holonomy.entropy_at_phase(0.3, 6, 3)),
+        ("L1", "max_entropy_over_phase(2, 1)", lambda: holonomy.max_entropy_over_phase(2, 1)),
+        ("L1", "max_entropy_over_phase(6, 3)", lambda: holonomy.max_entropy_over_phase(6, 3)),
+        ("L1", "fit_rotation_phase P=2", lambda: adiabatic.fit_rotation_phase(holonomy.u3(0.3), 2)),
+        ("L1", "dark_holonomy P=2, cold", cold(lambda: adiabatic.dark_holonomy(schedule, 2))),
+        ("L1", "dark_holonomy P=2, warm", lambda: adiabatic.dark_holonomy(schedule, 2)),
+        ("L1", "evolve, 1000 samples", lambda: evolve(bell, LossConfig(t_max=10.0, steps=1000))),
+        ("L1", "evolve, 10000 samples", lambda: evolve(bell, LossConfig(t_max=10.0, steps=10000))),
+    ]
+    return out
+
+
+def time_rows(repeats: int) -> list[dict]:
+    timer, layers = StageTimer(), {}
+    for layer, name, call in rows():
+        layers[name] = layer
+        call()  # imports, tables and caches outside the timed calls
+        for _ in range(repeats):
+            with timer.stage(name):
+                call()
+    return [{"layer": layers[name], "name": name, **stats} for name, stats in timer.summary().items()]
+
+
+def end_to_end(seconds: float) -> list[dict]:
+    out = []
+    for workload in ("phase-sweep", "schedule-scan", "loss-decay"):
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(L2_SEED),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=ROOT, capture_output=True, text=True, check=False,
+        )
+        result = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.stdout.strip() else {}
+        metrics = result.get("metrics", {})
+        out.append({
+            "layer": "L2", "name": f"perfbench {workload}", "seed": L2_SEED, "seconds": seconds,
+            "exit_code": proc.returncode, "correct": result.get("correct"), "failed": result.get("failed"),
+            **{name: metrics[name]["value"] for name in L2_METRICS if name in metrics},
+        })
+    return out
+
+
+def git(*args: str) -> str | None:
+    try:
+        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return proc.stdout.strip()
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--output", type=Path, required=True, help="BENCH file to write")
+    parser.add_argument("--repeats", type=int, default=30, help="timed calls per L0/L1 row")
+    parser.add_argument("--seconds", type=float, default=10.0,
+                        help="perfbench budget per workload; 0 skips L2")
+    args = parser.parse_args(argv)
+    if args.repeats < 1 or not args.seconds >= 0:
+        parser.error("--repeats must be at least 1 and --seconds non-negative")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    record = {
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "repeats": args.repeats,
+        "rows": time_rows(args.repeats) + (end_to_end(args.seconds) if args.seconds > 0 else []),
+    }
+    args.output.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {args.output}")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,21 +13,25 @@ traces a closed loop whose enclosed solid angle sets the dark-subspace
 rotation angle. The loop shape is configuration, not code: schedules load from
 a JSON file and the packaged default is representative, not a device model.
 
-Propagation uses the 4th-order commutator-free Magnus scheme of Blanes & Moan
-(Appl. Numer. Math. 56, 2006). The single-photon Hamiltonian is a star graph
-around the hub, and so is every linear combination of it that the scheme
-exponentiates, so each step is a closed-form unitary. The scheme is symmetric,
-so its global error has only even powers of h: the extrapolant
-X_N = U_N + (U_N - U_{N/2})/15 of two doubling levels cancels the h^4 term, and
-max|X_N - X_{N/2}|/63 estimates the h^6 error left (Hairer, Norsett & Wanner,
-Solving ODEs I, II.9). That estimate chooses the step count. The levels are
-N0, 2 N0, 4 N0, ..., where N0 is the first step count whose step is within a
-quarter of the narrowest pulse width, so every step ratio is exactly 2; the
-propagation stops at the first level whose estimate is within
+Propagation uses the 4th-order commutator-free Magnus (CF4) scheme of Blanes &
+Moan (Appl. Numer. Math. 56, 2006). Every Hamiltonian it exponentiates is a real
+star graph H = |c><b| + |b><c| around the hub c. In the gauge D = diag(1, i, 1, 1),
+exp(-ihH) is the real rotation by |b|h from c towards b^: with (central, east,
+west, aux) as the quaternion units (1, i, j, k) it is x -> w x w, with
+w = cos(|b|h/2) + sin(|b|h/2) b^. A level of N factors is then the SU(2) x SU(2)
+pair x -> L x R, L = w_N...w_1 and R = w_1...w_N, kept as Cayley-Klein numbers
+(2 complex per factor, not 16) and turned into U = D M(L, R) D^-1 once per level.
+The scheme is symmetric, so its global error has only even powers of h: the
+extrapolant X_N = U_N + (U_N - U_{N/2})/15 of two doubling levels cancels the
+h^4 term, and max|X_N - X_{N/2}|/63 estimates the h^6 error left (Hairer,
+Norsett & Wanner, Solving ODEs I, II.9). That estimate chooses the step count.
+The levels are N0, 2 N0, 4 N0, ..., where N0 is the first step count whose
+step is within a quarter of the narrowest pulse width, so every step ratio is
+exactly 2; the propagation stops at the first level whose estimate is within
 STEP_ERROR_TARGET, and a schedule's `steps` caps the levels (see
 propagate_single_photon). Unitarity is no error estimate, and X_N is not
-unitary by construction, but with D = U_N - U_{N/2} and both factors unitary,
-X_N^dag X_N - I = (16/225) D^dag D exactly: about 1e-18 on the default
+unitary by construction, but with E = U_N - U_{N/2} and both factors unitary,
+X_N^dag X_N - I = (16/225) E^dag E exactly: about 1e-18 on the default
 schedule, under the ~1e-14 roundoff of the CF4 products themselves.
 
 The transfer does not depend on the photon count, so each schedule is
@@ -57,20 +61,21 @@ BOUNDARY_DECAY = 1e-6
 STEP_ERROR_ABORT = 1e-6
 STEP_ERROR_TARGET = 1e-11  # on a level's h^6 estimate: 100x under the 1e-9 dataset rule, above ~1e-13 roundoff
 DEFAULT_STEPS = 24000  # step cap of a schedule that does not set one
-CHUNK_STEPS = 2048  # steps multiplied per batch; bounds propagation memory
-# upper bound on the step cap: a 60 s budget per propagation, whose doubling levels
-# N0, 2 N0, ..., 2^K N0 <= steps run N0 (2^(K+1) - 1) < 2 * steps CF4 steps in all.
-# CF4 ran at 1.29-1.49 M steps/s on a 2-vCPU x86 VM with numpy 2.4 (12 runs of 2 M
-# steps), taken here as 0.86 M steps/s to hold through the 1.5x slow stretches seen
-# on that VM; memory is O(CHUNK_STEPS) whatever the bound
+CHUNK_STEPS = 4096  # steps multiplied per batch; bounds propagation memory
+# upper bound on the step cap: a 60 s budget per propagation, whose doubling levels N0, 2 N0, ...,
+# 2^K N0 <= steps run N0 (2^(K+1) - 1) < 2 * steps CF4 steps in all. CF4 ran at 1.9-2.7 M steps/s
+# on a 2-vCPU x86 VM with numpy 2.4 (12 runs of 2 M steps); 0.86 M steps/s keeps the bound through
+# the 1.5x slow stretches seen on that VM. Memory is O(CHUNK_STEPS) whatever the bound
 MAX_STEPS = 60 * 860_000 // 2
 TRANSFER_CACHE_ENTRIES = 64  # schedules whose 4x4 transfer is kept, 256 bytes each
 
-# 4th-order commutator-free Magnus: Gauss nodes (fractions of a step) and weights
-_GAUSS_1 = 0.5 - math.sqrt(3.0) / 6.0
-_GAUSS_2 = 0.5 + math.sqrt(3.0) / 6.0
-_CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
-_CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
+# 4th-order commutator-free Magnus: Gauss nodes (fractions of a step); node k's weight in exponential j
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+_CF4_WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 6.0
+# SU(2) images of the quaternion units i, 1, j, k of the modes east, central, west, aux
+_UNITS = np.array([[[1j, 0], [0, -1j]], [[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+_GAUGE = np.outer([1, 1j, 1, 1], [1, -1j, 1, 1])  # D_m / D_n for the gauge D = diag(1, i, 1, 1)
+_IDENTITY_PAIR = np.array([[1, 1], [0, 0]], dtype=complex)  # (alpha, beta) of (1, 1)
 
 
 class ScheduleError(ValueError):
@@ -95,8 +100,9 @@ class CouplingProfile:
             raise ScheduleError(f"sigma must be positive, got {self.sigma}")
 
     def value(self, z):
-        arg = (np.asarray(z, dtype=float) - self.center) / self.sigma
-        return self.peak * np.exp(-0.5 * arg * arg)
+        with np.errstate(over="ignore"):  # far from the centre the Gaussian is meant to underflow to 0
+            arg = (np.asarray(z, dtype=float) - self.center) / self.sigma
+            return self.peak * np.exp(-0.5 * arg * arg)
 
 
 @dataclass(frozen=True)
@@ -205,77 +211,66 @@ def default_schedule() -> PulseSchedule:
     return schedule_from_dict(json.loads(text))
 
 
-def _couplings(schedule: PulseSchedule, zs: np.ndarray) -> np.ndarray:
-    """Hub coupling vectors b(z) = (Omega_E, 0, Omega_W, Omega_A), shape (4,) + zs.shape."""
-    b = np.zeros((4,) + zs.shape)
-    for mode, profile in (
-        (MODE_EAST, schedule.east),
-        (MODE_WEST, schedule.west),
-        (MODE_AUX, schedule.aux),
-    ):
-        b[mode] = profile.value(zs)
-    return b
+def _step_quaternions(b: np.ndarray, h: float) -> np.ndarray:
+    """The unit quaternions w = cos(|b|h/2) + sin(|b|h/2) b^ of the factors exp(-ihH).
 
-
-def _star_exponentials(b: np.ndarray, h: float) -> np.ndarray:
-    """exp(-iHh) for the star Hamiltonian H = |c><b| + |b><c|, shape (4, 4) + b.shape[1:].
-
-    Batched over the trailing axes of b, which has shape (4, ...). With c the hub
-    and b real and orthogonal to it, H acts only on span{c, b^}, where it is |b|
-    times a Pauli-x, so
-    exp(-iHh) = I + (cos|b|h - 1)(|c><c| + |b^><b^|) - i sin|b|h (|c><b^| + |b^><c|).
+    b holds the (east, west, aux) couplings on axis 0. Returns the Cayley-Klein pairs
+    alpha = w_1 + i w_i, beta = w_j + i w_k on axis 0 of shape (2, 2) + b.shape[1:], whose
+    axis 1 is (w, conj w).
     """
     norm = np.sqrt((b * b).sum(0))
-    bhat = b / np.where(norm > 0, norm, 1.0)
-    cos_m1 = np.cos(norm * h) - 1.0
-    minus_i_sin = -1j * np.sin(norm * h)
-    out = (cos_m1 * bhat[:, None] * bhat[None, :]).astype(complex)
-    out[MODE_CENTRAL, MODE_CENTRAL] += cos_m1
-    out[MODE_CENTRAL] += minus_i_sin * bhat
-    out[:, MODE_CENTRAL] += minus_i_sin * bhat
-    for i in range(4):
-        out[i, i] += 1.0
+    sin_over_norm = np.sin(0.5 * h * norm) / np.where(norm > 0, norm, 1.0)
+    q = np.empty((2, 2) + norm.shape, dtype=complex)
+    q[0, 0].real = np.cos(0.5 * h * norm)
+    q[0, 0].imag = sin_over_norm * b[0]
+    q[1, 0].real = sin_over_norm * b[1]
+    q[1, 0].imag = sin_over_norm * b[2]
+    q[0, 1] = q[0, 0].conj()
+    q[1, 1] = -q[1, 0]
+    return q
+
+
+def _quaternion_product(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """p r for Cayley-Klein pairs on axis 0, batched over the other axes."""
+    out = p[0] * r
+    cross = p[1] * r[::-1].conj()
+    out[0] -= cross[0]
+    out[1] += cross[1]
     return out
 
 
-def _matmul_trailing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of 4x4 matrices batched over the trailing axis."""
-    out = a[:, 0, None] * b[None, 0]
-    for k in range(1, 4):
-        out += a[:, k, None] * b[None, k]
-    return out
+def _ordered_product(q: np.ndarray) -> np.ndarray:
+    """q[..., n-1] ... q[..., 0] by a pairwise tree product over the trailing axis."""
+    while q.shape[-1] > 1:
+        if q.shape[-1] % 2:
+            q = np.concatenate([q, _IDENTITY_PAIR[..., None]], axis=-1)
+        q = _quaternion_product(q[..., 1::2], q[..., 0::2])
+    return q[..., 0]
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[..., n-1] @ ... @ mats[..., 0] by a pairwise tree product over the trailing axis."""
-    while mats.shape[-1] > 1:
-        if mats.shape[-1] % 2:
-            mats = np.concatenate([mats, np.eye(4, dtype=complex)[:, :, None]], axis=-1)
-        mats = _matmul_trailing(mats[..., 1::2], mats[..., 0::2])
-    return mats[..., 0]
+def _quaternion_transfer(pair: np.ndarray) -> np.ndarray:
+    """The complex 4x4 transfer D M D^-1 of the rotation M: x -> L x R, for pair = (L, conj R)."""
+    su2 = np.array([[pair[0], pair[1]], [-pair[1].conj(), pair[0].conj()]])  # [..., (L, conj R)]
+    rows = (su2[..., 0] @ _UNITS @ su2[..., 1].conj().T)[:, 0]  # (alpha, beta) of L u R, u = i, 1, j, k
+    return np.array([rows[:, 0].imag, rows[:, 0].real, rows[:, 1].real, rows[:, 1].imag]) * _GAUGE
 
 
 def _cf4_transfer(schedule: PulseSchedule, steps: int) -> np.ndarray:
     """Transfer matrix over `steps` grid steps of the 4th-order commutator-free Magnus scheme.
 
-    Blanes & Moan (2006): each step is exp(-ih(a2 H1 + a1 H2)) exp(-ih(a1 H1 + a2 H2))
-    with H1, H2 at the two Gauss nodes. Both combinations are star Hamiltonians,
-    so each exponential is closed-form. Steps are multiplied CHUNK_STEPS at a
-    time, with the step index on the trailing axis, where numpy's small-matrix
-    products are fastest.
+    Blanes & Moan (2006): each step is exp(-ih(a2 H1 + a1 H2)) exp(-ih(a1 H1 + a2 H2)) with
+    H1, H2 at the two Gauss nodes. R = w_1 ... w_n = conj(conj(w_n) ... conj(w_1)), so one tree
+    product of w and conj(w) side by side gives L and conj R, CHUNK_STEPS steps at a time.
     """
     z_start, z_end = schedule.z_span
     h = (z_end - z_start) / steps
-    u = np.eye(4, dtype=complex)
+    pair = _IDENTITY_PAIR
     for first in range(0, steps, CHUNK_STEPS):
         left = z_start + h * np.arange(first, min(first + CHUNK_STEPS, steps))
-        b1 = _couplings(schedule, left + _GAUSS_1 * h)
-        b2 = _couplings(schedule, left + _GAUSS_2 * h)
-        mats = np.empty((4, 4, 2 * len(left)), dtype=complex)
-        mats[..., 0::2] = _star_exponentials(_CF4_A1 * b1 + _CF4_A2 * b2, h)
-        mats[..., 1::2] = _star_exponentials(_CF4_A2 * b1 + _CF4_A1 * b2, h)
-        u = _ordered_product(mats) @ u
-    return u
+        zs = left[:, None] + h * _GAUSS_NODES
+        b = np.array([p.value(zs) for p in (schedule.east, schedule.west, schedule.aux)]) @ _CF4_WEIGHTS
+        pair = _quaternion_product(_ordered_product(_step_quaternions(b.reshape(3, -1), h)), pair)
+    return _quaternion_transfer(pair)
 
 
 def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
@@ -292,7 +287,8 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     returned. If the cap comes first, the last X_N is returned when its
     estimate is within STEP_ERROR_ABORT, and IntegrationError is raised
     otherwise (NaN included). A cap under 4 N0 admits fewer than three levels,
-    so it raises IntegrationError before any propagation, naming the cap 4 N0.
+    so it raises IntegrationError before any propagation, naming the cap 4 N0
+    or, past MAX_STEPS, saying that the pulses cannot be resolved.
 
     The result is cached with the schedule's value as the key: equal schedules,
     however they were built, share one propagation, and any changed field (one
@@ -312,9 +308,11 @@ def _propagate(schedule: PulseSchedule) -> np.ndarray:
     span = schedule.z_span[1] - schedule.z_span[0]
     first = np.ceil(4.0 * span / min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)))
     if not 4.0 * first <= cap:  # an h^6 estimate needs three levels
+        advice = (f"increase steps to at least {4.0 * first:.0f}" if 4.0 * first <= MAX_STEPS
+                  else f"the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}")
         raise IntegrationError(
             f"step cap {cap} admits fewer than three doubling levels from {first:.0f} steps, the first "
-            f"within a quarter of the narrowest pulse width; increase steps to at least {4.0 * first:.0f}"
+            f"within a quarter of the narrowest pulse width; {advice}"
         )
     steps = int(first)
     coarse, x, estimate = _cf4_transfer(schedule, steps), None, math.inf

@@ -14,6 +14,7 @@ from holoent.adiabatic import (
     CHUNK_STEPS,
     MAX_STEPS,
     MODE_AUX,
+    MODE_CENTRAL,
     MODE_EAST,
     MODE_WEST,
     STEP_ERROR_TARGET,
@@ -23,7 +24,8 @@ from holoent.adiabatic import (
     PulseSchedule,
     ScheduleError,
     _cf4_transfer,
-    _star_exponentials,
+    _quaternion_transfer,
+    _step_quaternions,
     dark_holonomy,
     default_schedule,
     diabatic_scan,
@@ -36,14 +38,17 @@ from holoent.adiabatic import (
 )
 from holoent.holonomy import MAX_LIFT_PHOTONS, fock_lift, single_mode_rotation, u3
 from propagation_oracle import (
+    complex_cf4_transfer,
     expm_hermitian,
     four_mode_dark_block,
     hamiltonian_at,
     rk4_transfer,
+    star_exponentials,
     star_hamiltonian,
 )
 
 FAR = 1.0e6  # a Gaussian centred this far away underflows to exactly zero
+OUTER = [MODE_EAST, MODE_WEST, MODE_AUX]
 
 
 def far_profile() -> CouplingProfile:
@@ -162,6 +167,21 @@ profiles = st.builds(
 )
 
 
+def pulse_schedule(east: CouplingProfile, west: CouplingProfile, aux: CouplingProfile, margin: float,
+                   steps: int = adiabatic.DEFAULT_STEPS) -> PulseSchedule:
+    """The three pulses over a span reaching `margin` past the widest 6 sigma."""
+    half = max(abs(p.center) + 6.0 * p.sigma for p in (east, west, aux)) + margin
+    return PulseSchedule(east, west, aux, (-half, half), steps=steps)
+
+
+@st.composite
+def laddered_schedules(draw) -> PulseSchedule:
+    """Drawn pulses capped at N0 times 4 or more (up to about 36 000), so every ladder runs."""
+    sched = pulse_schedule(draw(profiles), draw(profiles), draw(profiles), draw(st.floats(0.0, 15.0)))
+    first = floor_steps(sched)
+    return dataclasses.replace(sched, steps=first * draw(st.integers(4, max(4, 36000 // first))))
+
+
 @pytest.fixture(scope="module")
 def schedule() -> PulseSchedule:
     return default_schedule()
@@ -275,35 +295,31 @@ class TestPropagation:
             propagate_single_photon(sched)
         assert cf4_steps == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the facet-decay check's own overflow
-    @pytest.mark.parametrize("sigma, z_span", [(5e-324, (-10.0, 10.0)), (1.0, (-1e308, 1e308))],
-                             ids=["subnormal-sigma", "overflowing-span"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the Gaussian's overflow to 0 warns no more
+    @pytest.mark.parametrize(
+        "sigma, z_span",
+        [(5e-324, (-10.0, 10.0)), (1.0, (-1e308, 1e308)), (1e-5, (-17.0, 17.0))],
+        ids=["subnormal-sigma", "overflowing-span", "finite-floor-past-max-steps"],
+    )
     def test_floor_level_past_every_cap_is_named(self, cf4_steps, sigma, z_span):
-        # 4 span / sigma overflows to inf, which no cap admits
+        # 4 span / sigma overflows to inf, or 4 N0 = 4 * 34 / (1e-5/4) = 5.44e7 exceeds MAX_STEPS
         sched = PulseSchedule(CouplingProfile(1.0, 0.0, sigma), far_profile(), far_profile(), z_span, steps=320)
-        with pytest.raises(IntegrationError, match="at least inf$"):
+        assert not 4.0 * (4.0 * (z_span[1] - z_span[0]) / sigma) <= MAX_STEPS
+        message = f"; the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}$"
+        with pytest.raises(IntegrationError, match=message):
             propagate_single_photon(sched)
         assert cf4_steps == []
 
     @settings(max_examples=25, deadline=None)
-    @example(east=wide_pulse(), west=wide_pulse(), aux=narrow_aux_pulse(), margin=10.0, cap=1352)
+    @example(sched=pulse_schedule(wide_pulse(), wide_pulse(), narrow_aux_pulse(), 10.0, steps=1352))
     # N0 = 12 / (0.5/4) = 96: a cap one under 4 N0 = 384 is refused, and 384 runs exactly three levels
-    @example(east=CouplingProfile(1.0, 0.0, 1.0), west=CouplingProfile(1.0, 0.0, 1.0),
-             aux=CouplingProfile(1.0, 0.0, 0.5), margin=0.0, cap=383)
-    @example(east=CouplingProfile(1.0, 0.0, 1.0), west=CouplingProfile(1.0, 0.0, 1.0),
-             aux=CouplingProfile(1.0, 0.0, 0.5), margin=0.0, cap=384)
-    @given(
-        east=profiles,
-        west=profiles,
-        aux=profiles,
-        margin=st.floats(0.0, 15.0),
-        cap=st.integers(64, 36000),
-    )
-    def test_accepted_transfer_within_twice_its_estimate(self, east, west, aux, margin, cap):
-        pulses = (east, west, aux)
-        half = max(abs(p.center) + 6.0 * p.sigma for p in pulses) + margin
-        sched = PulseSchedule(east, west, aux, (-half, half), steps=cap)
-        first = floor_steps(sched)
+    @example(sched=pulse_schedule(CouplingProfile(1.0, 0.0, 1.0), CouplingProfile(1.0, 0.0, 1.0),
+                                  CouplingProfile(1.0, 0.0, 0.5), 0.0, steps=383))
+    @example(sched=pulse_schedule(CouplingProfile(1.0, 0.0, 1.0), CouplingProfile(1.0, 0.0, 1.0),
+                                  CouplingProfile(1.0, 0.0, 0.5), 0.0, steps=384))
+    @given(sched=laddered_schedules())
+    def test_accepted_transfer_within_twice_its_estimate(self, sched):
+        cap, first = sched.steps, floor_steps(sched)
         if cap < 4 * first:  # fewer than three levels: refused before any propagation
             event("cap under 4 N0")
             with pytest.raises(IntegrationError, match=f"from {first} steps, .* at least {4 * first}$"):
@@ -331,11 +347,33 @@ class TestPropagation:
         couplings=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
         h=st.floats(0.0, 1.0),
     )
-    def test_star_exponential_matches_eigh(self, couplings, h):
+    def test_step_quaternion_matches_eigh(self, couplings, h):
+        # the 4x4 image of one factor's quaternion, and the oracle's complex star exponential
         b = np.zeros(4)
-        b[[MODE_EAST, MODE_WEST, MODE_AUX]] = couplings
+        b[OUTER] = couplings
         expected = expm_hermitian(star_hamiltonian(b), h)
-        assert np.abs(_star_exponentials(b, h) - expected).max() < 1e-12
+        factor = _quaternion_transfer(_step_quaternions(np.array(couplings)[:, None], h)[..., 0])
+        assert np.abs(factor - expected).max() < 1e-12
+        assert np.abs(star_exponentials(b, h) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("steps", [16, 137, 1088, 2175, 4352])
+    @pytest.mark.parametrize("scale", [1.0, 0.2276, 0.35, 0.5, "strong"])
+    def test_matches_complex_oracle(self, schedule, scale, steps):
+        # 4352 steps run two chunks of CHUNK_STEPS = 4096
+        sched = strong_pulse_schedule() if scale == "strong" else schedule.dilate(scale)
+        assert np.abs(_cf4_transfer(sched, steps) - complex_cf4_transfer(sched, steps)).max() <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(sched=laddered_schedules(), steps=st.integers(16, 4352))
+    def test_matches_complex_oracle_on_drawn_schedules(self, sched, steps):
+        assert np.abs(_cf4_transfer(sched, steps) - complex_cf4_transfer(sched, steps)).max() <= 1e-13
+
+    @pytest.mark.parametrize("steps", [16, 137, 4352])
+    def test_gauge_holds_exactly(self, schedule, steps):
+        # U = D M D^-1 with M real and D = diag(1, i, 1, 1), in the transfer and in the extrapolant
+        for u in (_cf4_transfer(schedule, steps), propagate_single_photon(schedule)):
+            assert (u[np.ix_(OUTER, OUTER)].imag == 0).all()
+            assert (u[MODE_CENTRAL, OUTER].real == 0).all() and (u[OUTER, MODE_CENTRAL].real == 0).all()
 
     @pytest.mark.parametrize("steps", [1000, 272, 544])
     def test_fourth_order_convergence(self, schedule, steps):
@@ -369,9 +407,11 @@ class TestPropagation:
             finally:
                 tracemalloc.stop()
 
-        # the default schedule stops at 2176 steps; the 10x couplings run the ladder up to 17408
-        base = peak_bytes(dataclasses.replace(schedule, steps=2 * CHUNK_STEPS))
-        assert peak_bytes(dataclasses.replace(strong_pulse_schedule(), steps=16 * CHUNK_STEPS)) <= 1.2 * base
+        # the 10x couplings run the ladder up to 4352 = CHUNK_STEPS + 256 under the lower cap, and
+        # under the higher one up to 17408 = 4.25 CHUNK_STEPS, where the estimate meets the target
+        strong = strong_pulse_schedule()
+        base = peak_bytes(dataclasses.replace(strong, steps=2 * CHUNK_STEPS))
+        assert peak_bytes(dataclasses.replace(strong, steps=16 * CHUNK_STEPS)) <= 1.2 * base
 
 
 class TestTransferCache:

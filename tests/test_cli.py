@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
 from holoent import cli, holonomy
-from holoent.adiabatic import default_schedule
+from holoent.adiabatic import MAX_STEPS, default_schedule
 from holoent.cli import ROW_BLOCK, _fmt, _render_csv, _render_json, main
 from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES, MEMORY_BUDGET_BYTES
 from holoent.open_system import MAX_LOSS_STEPS, STEP_SIZE_GUARD
@@ -518,6 +518,21 @@ class TestDiabaticCommand:
         assert main(["diabatic", "--schedule", str(path), "--output", str(tmp_path / "out.csv")]) == 4
         # the first scan point dilates sigma and span alike, so N0 = 34 / (0.05/4) = 2720 holds
         assert "step cap 64 admits fewer than three doubling levels from 2720 steps" in capsys.readouterr().err
+
+    def test_unresolvable_span_prints_only_the_error(self, tmp_path):
+        # far facets overflow the Gaussian's argument, which underflows the coupling to 0 without a warning
+        data = default_schedule().to_dict()
+        data["z_span"] = [-1e308, 1.7e308]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        cp = run_cli("diabatic", "--schedule", str(path), "--output", str(out))
+        assert cp.returncode == 4
+        assert cp.stderr.splitlines() == [
+            "error: step cap 36000 admits fewer than three doubling levels from inf steps, the first within a "
+            f"quarter of the narrowest pulse width; the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
     def test_unreadable_schedule_exits_5(self, tmp_path, capsys, case):
