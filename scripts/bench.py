@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Write one BENCH file: the L0/L1 rows of ROADMAP aim 1 and the end-to-end benchmark.
+"""Write one BENCH file: the L0/L1/L2 rows of ROADMAP aim 1 and the end-to-end benchmark.
 
 Usage (from anywhere; holoent is imported from this checkout's src):
   python scripts/bench.py --output BENCH_<pr>.json [--repeats 30] [--seconds 10]
 
-L0 and L1 rows run in this process through holoent.diagnostics.StageTimer: each
-row is called --repeats times after one untimed call, and the file keeps the min
-and the median. A "cold" row clears the transfer cache before every call.
-L2 runs perfbench/run.py once per workload (seed L2_SEED, --seconds each, tracing
-off) and copies its drift-corrected medians; --seconds 0 skips it. The file also
+L0 and L1 rows, and the L2 rows of single CLI commands, run in this process through
+holoent.diagnostics.StageTimer: each row is called --repeats times after one untimed
+call, and the file keeps the min and the median. A CLI row calls holoent.cli.main and
+writes its dataset into a temporary directory. A "cold" row clears the transfer cache
+before every call. The perfbench L2 rows run perfbench/run.py once per workload (seed
+L2_SEED, --seconds each, tracing off) and copy its drift-corrected medians; --seconds 0
+skips them. The file also
 records the git SHA, the numpy and Python versions, nproc and whether
 PYTHONDONTWRITEBYTECODE is set, which makes setup_s include compiling holoent.
 """
@@ -21,6 +23,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,8 +31,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from holoent import adiabatic, holonomy  # noqa: E402
+from holoent import adiabatic, cli, holonomy  # noqa: E402
 from holoent.diagnostics import StageTimer  # noqa: E402
+from holoent.entanglement import density_from_pure  # noqa: E402
+from holoent.fock import basis_state  # noqa: E402
 from holoent.open_system import LossConfig, bell_qutrit_state, evolve  # noqa: E402
 
 L2_SEED = 1
@@ -43,11 +48,22 @@ def cold(fn):
     return call
 
 
-def rows() -> list[tuple[str, str, object]]:
-    """(layer, name, call) of every timed row."""
+def command(argv: list[str], output: Path):
+    def call():
+        code = cli.main([*argv, "--output", str(output)])
+        if code != 0:
+            raise RuntimeError(f"holoent {' '.join(argv)} exited {code}")
+    return call
+
+
+def rows(outdir: Path) -> list[tuple[str, str, object]]:
+    """(layer, name, call) of every timed row; CLI rows write into outdir."""
     schedule = adiabatic.default_schedule()
     rotation = holonomy.single_mode_rotation(0.3)
     bell = bell_qutrit_state()
+    holonomic = density_from_pure(
+        holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
+    )
 
     def propagate():
         return adiabatic.propagate_single_photon(schedule)
@@ -71,18 +87,25 @@ def rows() -> list[tuple[str, str, object]]:
         ("L1", "dark_holonomy P=2, warm", lambda: adiabatic.dark_holonomy(schedule, 2)),
         ("L1", "evolve, 1000 samples", lambda: evolve(bell, LossConfig(t_max=10.0, steps=1000))),
         ("L1", "evolve, 10000 samples", lambda: evolve(bell, LossConfig(t_max=10.0, steps=10000))),
+        ("L1", "evolve holonomic state, 1000 samples",
+         lambda: evolve(holonomic, LossConfig(t_max=10.0, steps=1000))),
+        ("L2", "cli loss", command(["loss"], outdir / "loss.csv")),
+        ("L2", "cli sweep --input 1,1", command(["sweep", "--input", "1,1"], outdir / "sweep.csv")),
+        ("L2", "cli volume", command(["volume"], outdir / "volume.csv")),
+        ("L2", "cli diabatic, cold", cold(command(["diabatic"], outdir / "diabatic.csv"))),
     ]
     return out
 
 
 def time_rows(repeats: int) -> list[dict]:
     timer, layers = StageTimer(), {}
-    for layer, name, call in rows():
-        layers[name] = layer
-        call()  # imports, tables and caches outside the timed calls
-        for _ in range(repeats):
-            with timer.stage(name):
-                call()
+    with tempfile.TemporaryDirectory() as outdir:
+        for layer, name, call in rows(Path(outdir)):
+            layers[name] = layer
+            call()  # imports, tables and caches outside the timed calls
+            for _ in range(repeats):
+                with timer.stage(name):
+                    call()
     return [{"layer": layers[name], "name": name, **stats} for name, stats in timer.summary().items()]
 
 

@@ -165,7 +165,11 @@ def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarr
     side's partial transpose serves: the west one is the transpose of the east one.
     """
     pt = _transpose_mode(matrices, _require_bipartite(dims), "east")
-    trace_norm = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1)
+    return negativity_bits(np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1))
+
+
+def negativity_bits(trace_norm: np.ndarray) -> np.ndarray:
+    """Logarithmic negativity from the trace norm of a partial transpose: log2, clamped at zero."""
     return np.maximum(0.0, np.log2(trace_norm))
 
 

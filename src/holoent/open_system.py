@@ -15,9 +15,22 @@ v_i = eta^(N_i / 2) for the photon number N_i = a + b of basis state i = (a, b) 
         sqrt(C(a+l, l) C(c+l, l) C(b+l', l') C(e+l', l')) rho0[(a+l, b+l'), (c+l, e+l')].
 
 C_q depends on rho0 alone, so `evolve` builds the table once, and a sample costs a
-polynomial of degree d_E + d_W - 2 in x and two scalings. There is no integrator and
+polynomial of degree d_E + d_W - 2 in x and one scaling. There is no integrator and
 no step-size error; the Lindblad generator and the Kraus sum this form replaces live
 with the tests as their references.
+
+Loss removes the same photons from the ket and the bra, so it keeps the coherence
+orders a - c and b - e of every element |a,b><c,e|: C_q[(a, b), (c, e)] is zero unless
+rho0 has a nonzero element with the same two orders. The east partial transpose, whose
+trace norm gives the negativity, moves |a,b><c,e| to |c,b><a,e| and so keeps this
+sparsity. For the reference states it is block diagonal: three 2x2 and three 1x1 blocks
+for the holonomic state, blocks of 3, 2, 2, 1 and 1 for the Bell qutrit. So `evolve`
+transposes the table once, splits its indices into the connected components of the
+support of the transposed C_q, and samples and diagonalizes each block alone. An entry
+outside every block is zero at every time, so the eigenvalues of the blocks are those of
+the whole partial transpose. A sample scales entry (i, j) once, by eta^((N_i + N_j) / 2),
+and the partial transpose keeps N_i + N_j, so a block holds the same bits as the
+matching entries of the transposed rho(t).
 
 Positivity is checked once, on rho0. Write rho0 = P - N with P, N >= 0: the
 channel Phi is completely positive, so Phi(rho0) >= -Phi(N) and, Phi being
@@ -33,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import DensityMatrix, _require_bipartite, log_negativity_bits
+from .entanglement import DensityMatrix, _require_bipartite, _transpose_mode, negativity_bits
 # partial_transpose is re-exported: benchmark tracing wraps it through this binding
 from .entanglement import partial_transpose  # noqa: F401
 from .fock import MEMORY_BUDGET_BYTES, check_integer
@@ -41,11 +54,14 @@ from .fock import MEMORY_BUDGET_BYTES, check_integer
 STEP_SIZE_GUARD = 0.01
 # lower bound on the summed negative eigenvalues of rho0, which bound those of every rho(t)
 POSITIVITY_ABORT = -1e-6
-CHUNK_SAMPLES = 64  # sample times evaluated per batch; bounds the working memory of evolve
+# sample times evaluated per batch; bounds the working memory of evolve, which holds per
+# sample the blocks of the partial transpose: 19 complex entries for the Bell qutrit, 15
+# for the holonomic state, against 81 for the whole 9x9 matrix
+CHUNK_SAMPLES = 256
 # upper bound on steps: the memory budget at 1024 bytes per sample. One `holoent loss`
 # run holds four float64 arrays for each of its two trajectories and one more column,
-# and renders its table a block of rows at a time; its tracemalloc peak grows by 66
-# bytes per sample, so the bound leaves ample headroom
+# and renders its table a block of rows at a time; its tracemalloc peak grows by about
+# 80 bytes per sample (79.8 between 16 000 and 65 535 steps), so the bound leaves ample headroom
 MAX_LOSS_STEPS = MEMORY_BUDGET_BYTES // 1024 - 1
 
 
@@ -107,23 +123,46 @@ def _damping_table(rho0: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return table.reshape((len(table),) + rho0.matrix.shape), photon_number
 
 
-def _sample(table: np.ndarray, photon_number: np.ndarray, gamma_t: np.ndarray) -> np.ndarray:
-    """rho at each gamma*t from the `_damping_table` of rho0, shape gamma_t.shape + table.shape[1:].
+def _coherence_blocks(
+    table: np.ndarray, photon_number: np.ndarray, dims: tuple[int, int]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The east partial transpose of a `_damping_table`, split into the connected components
+    of its support and grouped by size: for each size s, the flat indices of its nb blocks,
+    shape (nb, s), their sub-tables, shape (len(table), nb, s, s), and their photon numbers."""
+    pt = _transpose_mode(table, dims, "east")
+    side = pt.shape[-1]
+    # reachability by repeated squaring: after k squarings, paths of up to 2^k links
+    reach = (pt != 0).any(axis=0) | np.eye(side, dtype=bool)
+    while not np.array_equal(closure := reach @ reach, reach):
+        reach = closure
+    roots = np.flatnonzero(reach.argmax(axis=1) == np.arange(side))  # each component's lowest index
+    sizes = reach[roots].sum(axis=1)
+    groups = []
+    for size in sorted(set(sizes.tolist())):  # not np.unique: it imports numpy.ma, 12 ms
+        index = np.nonzero(reach[roots[sizes == size]])[1].reshape(-1, size)
+        groups.append((index, pt[:, index[:, :, None], index[:, None, :]], photon_number[index]))
+    return groups
 
-    The polynomial in x runs by Horner's rule, one elementwise pass per degree, so a
-    sample does not depend on the other times in its batch (a BLAS product's rounding
-    can depend on the batch length).
+
+def _sample(table: np.ndarray, photon_number: np.ndarray, gamma_t: np.ndarray) -> np.ndarray:
+    """rho at each gamma*t from a `_damping_table` of rho0, shape gamma_t.shape + table.shape[1:].
+
+    `table` has shape (Q,) + batch + (s, s) and `photon_number` batch + (s,): the whole
+    table, or the sub-tables of `_coherence_blocks`. The polynomial in x runs by Horner's
+    rule, one elementwise pass per degree, so a sample does not depend on the other times
+    in its batch (a BLAS product's rounding can depend on the batch length). Entry (i, j)
+    is then scaled once, by exp(-gamma t (N_i + N_j) / 2).
     """
     gamma_t = np.asarray(gamma_t, dtype=float)
-    x = -np.expm1(-gamma_t)[..., None, None]
+    x = -np.expm1(-gamma_t).reshape(gamma_t.shape + (1,) * (table.ndim - 1))
     rho = np.empty(gamma_t.shape + table.shape[1:], dtype=complex)
     rho[...] = table[-1]
     for coefficient in table[-2::-1]:
         rho *= x
         rho += coefficient
-    v = np.exp(-0.5 * np.multiply.outer(gamma_t, photon_number))
-    rho *= v[..., :, None]
-    rho *= v[..., None, :]
+    scale = np.multiply.outer(gamma_t, photon_number[..., :, None] + photon_number[..., None, :])
+    scale *= -0.5
+    rho *= np.exp(scale, out=scale)
     return rho
 
 
@@ -146,8 +185,9 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
     rho0 may be any two-mode density matrix; its dims set the occupation levels
     of each mode. Records the logarithmic negativity, the total photon number
     normalized to its initial value, and the trace error. The coefficient table
-    is built once; samples are evaluated from it CHUNK_SAMPLES at a time, so the
-    working memory does not grow with `steps`.
+    is built and split into the blocks of its partial transpose once; the blocks
+    are sampled CHUNK_SAMPLES times at a time, so the working memory does not
+    grow with `steps`.
     Raises IntegrationError before sampling if the negative eigenvalues of rho0
     sum below POSITIVITY_ABORT (or to NaN); see the module docstring for why
     this one check bounds every sample.
@@ -159,6 +199,7 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
             f"the initial state is not positive semidefinite: its negative eigenvalues sum to "
             f"{negative_mass:.3e}, below {POSITIVITY_ABORT}"
         )
+    blocks = _coherence_blocks(table, photon_number, rho0.dims)
     initial_photons = float(photon_number @ np.diagonal(rho0.matrix).real)
 
     dt = cfg.t_max / cfg.steps
@@ -169,14 +210,23 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
     for first in range(0, cfg.steps + 1, CHUNK_SAMPLES):
         stop = min(first + CHUNK_SAMPLES, cfg.steps + 1)
         chunk = slice(first, stop)
-        rho = _sample(table, photon_number, np.arange(first, stop) * dt)
-        negativity[chunk] = log_negativity_bits(rho, rho0.dims)
-        diagonal = np.diagonal(rho, axis1=-2, axis2=-1).real
+        gamma_t = np.arange(first, stop) * dt
+        trace_norm = np.zeros(stop - first)
+        # a partial transpose keeps the diagonal, so the blocks' diagonals are rho(t)'s
+        diagonal = np.empty((stop - first, len(photon_number)))
+        for index, sub_table, block_photons in blocks:
+            rho = _sample(sub_table, block_photons, gamma_t)
+            trace_norm += np.abs(np.linalg.eigvalsh(rho)).sum(axis=-1).sum(axis=-1)
+            diagonal[:, index] = np.diagonal(rho, axis1=-2, axis2=-1).real
+        negativity[chunk] = negativity_bits(trace_norm)
         if initial_photons > 1e-12:
             population[chunk] = diagonal @ photon_number / initial_photons
         else:
             population[chunk] = 0.0
         trace_error[chunk] = np.abs(diagonal.sum(axis=-1) - 1.0)
 
-    # the time grid is built last, so the chunk loop's peak memory grows only by the three arrays it fills
-    return Trajectory(np.arange(cfg.steps + 1) * dt, negativity, population, trace_error)
+    # the time grid is built last and in place, so the chunk loop's peak memory grows only by
+    # the three arrays it fills and no integer grid is ever held
+    times = np.arange(cfg.steps + 1, dtype=float)
+    times *= dt
+    return Trajectory(times, negativity, population, trace_error)

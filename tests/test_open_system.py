@@ -12,6 +12,7 @@ from hypothesis.strategies import composite
 from holoent import adiabatic, open_system
 from holoent.entanglement import (
     DensityMatrix,
+    _transpose_mode,
     density_from_pure,
     log_negativity,
     log_negativity_bits,
@@ -38,6 +39,14 @@ LOG2_3 = math.log2(3.0)
 def me_density() -> DensityMatrix:
     out = apply_holonomy(u3(phi_maximally_entangled()), basis_state(2, 1))
     return density_from_pure(out)
+
+
+def dense_state() -> DensityMatrix:
+    """A full-rank rho0 on (3, 3) with no zero entry: its partial transpose is one block."""
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real, (3, 3))
 
 
 def embedded_state(amplitudes: dict[tuple[int, int], complex], dim: int) -> DensityMatrix:
@@ -96,6 +105,44 @@ loss_times = st.just(0.0) | st.floats(1e-12, 60.0)
 def edge_state(eps: float) -> DensityMatrix:
     """diag(1 + 2 eps, -eps, -eps) on three east levels and one west level: negative mass -2 eps."""
     return DensityMatrix(np.diag([1.0 + 2.0 * eps, -eps, -eps]).astype(complex), (3, 1))
+
+
+def coherence_blocks(rho0: DensityMatrix) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    return open_system._coherence_blocks(*open_system._damping_table(rho0), rho0.dims)
+
+
+def evolve_checking_blocks(monkeypatch, rho0: DensityMatrix, cfg: LossConfig):
+    """evolve(rho0, cfg) and damped_states at its times, after checking that evolve's block samples
+    are the matching entries of the transposed damped_states, bit for bit, and that its negativity
+    is that of damped_states, bit for bit when the support is one block."""
+    groups, samples = [], []
+    split, sample = open_system._coherence_blocks, open_system._sample
+
+    def record_split(*args):
+        groups.extend(split(*args))
+        return groups
+
+    def record_sample(*args):
+        samples.append(sample(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(open_system, "_coherence_blocks", record_split)
+    monkeypatch.setattr(open_system, "_sample", record_sample)
+    traj = evolve(rho0, cfg)
+    monkeypatch.undo()
+    states = damped_states(rho0, traj.times)
+    transposed = _transpose_mode(states, rho0.dims, "east")
+    chunks = range(0, cfg.steps + 1, CHUNK_SAMPLES)
+    assert len(samples) == len(chunks) * len(groups)
+    for k, first in enumerate(chunks):
+        for (index, _, _), block in zip(groups, samples[k * len(groups) : (k + 1) * len(groups)]):
+            chunk = transposed[first : first + CHUNK_SAMPLES]
+            assert np.array_equal(block, chunk[:, index[:, :, None], index[:, None, :]])
+    expected = log_negativity_bits(states, rho0.dims)
+    assert np.abs(traj.negativity - expected).max() <= 1e-14
+    if len(groups) == 1 and len(groups[0][0]) == 1:
+        assert np.array_equal(traj.negativity, expected)
+    return traj, states
 
 
 class TestLindbladRhs:
@@ -238,14 +285,12 @@ class TestEvolve:
         assert np.abs(drho[level3, :]).max() == 0.0
         assert np.abs(drho[:, level3]).max() == 0.0
 
-    def test_mode_dims_come_from_the_state(self):
+    def test_mode_dims_come_from_the_state(self, monkeypatch):
         # two east levels, four west levels: (|0,1> + |1,3>) / sqrt(2)
         psi = np.zeros(8, dtype=complex)
         psi[[1, 7]] = 1.0 / math.sqrt(2.0)
         rho0 = DensityMatrix(np.outer(psi, psi.conj()), (2, 4))
-        traj = evolve(rho0, LossConfig(t_max=3.0, steps=300))
-        states = damped_states(rho0, traj.times)
-        assert np.array_equal(traj.negativity, log_negativity_bits(states, (2, 4)))
+        traj, _ = evolve_checking_blocks(monkeypatch, rho0, LossConfig(t_max=3.0, steps=300))
         assert traj.negativity[0] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(traj.single_photon_population - np.exp(-traj.times)).max() < 1e-12
 
@@ -343,13 +388,14 @@ class TestDampingChannel:
         neg_halving = np.abs(neg_fine[::2] - log_negativity_bits(coarse, rho0.dims)).max()
         assert np.abs(neg_exact - neg_fine).max() <= neg_halving
 
-    def test_evolve_samples_the_channel(self):
-        rho0 = me_density()
-        traj = evolve(rho0, LossConfig(t_max=2.0, steps=200))
-        states = damped_states(rho0, traj.times)
-        assert np.array_equal(traj.negativity, log_negativity_bits(states, rho0.dims))
-        for k in (0, 63, 64, 200):
-            assert traj.negativity[k] == log_negativity(DensityMatrix(states[k], rho0.dims))
+    @pytest.mark.parametrize("make_state", [me_density, bell_qutrit_state, dense_state])
+    def test_evolve_samples_the_channel(self, monkeypatch, make_state):
+        rho0 = make_state()
+        # three chunks, the last one short
+        cfg = LossConfig(t_max=6.0, steps=2 * CHUNK_SAMPLES + 88)
+        traj, states = evolve_checking_blocks(monkeypatch, rho0, cfg)
+        for k in (0, CHUNK_SAMPLES - 1, CHUNK_SAMPLES, cfg.steps):
+            assert abs(traj.negativity[k] - log_negativity(DensityMatrix(states[k], rho0.dims))) <= 1e-14
 
     def test_memory_independent_of_sample_count(self):
         def peak_bytes(samples: int) -> int:
@@ -361,10 +407,11 @@ class TestDampingChannel:
             finally:
                 tracemalloc.stop()
 
-        large, small = peak_bytes(16 * 128), peak_bytes(128)
-        assert large <= 1.2 * small
+        large, small = peak_bytes(16 * CHUNK_SAMPLES), peak_bytes(2 * CHUNK_SAMPLES)
+        # below the 278 480 bytes that sampling the whole 9x9 matrix, 64 samples a chunk, peaked at
+        assert small <= 256 * 1024
         # per extra sample, the peak grows by no more than the 32 bytes of the four returned arrays
-        assert large - small <= 32 * 15 * 128
+        assert large - small <= 32 * 14 * CHUNK_SAMPLES
 
     @settings(max_examples=80, deadline=None)
     @given(psd_states(), loss_times)
@@ -393,6 +440,50 @@ class TestDampingChannel:
         m = np.diag([1.0 + 1e-5, -1e-5] + [0.0] * 7).astype(complex)
         with pytest.raises(IntegrationError, match="initial state is not positive semidefinite"):
             evolve(DensityMatrix(m, (3, 3)), LossConfig(t_max=1.0, steps=100))
+
+
+class TestCoherenceBlocks:
+    """Loss keeps each mode's coherence order, so the partial transpose of rho(t) is block
+    diagonal; evolve samples and diagonalizes only the blocks."""
+
+    @pytest.mark.parametrize(
+        "make_state, sizes", [(me_density, [1, 1, 1, 2, 2, 2]), (bell_qutrit_state, [1, 1, 2, 2, 3])]
+    )
+    def test_reference_state_block_sizes(self, make_state, sizes):
+        groups = coherence_blocks(make_state())
+        assert sorted(size for index, _, _ in groups for size in map(len, index)) == sizes
+        assert sorted(np.concatenate([index.ravel() for index, _, _ in groups]).tolist()) == list(range(9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(psd_states())
+    def test_dense_state_is_one_block(self, rho0):
+        assume(np.all(rho0.matrix != 0))
+        groups = coherence_blocks(rho0)
+        side = rho0.matrix.shape[0]
+        assert len(groups) == 1
+        assert np.array_equal(groups[0][0], np.arange(side)[None, :])
+        traj = evolve(rho0, LossConfig(t_max=2.0, steps=CHUNK_SAMPLES + 44))
+        states = damped_states(rho0, traj.times)
+        assert np.array_equal(traj.negativity, log_negativity_bits(states, rho0.dims))
+
+    def test_sparse_state_blocks_hold_every_eigenvalue(self):
+        # (|0,1> + |1,3>) / sqrt(2) mixed with (|0,0> + i |1,2>) / sqrt(2) and |1,1>
+        psi = np.zeros((2, 8), dtype=complex)
+        psi[0, [1, 7]] = 1.0 / math.sqrt(2.0)
+        psi[1, [0, 6]] = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+        m = 0.5 * np.outer(psi[0], psi[0].conj()) + 0.3 * np.outer(psi[1], psi[1].conj())
+        m[5, 5] = 0.2
+        rho0 = DensityMatrix(m, (2, 4))
+        groups = coherence_blocks(rho0)
+        assert len(groups) > 1
+        gamma_t = np.array([0.0, 0.1, 0.7, 2.5, 9.0])
+        full = np.linalg.eigvalsh(_transpose_mode(damped_states(rho0, gamma_t), rho0.dims, "east"))
+        blocks = np.concatenate(
+            [np.linalg.eigvalsh(open_system._sample(table, numbers, gamma_t)).reshape(len(gamma_t), -1)
+             for _, table, numbers in groups],
+            axis=-1,
+        )
+        assert np.abs(np.sort(blocks, axis=-1) - full).max() <= 1e-14
 
 
 class TestInitialPositivityCheck:
@@ -432,7 +523,12 @@ class TestInitialPositivityCheck:
             return eigvalsh(m)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        steps = 200
-        evolve(me_density(), LossConfig(t_max=2.0, steps=steps))
-        assert len(shapes) == 1 + math.ceil((steps + 1) / CHUNK_SAMPLES)
-        assert shapes[0] == (9, 9)
+        steps = 2 * CHUNK_SAMPLES
+        for rho0 in (me_density(), bell_qutrit_state()):
+            shapes.clear()
+            evolve(rho0, LossConfig(t_max=2.0, steps=steps))
+            # the positivity check on rho0, then one call per block size and chunk, none on a 9x9 side
+            chunks = len(range(0, steps + 1, CHUNK_SAMPLES))
+            assert shapes[0] == (9, 9)
+            assert len(shapes) == 1 + chunks * len(coherence_blocks(rho0))
+            assert all(len(shape) == 4 and shape[-1] < 9 for shape in shapes[1:])
