@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .fock import check_finite, check_integer
-from .holonomy import MAX_LIFT_PHOTONS, RotationFamily, _golden_section_max, multimode_lift
+from .holonomy import MAX_LIFT_PHOTONS, RotationFamily, _phase_max, multimode_lift
 from .open_system import IntegrationError
 
 MODE_EAST, MODE_CENTRAL, MODE_WEST, MODE_AUX = 0, 1, 2, 3
@@ -356,10 +356,12 @@ def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarra
 def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     """Least-squares phase of the single-parameter holonomy closest to `block`.
 
-    Maximizes Re tr(lift(R(phi))^dag block) = Re sum_m c_m e^{i m phi} (see
-    RotationFamily) over phi in (-pi/2, pi/2]; for an exactly represented
-    rotation this recovers phi exactly. `block` must be a finite
-    (P+1)x(P+1) matrix.
+    Maximizes Re tr(lift(R(phi))^dag block) = Re sum_m c_m e^{i m phi} (see RotationFamily)
+    by `_phase_max` on 720 step midpoints of (-pi/2, pi/2]; an exactly represented rotation is
+    recovered exactly. Even P: the score has period pi and the result is the in-window
+    representative (pi/2 ties with -pi/2, and the lower wins). Odd P: lift(R(phi + pi)) =
+    -lift(R(phi)), and the result is the exact maximizer, up to half a grid step (pi/1440)
+    outside the window. `block` must be a finite (P+1)x(P+1) matrix.
     """
     family = RotationFamily(photon_count)
     block = np.asarray(block, dtype=complex)
@@ -373,17 +375,13 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     def score(phi):
         return (family.phases(phi).conj() @ coefficients).real
 
-    points = 720
-    grid = -0.5 * math.pi + (np.arange(points) + 0.5) * math.pi / points
-    best = int(np.argmax(score(grid)))
-    lo = grid[best] - math.pi / points
-    hi = grid[best] + math.pi / points
-    return float(_golden_section_max(score, lo, hi, tol=1e-12)[0])
+    return _phase_max(score, -0.5 * math.pi + math.pi / 1440, 720)[0]
 
 
 def lz_error(omega_t: float) -> float:
     """Landau-Zener style single-photon diabatic error estimate exp(-sqrt(2)*Omega*T)."""
-    if not omega_t > 0:
+    check_finite("omega_t", omega_t)
+    if omega_t <= 0:
         raise ValueError(f"omega_t must be positive, got {omega_t}")
     return math.exp(-math.sqrt(2.0) * omega_t)
 
@@ -403,14 +401,12 @@ def diabatic_scan(
 
     Each scan point dilates the reference schedule so its working pulse area
     matches the requested omega_t, then propagates a single east photon. Every
-    point is checked and dilated before the first propagation.
+    point is checked by `lz_error`, and dilated, before the first propagation.
     """
     base = schedule.omega_t
+    analytic = [lz_error(omega_t) for omega_t in omega_t_values]
     omega_ts = [float(omega_t) for omega_t in omega_t_values]
-    for omega_t in omega_ts:
-        if not (math.isfinite(omega_t) and omega_t > 0):
-            raise ValueError(f"omega_t values must be finite and positive, got {omega_t}")
     dilated = [schedule.dilate(omega_t / base) for omega_t in omega_ts]
     return [
-        (omega_t, scan_leakage(point), lz_error(omega_t)) for omega_t, point in zip(omega_ts, dilated)
+        (omega_t, scan_leakage(point), error) for omega_t, point, error in zip(omega_ts, dilated, analytic)
     ]

@@ -146,23 +146,39 @@ def phi_maximally_entangled() -> float:
     return 0.5 * math.atan(math.sqrt(2.0))
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+def _phase_max(f, start: float, points: int) -> tuple[float, float]:
+    """The highest maximum of f (taking an array of phases or one phase) over [start, start + pi).
+
+    Every peak of f on the grid start + k pi/points (the ends are neighbours) within 1e-6 of the
+    grid maximum is refined by golden section between its neighbours, unclipped, to a bracket of
+    1e-10. Of refined maxima within 1e-12 of each other the lowest phase wins, up to a step outside.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    step = math.pi / points
+    values = f(start + np.arange(points) * step)
+    peaks = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
+    refined = []
+    for k in np.flatnonzero(peaks & (values >= values.max() - 1e-6)).tolist():
+        a, b = start + (k - 1) * step, start + (k + 1) * step
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        fc, fd = f(c), f(d)
+        while (b - a) > 1e-10:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = f(d)
+        x = 0.5 * (a + b)
+        refined.append((x, f(x)))
+    refined.sort()
+    best_phi, best_val = refined[0]
+    for phi, val in refined[1:]:
+        if val > best_val + 1e-12:
+            best_phi, best_val = phi, val
+    return best_phi, float(best_val)
 
 
 def check_sweep_size(photon_count: int, points: int) -> None:
@@ -213,8 +229,9 @@ def max_entropy_over_phase(
 ) -> tuple[float, float]:
     """Maximize the output entanglement entropy over the phase domain [0, pi).
 
-    Grid scan followed by golden-section refinement of every near-maximal grid
-    peak; ties between refined maxima resolve to the lowest phase.
+    `_phase_max` from 0 on `points` grid points: golden section on every near-maximal grid peak,
+    ties to the lowest phase. The result stays in [0, pi): a basis input's output is a basis
+    state at 0 and pi, so its entropy is 0 there and no peak lies within a step of either end.
     """
     check_integer("points", points, 8, MAX_SWEEP_ENTRIES)
     check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)  # before check_sweep_size's arithmetic
@@ -224,17 +241,4 @@ def max_entropy_over_phase(
     def entropies(phis):
         return entanglement.entropy_bits(np.abs(family.outputs(phis, input_index)) ** 2)
 
-    step = math.pi / points
-    values = entropies(np.arange(points) * step)
-    # the objective is pi-periodic, so neighbours wrap around the grid
-    peaks = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
-    candidates = np.flatnonzero(peaks & (values >= values.max() - 1e-6))
-    refined = sorted(
-        _golden_section_max(entropies, max(0.0, (k - 1) * step), min(math.pi, (k + 1) * step))
-        for k in candidates.tolist()
-    )
-    best_phi, best_val = refined[0]
-    for phi, val in refined[1:]:
-        if val > best_val + 1e-12:
-            best_phi, best_val = phi, val
-    return best_phi, float(best_val)
+    return _phase_max(entropies, 0.0, points)

@@ -41,7 +41,6 @@ eigenvalues of rho0. A rho0 that passes the check cannot fail it later.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ import numpy as np
 from .entanglement import DensityMatrix, _require_bipartite, _transpose_mode, negativity_bits
 # partial_transpose is re-exported: benchmark tracing wraps it through this binding
 from .entanglement import partial_transpose  # noqa: F401
-from .fock import MEMORY_BUDGET_BYTES, check_integer
+from .fock import MEMORY_BUDGET_BYTES, check_finite, check_integer
 
 STEP_SIZE_GUARD = 0.01
 # lower bound on the summed negative eigenvalues of rho0, which bound those of every rho(t)
@@ -83,9 +82,9 @@ class LossConfig:
     steps: int = 1000
 
     def __post_init__(self) -> None:
-        real = isinstance(self.t_max, numbers.Real) and not isinstance(self.t_max, bool)
-        if not (real and math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
+        check_finite("t_max", self.t_max)
+        if self.t_max <= 0:
+            raise ValueError(f"t_max must be positive, got {self.t_max}")
         check_integer("steps", self.steps, 1, MAX_LOSS_STEPS)
         if self.t_max / self.steps > STEP_SIZE_GUARD + 1e-15:
             raise ValueError(

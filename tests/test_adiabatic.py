@@ -36,7 +36,7 @@ from holoent.adiabatic import (
     scan_leakage,
     schedule_from_dict,
 )
-from holoent.holonomy import MAX_LIFT_PHOTONS, fock_lift, single_mode_rotation, u3
+from holoent.holonomy import MAX_LIFT_PHOTONS, RotationFamily, fock_lift, single_mode_rotation, u3
 from propagation_oracle import (
     complex_cf4_transfer,
     expm_hermitian,
@@ -535,6 +535,39 @@ class TestFitRotationPhase:
         block = fock_lift(single_mode_rotation(phi), 6)
         assert fit_rotation_phase(block, 6) == pytest.approx(phi, abs=1e-6)
 
+    @pytest.mark.parametrize("photons", [1, 2, 3])
+    @pytest.mark.parametrize("phi", [0.5 * math.pi - 1e-3, -0.5 * math.pi + 1e-3, -0.5 * math.pi - 1e-3])
+    def test_rotation_at_the_window_edges(self, photons, phi):
+        # even P: the score has period pi, so the result is the representative in (-pi/2, pi/2];
+        # odd P: lift(R(phi + pi)) = -lift(R(phi)), so the result is phi itself, up to half a
+        # grid step outside the window
+        expected = phi + math.pi if photons % 2 == 0 and phi <= -0.5 * math.pi else phi
+        block = fock_lift(single_mode_rotation(phi), photons)
+        assert fit_rotation_phase(block, photons) == pytest.approx(expected, abs=1e-7)
+
+    def test_refines_every_near_maximal_grid_peak(self):
+        # the score cos(4(phi - theta)) + eps cos(2(phi - theta) - alpha) has two maxima about pi/2
+        # apart whose heights differ by 2 eps cos(alpha) = 1.2e-5; the lower one lies near a grid
+        # point and the higher one between two, so the grid's argmax sits on the lower peak
+        eps, alpha, theta = 0.005, 1.56955, 0.8755
+        family = RotationFamily(4)  # charges -4, -2, 0, 2, 4
+        c = np.array([0.0, 0.0, 0.0, eps * np.exp(-1j * (2.0 * theta + alpha)), np.exp(-4j * theta)])
+        block = family.vectors @ np.diag(c) @ family.vectors.conj().T
+
+        def score(phi):
+            return (family.phases(phi).conj() @ c).real
+
+        grid = -0.5 * math.pi + (np.arange(720) + 0.5) * math.pi / 720
+        values = score(grid)
+        peaks = np.flatnonzero((values >= np.roll(values, 1)) & (values >= np.roll(values, -1)))
+        fine = -0.5 * math.pi + np.arange(1 << 16) * math.pi / (1 << 16)
+        best = fine[np.argmax(score(fine))]
+        assert len(peaks) == 2 and np.ptp(values[peaks]) < 1e-6
+        assert abs(grid[np.argmax(values)] - best) > 1.0
+        phi = fit_rotation_phase(block, 4)
+        assert phi == pytest.approx(best, abs=math.pi / (1 << 16))
+        assert score(phi) >= score(fine).max()
+
     @pytest.mark.parametrize("shape", [(4, 4), (3, 2), (3,), (2, 2, 2)])
     def test_rejects_block_of_wrong_shape(self, shape):
         with pytest.raises(ValueError, match=r"block must be 3x3 for 2 photons"):
@@ -564,9 +597,10 @@ class TestLandauZener:
         with pytest.raises(ValueError):
             lz_error(0.0)
 
-    @pytest.mark.parametrize("omega_t", [-1.0, math.nan])
-    def test_rejects_negative_and_nan(self, omega_t):
-        with pytest.raises(ValueError, match="omega_t must be positive"):
+    @pytest.mark.parametrize("omega_t, message", [(-1.0, "^omega_t must be positive, got"),
+                                                  (math.nan, "^omega_t must be finite, got")])
+    def test_rejects_negative_and_nan(self, omega_t, message):
+        with pytest.raises(ValueError, match=message):
             lz_error(omega_t)
 
 
@@ -585,9 +619,9 @@ class TestDiabaticScan:
         for omega_t, _, analytic in rows:
             assert analytic == pytest.approx(lz_error(omega_t), abs=1e-15)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0, "3.0", True, 10**400])
     def test_every_point_checked_before_propagating(self, schedule, cf4_steps, bad):
-        with pytest.raises(ValueError, match="omega_t values must be finite and positive"):
+        with pytest.raises(ValueError, match="^omega_t must be (finite|positive), got"):
             diabatic_scan(schedule, [3.0, bad])
         assert cf4_steps == []
 

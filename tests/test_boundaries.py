@@ -25,8 +25,10 @@ from holoent.adiabatic import (
     ScheduleError,
     dark_holonomy,
     default_schedule,
+    diabatic_scan,
     fit_rotation_phase,
     load_schedule,
+    lz_error,
     schedule_from_dict,
 )
 from holoent.cli import MAX_SCAN_POINTS, main
@@ -61,8 +63,10 @@ def idle_schedule(z_span=(-10.0, 10.0), steps=320) -> PulseSchedule:
 bad_integers = st.sampled_from(
     [math.nan, math.inf, -math.inf, 1e308, -1, 2.5, 2.0, np.float64(3.0), True, False, "3", None, 10**30]
 )
-# values no real argument accepts: non-finite, bools, text and None
-bad_reals = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), True, False, "1", None])
+# values no real argument accepts: non-finite, an int past the float range, bools, text and None
+bad_reals = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), 10**400, True, False, "1", None]
+)
 
 
 def _call(entry, bad):
@@ -101,6 +105,9 @@ REAL_ENTRIES = [
     ("z_span", lambda v: idle_schedule(z_span=(v, 10.0)), ScheduleError),
     ("z_span", lambda v: idle_schedule(z_span=(-10.0, v)), ScheduleError),
     ("scale", lambda v: idle_schedule().dilate(v), ScheduleError),
+    ("t_max", lambda v: LossConfig(t_max=v, steps=100), ValueError),
+    ("omega_t", lz_error, ValueError),
+    ("omega_t", lambda v: diabatic_scan(idle_schedule(), [3.0, v]), ValueError),
 ]
 
 
@@ -110,7 +117,7 @@ class TestLibraryEntryPoints:
     def test_bad_integer_names_the_argument(self, entry, bad):
         _call(entry, bad)
 
-    @settings(max_examples=30)
+    @settings(max_examples=60)
     @given(st.sampled_from(REAL_ENTRIES), bad_reals)
     def test_bad_real_names_the_argument(self, entry, bad):
         _call(entry, bad)
