@@ -43,7 +43,7 @@ L2_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 def cold(fn):
     def call():
-        adiabatic._propagate.cache_clear()
+        adiabatic.propagate_single_photon.cache_clear()
         return fn()
     return call
 
@@ -82,6 +82,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L0", "entropy_at_phase P=6", lambda: holonomy.entropy_at_phase(0.3, 6, 3)),
         ("L1", "max_entropy_over_phase(2, 1)", lambda: holonomy.max_entropy_over_phase(2, 1)),
         ("L1", "max_entropy_over_phase(6, 3)", lambda: holonomy.max_entropy_over_phase(6, 3)),
+        ("L1", "fit_rotation_phase P=1", lambda: adiabatic.fit_rotation_phase(rotation, 1)),
         ("L1", "fit_rotation_phase P=2", lambda: adiabatic.fit_rotation_phase(holonomy.u3(0.3), 2)),
         ("L1", "dark_holonomy P=2, cold", cold(lambda: adiabatic.dark_holonomy(schedule, 2))),
         ("L1", "dark_holonomy P=2, warm", lambda: adiabatic.dark_holonomy(schedule, 2)),

@@ -273,6 +273,7 @@ def _cf4_transfer(schedule: PulseSchedule, steps: int) -> np.ndarray:
     return _quaternion_transfer(pair)
 
 
+@functools.lru_cache(maxsize=TRANSFER_CACHE_ENTRIES)
 def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     """Transfer matrix of i dpsi/dz = H(z) psi across the chip.
 
@@ -298,12 +299,6 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     the returned matrix is read-only, and errors are not cached, so a failing
     schedule fails on every call.
     """
-    return _propagate(schedule)
-
-
-@functools.lru_cache(maxsize=TRANSFER_CACHE_ENTRIES)
-def _propagate(schedule: PulseSchedule) -> np.ndarray:
-    """The read-only transfer of `propagate_single_photon`, computed once per schedule value."""
     cap = schedule.steps
     span = schedule.z_span[1] - schedule.z_span[0]
     first = np.ceil(4.0 * span / min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)))
@@ -357,11 +352,10 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     """Least-squares phase of the single-parameter holonomy closest to `block`.
 
     Maximizes Re tr(lift(R(phi))^dag block) = Re sum_m c_m e^{i m phi} (see RotationFamily)
-    by `_phase_max` on 720 step midpoints of (-pi/2, pi/2]; an exactly represented rotation is
-    recovered exactly. Even P: the score has period pi and the result is the in-window
-    representative (pi/2 ties with -pi/2, and the lower wins). Odd P: lift(R(phi + pi)) =
-    -lift(R(phi)), and the result is the exact maximizer, up to half a grid step (pi/1440)
-    outside the window. `block` must be a finite (P+1)x(P+1) matrix.
+    by `_phase_max` over its period, pi for even P and 2 pi for odd P (lift(R(phi + pi)) =
+    (-1)^P lift(R(phi))), on 720 grid points per pi. The result is the least-squares maximizer
+    in [-period/2, period/2); an exactly represented rotation is recovered exactly.
+    `block` must be a finite (P+1)x(P+1) matrix.
     """
     family = RotationFamily(photon_count)
     block = np.asarray(block, dtype=complex)
@@ -375,7 +369,8 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     def score(phi):
         return (family.phases(phi).conj() @ coefficients).real
 
-    return _phase_max(score, -0.5 * math.pi + math.pi / 1440, 720)[0]
+    turns = 1 + photon_count % 2  # the score's period in units of pi
+    return _phase_max(score, -0.5 * math.pi * turns, math.pi * turns, 720 * turns)[0]
 
 
 def lz_error(omega_t: float) -> float:

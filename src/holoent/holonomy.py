@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from . import entanglement
-from .fock import MAX_DARK_PHOTONS, MAX_SWEEP_ENTRIES, PureState, check_integer
-from .fock import MEMORY_BUDGET_BYTES  # noqa: F401  (re-exported: holonomy.MEMORY_BUDGET_BYTES resolves)
+from .fock import MAX_DARK_PHOTONS, MAX_SWEEP_ENTRIES, PureState, check_finite, check_integer
 
 UNITARITY_TOL = 1e-9
 # largest photon count multimode_lift accepts: the worst unitarity defect of the lift of a unitary
@@ -146,15 +145,16 @@ def phi_maximally_entangled() -> float:
     return 0.5 * math.atan(math.sqrt(2.0))
 
 
-def _phase_max(f, start: float, points: int) -> tuple[float, float]:
-    """The highest maximum of f (taking an array of phases or one phase) over [start, start + pi).
+def _phase_max(f, start: float, period: float, points: int) -> tuple[float, float]:
+    """The highest maximum of f (taking an array of phases or one phase) over [start, start + period).
 
-    Every peak of f on the grid start + k pi/points (the ends are neighbours) within 1e-6 of the
-    grid maximum is refined by golden section between its neighbours, unclipped, to a bracket of
-    1e-10. Of refined maxima within 1e-12 of each other the lowest phase wins, up to a step outside.
+    f must have period `period`. Every peak of f on the grid start + k period/points (the ends are
+    neighbours) within 1e-6 of the grid maximum is refined by golden section between its
+    neighbours to a bracket of 1e-10 and reduced into [start, start + period). Of refined maxima
+    within 1e-12 of each other the lowest phase wins.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    step = math.pi / points
+    step = period / points
     values = f(start + np.arange(points) * step)
     peaks = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
     refined = []
@@ -171,7 +171,8 @@ def _phase_max(f, start: float, points: int) -> tuple[float, float]:
                 a, c, fc = c, d, fd
                 d = a + inv_phi * (b - a)
                 fd = f(d)
-        x = 0.5 * (a + b)
+        x = start + (0.5 * (a + b) - start) % period
+        x = x if x < start + period else start  # the sum can round up to the far end
         refined.append((x, f(x)))
     refined.sort()
     best_phi, best_val = refined[0]
@@ -219,7 +220,8 @@ class RotationFamily:
 
 
 def entropy_at_phase(phi: float, photon_count: int, input_index: int) -> float:
-    """Entanglement entropy (bits) of the chip output for one dark basis input."""
+    """Entanglement entropy (bits) of the chip output for one dark basis input; phi must be finite."""
+    check_finite("phi", phi)
     amplitudes = RotationFamily(photon_count).outputs(phi, input_index)
     return float(entanglement.entropy_bits(np.abs(amplitudes) ** 2))
 
@@ -229,9 +231,8 @@ def max_entropy_over_phase(
 ) -> tuple[float, float]:
     """Maximize the output entanglement entropy over the phase domain [0, pi).
 
-    `_phase_max` from 0 on `points` grid points: golden section on every near-maximal grid peak,
-    ties to the lowest phase. The result stays in [0, pi): a basis input's output is a basis
-    state at 0 and pi, so its entropy is 0 there and no peak lies within a step of either end.
+    `_phase_max` over [0, pi) on `points` grid points: golden section on every near-maximal grid
+    peak, ties to the lowest phase.
     """
     check_integer("points", points, 8, MAX_SWEEP_ENTRIES)
     check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)  # before check_sweep_size's arithmetic
@@ -241,4 +242,4 @@ def max_entropy_over_phase(
     def entropies(phis):
         return entanglement.entropy_bits(np.abs(family.outputs(phis, input_index)) ** 2)
 
-    return _phase_max(entropies, 0.0, points)
+    return _phase_max(entropies, 0.0, math.pi, points)

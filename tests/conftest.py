@@ -18,7 +18,7 @@ settings.load_profile("no-deadline")
 @pytest.fixture
 def cf4_steps(monkeypatch):
     """Record the step count of every CF4 propagation level, starting from an empty transfer cache."""
-    adiabatic._propagate.cache_clear()
+    adiabatic.propagate_single_photon.cache_clear()
     cf4_transfer = adiabatic._cf4_transfer
     steps = []
 

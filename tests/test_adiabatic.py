@@ -123,7 +123,7 @@ def propagate_recording_levels(schedule: PulseSchedule):
 
     The transfer cache is cleared first, so the levels are those of a cold propagation.
     """
-    adiabatic._propagate.cache_clear()
+    adiabatic.propagate_single_photon.cache_clear()
     runs = []
 
     def record(sched, steps):
@@ -399,7 +399,7 @@ class TestPropagation:
 
     def test_memory_independent_of_steps(self, schedule):
         def peak_bytes(sched: PulseSchedule) -> int:
-            adiabatic._propagate.cache_clear()
+            adiabatic.propagate_single_photon.cache_clear()
             tracemalloc.start()
             try:
                 propagate_single_photon(sched)
@@ -445,11 +445,11 @@ class TestTransferCache:
         assert len(cf4_steps) > calls
 
     def test_hit_is_bit_identical_and_read_only(self, schedule):
-        adiabatic._propagate.cache_clear()
+        adiabatic.propagate_single_photon.cache_clear()
         cold = propagate_single_photon(schedule)
         hit = propagate_single_photon(schedule)
         assert hit is cold
-        adiabatic._propagate.cache_clear()
+        adiabatic.propagate_single_photon.cache_clear()
         assert np.array_equal(hit, propagate_single_photon(schedule))
         assert not hit.flags.writeable
         with pytest.raises(ValueError):
@@ -468,10 +468,10 @@ class TestTransferCache:
         assert cf4_steps == 2 * [136, 272, 544]
 
     def test_entries_stay_within_the_bound(self):
-        adiabatic._propagate.cache_clear()
+        adiabatic.propagate_single_photon.cache_clear()
         for steps in range(320, 320 + TRANSFER_CACHE_ENTRIES + 5):
             propagate_single_photon(dataclasses.replace(idle_schedule(), steps=steps))
-        info = adiabatic._propagate.cache_info()
+        info = adiabatic.propagate_single_photon.cache_info()
         assert info.maxsize == TRANSFER_CACHE_ENTRIES
         assert info.currsize == TRANSFER_CACHE_ENTRIES
 
@@ -538,9 +538,8 @@ class TestFitRotationPhase:
     @pytest.mark.parametrize("photons", [1, 2, 3])
     @pytest.mark.parametrize("phi", [0.5 * math.pi - 1e-3, -0.5 * math.pi + 1e-3, -0.5 * math.pi - 1e-3])
     def test_rotation_at_the_window_edges(self, photons, phi):
-        # even P: the score has period pi, so the result is the representative in (-pi/2, pi/2];
-        # odd P: lift(R(phi + pi)) = -lift(R(phi)), so the result is phi itself, up to half a
-        # grid step outside the window
+        # even P: the score has period pi, so the result is the representative in [-pi/2, pi/2);
+        # odd P: lift(R(phi + pi)) = -lift(R(phi)), so the period is 2 pi and the result is phi itself
         expected = phi + math.pi if photons % 2 == 0 and phi <= -0.5 * math.pi else phi
         block = fock_lift(single_mode_rotation(phi), photons)
         assert fit_rotation_phase(block, photons) == pytest.approx(expected, abs=1e-7)
@@ -549,7 +548,7 @@ class TestFitRotationPhase:
         # the score cos(4(phi - theta)) + eps cos(2(phi - theta) - alpha) has two maxima about pi/2
         # apart whose heights differ by 2 eps cos(alpha) = 1.2e-5; the lower one lies near a grid
         # point and the higher one between two, so the grid's argmax sits on the lower peak
-        eps, alpha, theta = 0.005, 1.56955, 0.8755
+        eps, alpha, theta = 0.005, 1.56955, 0.8755 - math.pi / 1440
         family = RotationFamily(4)  # charges -4, -2, 0, 2, 4
         c = np.array([0.0, 0.0, 0.0, eps * np.exp(-1j * (2.0 * theta + alpha)), np.exp(-4j * theta)])
         block = family.vectors @ np.diag(c) @ family.vectors.conj().T
@@ -557,7 +556,7 @@ class TestFitRotationPhase:
         def score(phi):
             return (family.phases(phi).conj() @ c).real
 
-        grid = -0.5 * math.pi + (np.arange(720) + 0.5) * math.pi / 720
+        grid = -0.5 * math.pi + np.arange(720) * math.pi / 720
         values = score(grid)
         peaks = np.flatnonzero((values >= np.roll(values, 1)) & (values >= np.roll(values, -1)))
         fine = -0.5 * math.pi + np.arange(1 << 16) * math.pi / (1 << 16)
@@ -567,6 +566,28 @@ class TestFitRotationPhase:
         phi = fit_rotation_phase(block, 4)
         assert phi == pytest.approx(best, abs=math.pi / (1 << 16))
         assert score(phi) >= score(fine).max()
+
+    @pytest.mark.parametrize("photons", [1, 3, 5])
+    @pytest.mark.parametrize("phi", [2.0, -2.5, 3.0, math.pi - 1e-3, -math.pi + 1e-3])
+    def test_odd_photon_rotation_beyond_half_pi(self, photons, phi):
+        # lift(R(phi + pi)) = -lift(R(phi)): an odd-P score has period 2 pi, and any phi in [-pi, pi) is its own fit
+        block = fock_lift(single_mode_rotation(phi), photons)
+        assert fit_rotation_phase(block, photons) == pytest.approx(phi, abs=1e-7)
+
+    @pytest.mark.parametrize("photons", [2, 4])
+    @pytest.mark.parametrize("phi", [0.5 * math.pi, -0.5 * math.pi])
+    def test_even_photon_rotation_by_half_pi_stays_in_the_window(self, photons, phi):
+        fitted = fit_rotation_phase(fock_lift(single_mode_rotation(phi), photons), photons)
+        assert -0.5 * math.pi <= fitted < 0.5 * math.pi
+        assert abs(math.remainder(fitted - phi, math.pi)) < 1e-7
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 8), st.floats(-math.pi, math.pi, exclude_max=True))
+    def test_fit_lies_in_its_window_and_recovers_the_phase(self, photons, phi):
+        period = math.pi * (1 + photons % 2)
+        fitted = fit_rotation_phase(fock_lift(single_mode_rotation(phi), photons), photons)
+        assert -0.5 * period <= fitted < 0.5 * period
+        assert abs(math.remainder(fitted - phi, period)) < 1e-7
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 2), (3,), (2, 2, 2)])
     def test_rejects_block_of_wrong_shape(self, shape):

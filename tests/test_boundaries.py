@@ -108,6 +108,7 @@ REAL_ENTRIES = [
     ("t_max", lambda v: LossConfig(t_max=v, steps=100), ValueError),
     ("omega_t", lz_error, ValueError),
     ("omega_t", lambda v: diabatic_scan(idle_schedule(), [3.0, v]), ValueError),
+    ("phi", lambda v: entropy_at_phase(v, 2, 1), ValueError),
 ]
 
 
@@ -117,7 +118,7 @@ class TestLibraryEntryPoints:
     def test_bad_integer_names_the_argument(self, entry, bad):
         _call(entry, bad)
 
-    @settings(max_examples=60)
+    @settings(max_examples=90)  # every one of the 10 x 9 (entry, value) pairs
     @given(st.sampled_from(REAL_ENTRIES), bad_reals)
     def test_bad_real_names_the_argument(self, entry, bad):
         _call(entry, bad)

@@ -19,7 +19,8 @@ from hypothesis.strategies import composite
 from holoent import cli, holonomy
 from holoent.adiabatic import MAX_STEPS, default_schedule
 from holoent.cli import ROW_BLOCK, _fmt, _render_csv, _render_json, main
-from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES, MEMORY_BUDGET_BYTES
+from holoent.fock import MEMORY_BUDGET_BYTES
+from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES
 from holoent.open_system import MAX_LOSS_STEPS, STEP_SIZE_GUARD
 from render_oracle import render_csv, render_json
 

@@ -16,6 +16,7 @@ from holoent.holonomy import (
     UNITARITY_TOL,
     RotationFamily,
     _lift_terms,
+    _phase_max,
     _unitarity_defect,
     apply_holonomy,
     check_sweep_size,
@@ -447,6 +448,19 @@ def binary_entropy_max_oracle() -> tuple[float, float]:
         if val > best_val:
             best_phi, best_val = phi, val
     return best_phi, best_val
+
+
+class TestPhaseMax:
+    @settings(max_examples=60)
+    @given(phases, st.floats(-math.pi, math.pi, exclude_max=True), st.sampled_from([math.pi, 2.0 * math.pi]))
+    @example(-0.5 * math.pi, -0.5 * math.pi, math.pi)
+    @example(0.0, 0.0, 2.0 * math.pi)
+    def test_result_lies_in_the_searched_period(self, start, theta, period):
+        # the peaks theta + n period of this score: the one in [start, start + period) is returned
+        phi, value = _phase_max(lambda x: np.cos(2.0 * math.pi * (x - theta) / period), start, period, 64)
+        assert start <= phi < start + period
+        assert abs(math.remainder(phi - theta, period)) < 1e-7
+        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMaxEntropyOverPhase:
