@@ -11,13 +11,15 @@ writes its dataset into a temporary directory. A "cold" row clears the transfer 
 before every call. The perfbench L2 rows run perfbench/run.py once per workload (seed
 L2_SEED, --seconds each, tracing off) and copy its drift-corrected medians; --seconds 0
 skips them. The file also
-records the git SHA, the numpy and Python versions, nproc and whether
+records the git SHA, whether the tree differs from it, a SHA-256 of src/ that names
+the measured tree even when it does, the numpy and Python versions, nproc and whether
 PYTHONDONTWRITEBYTECODE is set, which makes setup_s include compiling holoent.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -84,6 +86,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L1", "max_entropy_over_phase(6, 3)", lambda: holonomy.max_entropy_over_phase(6, 3)),
         ("L1", "fit_rotation_phase P=1", lambda: adiabatic.fit_rotation_phase(rotation, 1)),
         ("L1", "fit_rotation_phase P=2", lambda: adiabatic.fit_rotation_phase(holonomy.u3(0.3), 2)),
+        ("L1", "fit_rotation_phase P=6", lambda: adiabatic.fit_rotation_phase(holonomy.fock_lift(rotation, 6), 6)),
         ("L1", "dark_holonomy P=2, cold", cold(lambda: adiabatic.dark_holonomy(schedule, 2))),
         ("L1", "dark_holonomy P=2, warm", lambda: adiabatic.dark_holonomy(schedule, 2)),
         ("L1", "evolve, 1000 samples", lambda: evolve(bell, LossConfig(t_max=10.0, steps=1000))),
@@ -93,6 +96,8 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L2", "cli loss", command(["loss"], outdir / "loss.csv")),
         ("L2", "cli sweep --input 1,1", command(["sweep", "--input", "1,1"], outdir / "sweep.csv")),
         ("L2", "cli volume", command(["volume"], outdir / "volume.csv")),
+        ("L2", "cli volume --max-photons 4 --points 512",  # the phase-sweep workload's volume job
+         command(["volume", "--max-photons", "4", "--points", "512"], outdir / "volume512.csv")),
         ("L2", "cli diabatic, cold", cold(command(["diabatic"], outdir / "diabatic.csv"))),
     ]
     return out
@@ -128,6 +133,16 @@ def end_to_end(seconds: float) -> list[dict]:
     return out
 
 
+def tree_sha256(root: Path) -> str:
+    """SHA-256 over the relative path, size and bytes of every file under root, bytecode caches excluded."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def git(*args: str) -> str | None:
     try:
         proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
@@ -151,6 +166,7 @@ def main(argv: list[str] | None = None) -> None:
     record = {
         "git_sha": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
+        "src_sha256": tree_sha256(ROOT / "src"),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),

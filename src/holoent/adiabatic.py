@@ -351,11 +351,14 @@ def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarra
 def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     """Least-squares phase of the single-parameter holonomy closest to `block`.
 
-    Maximizes Re tr(lift(R(phi))^dag block) = Re sum_m c_m e^{i m phi} (see RotationFamily)
-    by `_phase_max` over its period, pi for even P and 2 pi for odd P (lift(R(phi + pi)) =
-    (-1)^P lift(R(phi))), on 720 grid points per pi. The result is the least-squares maximizer
-    in [-period/2, period/2); an exactly represented rotation is recovered exactly.
-    `block` must be a finite (P+1)x(P+1) matrix.
+    Maximizes the score Re tr(lift(R(phi))^dag block) = Re sum_m c_m e^{i m phi} (see
+    RotationFamily) by `_phase_max` over its period, pi for even P and 2 pi for odd P
+    (lift(R(phi + pi)) = (-1)^P lift(R(phi))), on 720 grid points per pi. Its Newton polish uses
+    the score's slope Re sum i m c_m e^{i m phi} and curvature -Re sum m^2 c_m e^{i m phi}. By
+    Bernstein's inequality |score''| <= P^2 sum |c_m|, so the grid point nearest a peak lies
+    within 1/2 P^2 sum |c_m| (step/2)^2 of it; that is the candidate margin. The result is the
+    least-squares maximizer in [-period/2, period/2); an exactly represented rotation is
+    recovered to rounding. `block` must be a finite (P+1)x(P+1) matrix.
     """
     family = RotationFamily(photon_count)
     block = np.asarray(block, dtype=complex)
@@ -365,12 +368,19 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     if not np.isfinite(block).all():
         raise ValueError("block has non-finite entries")
     coefficients = family.trace_coefficients(block)
+    m = family.charges
+    derivatives = np.stack([1j * m * coefficients, -m * m * coefficients], axis=1)  # slope, curvature
 
     def score(phi):
         return (family.phases(phi).conj() @ coefficients).real
 
+    def slopes(phi):
+        return (family.phases(phi).conj() @ derivatives).real.T
+
     turns = 1 + photon_count % 2  # the score's period in units of pi
-    return _phase_max(score, -0.5 * math.pi * turns, math.pi * turns, 720 * turns)[0]
+    step = math.pi / 720
+    margin = 0.5 * photon_count**2 * float(np.abs(coefficients).sum()) * (0.5 * step) ** 2
+    return _phase_max(score, slopes, -0.5 * math.pi * turns, math.pi * turns, 720 * turns, margin)[0]
 
 
 def lz_error(omega_t: float) -> float:

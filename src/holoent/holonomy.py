@@ -145,41 +145,53 @@ def phi_maximally_entangled() -> float:
     return 0.5 * math.atan(math.sqrt(2.0))
 
 
-def _phase_max(f, start: float, period: float, points: int) -> tuple[float, float]:
-    """The highest maximum of f (taking an array of phases or one phase) over [start, start + period).
+def _phase_max(f, slopes, start: float, period: float, points: int, margin: float) -> tuple[float, float]:
+    """The highest maximum of f (taking an array of phases) over [start, start + period).
 
-    f must have period `period`. Every peak of f on the grid start + k period/points (the ends are
-    neighbours) within 1e-6 of the grid maximum is refined by golden section between its
-    neighbours to a bracket of 1e-10 and reduced into [start, start + period). Of refined maxima
-    within 1e-12 of each other the lowest phase wins.
+    f must have period `period`, and slopes(phis) returns its first and second derivatives
+    (f', f''). Every peak of f on the grid start + k period/points (the ends are neighbours)
+    within `margin` of the grid maximum is a candidate, and all candidates are refined at once
+    by a safeguarded Newton iteration on f' (rtsafe, Numerical Recipes 9.4) inside their +-1-step
+    brackets: a candidate whose Newton step leaves its bracket, or whose f'' is not negative or
+    not finite, bisects on the sign of f' instead. The maxima are reduced into
+    [start, start + period), and of those within 1e-12 of each other the lowest phase wins.
+    A non-finite value of f, on the grid or at a refined maximum, raises ValueError.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     step = period / points
-    values = f(start + np.arange(points) * step)
+    grid = start + np.arange(points) * step
+    values = f(grid)
+    _check_score(values, grid)
     peaks = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
-    refined = []
-    for k in np.flatnonzero(peaks & (values >= values.max() - 1e-6)).tolist():
-        a, b = start + (k - 1) * step, start + (k + 1) * step
-        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-        fc, fd = f(c), f(d)
-        while (b - a) > 1e-10:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = f(d)
-        x = start + (0.5 * (a + b) - start) % period
-        x = x if x < start + period else start  # the sum can round up to the far end
-        refined.append((x, f(x)))
-    refined.sort()
+    x = start + np.flatnonzero(peaks & (values >= values.max() - margin)) * step
+    lo, hi = x - step, x + step
+    for _ in range(64):  # bisection alone narrows a 2-step bracket below one ulp within 64 halvings
+        slope, curvature = slopes(x)
+        lo = np.where(slope > 0.0, x, lo)
+        hi = np.where(slope < 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - slope / curvature
+        # a step that lands on x itself is accepted: at a converged maximum it is below one ulp
+        inside = (-np.inf < curvature) & (curvature < 0.0) & (lo <= newton) & (newton <= hi)
+        x, previous = np.where(inside, newton, 0.5 * (lo + hi)), x
+        if (np.abs(x - previous) <= 1e-15 * (1.0 + np.abs(x))).all():
+            break
+    x = start + (x - start) % period
+    x = np.where(x < start + period, x, start)  # the sum can round up to the far end
+    values = f(x)
+    _check_score(values, x)
+    refined = sorted(zip(x.tolist(), values.tolist()))
     best_phi, best_val = refined[0]
     for phi, val in refined[1:]:
         if val > best_val + 1e-12:
             best_phi, best_val = phi, val
-    return best_phi, float(best_val)
+    return best_phi, best_val
+
+
+def _check_score(values: np.ndarray, phis: np.ndarray) -> None:
+    """Raise ValueError naming the first phase at which the searched score is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"the phase search's score is not finite at phase {float(phis[bad[0]])!r}")
 
 
 def check_sweep_size(photon_count: int, points: int) -> None:
@@ -209,10 +221,14 @@ class RotationFamily:
         """e^{-i m phi}, shape phis.shape + (P+1,)."""
         return np.exp(-1j * np.multiply.outer(phis, self.charges))
 
-    def outputs(self, phis, input_index: int) -> np.ndarray:
-        """Column input_index of the lift at each phase, shape phis.shape + (P+1,)."""
+    def outputs(self, phis, input_index: int, order: int = 0) -> np.ndarray:
+        """Column input_index of the lift at each phase, or its order-th derivative in phi.
+
+        Shape phis.shape + (P+1,); derivative n multiplies each e^{-i m phi} by (-i m)^n.
+        """
         check_integer("input_index", input_index, 0, self.photon_count)
-        return (self.phases(phis) * self.vectors[input_index].conj()) @ self.vectors.T
+        weights = self.vectors[input_index].conj() * (-1j * self.charges) ** order
+        return (self.phases(phis) * weights) @ self.vectors.T
 
     def trace_coefficients(self, block: np.ndarray) -> np.ndarray:
         """c = diag(V^dag B V), so that tr(lift(R(phi))^dag B) = sum_m c_m e^{i m phi}."""
@@ -231,8 +247,12 @@ def max_entropy_over_phase(
 ) -> tuple[float, float]:
     """Maximize the output entanglement entropy over the phase domain [0, pi).
 
-    `_phase_max` over [0, pi) on `points` grid points: golden section on every near-maximal grid
-    peak, ties to the lowest phase.
+    `_phase_max` over [0, pi) on `points` grid points, with candidates within 1e-6 of the grid
+    maximum and ties to the lowest phase. Its Newton polish uses the closed-form derivatives of
+    the populations p = |a|^2 of the output a and its phase derivatives a', a'':
+    p' = 2 Re(a* a'), p'' = 2 (|a'|^2 + Re(a* a'')), so S' = -sum p' log2 p and
+    S'' = -sum (p'' log2 p + p'^2 / (p ln 2)), where populations at or below EIGENVALUE_FLOOR
+    contribute nothing, as in `entanglement.entropy_bits`.
     """
     check_integer("points", points, 8, MAX_SWEEP_ENTRIES)
     check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)  # before check_sweep_size's arithmetic
@@ -242,4 +262,14 @@ def max_entropy_over_phase(
     def entropies(phis):
         return entanglement.entropy_bits(np.abs(family.outputs(phis, input_index)) ** 2)
 
-    return _phase_max(entropies, 0.0, math.pi, points)
+    def slopes(phis):
+        a, a1, a2 = (family.outputs(phis, input_index, order) for order in range(3))
+        p = np.abs(a) ** 2
+        kept = p > entanglement.EIGENVALUE_FLOOR
+        p = np.where(kept, p, 1.0)
+        log_p = np.log2(p)
+        p1 = np.where(kept, 2.0 * (a.conj() * a1).real, 0.0)
+        p2 = 2.0 * (np.abs(a1) ** 2 + (a.conj() * a2).real)
+        return -(p1 * log_p).sum(axis=-1), -(p2 * log_p + p1**2 / (p * math.log(2.0))).sum(axis=-1)
+
+    return _phase_max(entropies, slopes, 0.0, math.pi, points, 1e-6)

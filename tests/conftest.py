@@ -9,7 +9,7 @@ each test and are unchanged.
 import pytest
 from hypothesis import settings
 
-from holoent import adiabatic
+from holoent import adiabatic, holonomy
 
 settings.register_profile("no-deadline", deadline=None)
 settings.load_profile("no-deadline")
@@ -28,3 +28,18 @@ def cf4_steps(monkeypatch):
 
     monkeypatch.setattr(adiabatic, "_cf4_transfer", record)
     return steps
+
+
+@pytest.fixture
+def phase_searches(monkeypatch):
+    """Record the arguments (f, slopes, start, period, points, margin) of every `_phase_max` call."""
+    search = holonomy._phase_max
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(holonomy, "_phase_max", record)
+    monkeypatch.setattr(adiabatic, "_phase_max", record)  # imported by name
+    return calls

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -52,11 +53,30 @@ def test_bench_writes_every_row_and_the_machine(tmp_path):
     record = json.loads(out.read_text())
     for key in ("git_sha", "numpy", "nproc", "PYTHONDONTWRITEBYTECODE"):
         assert key in record
+    assert len(record["src_sha256"]) == 64
     names = [row["name"] for row in record["rows"]]
     assert "propagate_single_photon default, cold" in names and "evolve, 10000 samples" in names
     assert "evolve holonomic state, 1000 samples" in names and "fit_rotation_phase P=1" in names
+    assert "fit_rotation_phase P=6" in names and "cli volume --max-photons 4 --points 512" in names
     assert {"cli loss", "cli sweep --input 1,1", "cli volume", "cli diabatic, cold"} <= set(names)
     assert {row["layer"] for row in record["rows"]} == {"L0", "L1", "L2"}
     assert not any(name.startswith("perfbench") for name in names)  # --seconds 0 skips perfbench
     for row in record["rows"]:
         assert row["n"] == 1 and 0.0 < row["min_s"] <= row["median_s"]
+
+
+def test_bench_tree_digest_names_the_files_and_skips_bytecode(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
+    digest = bench.tree_sha256(tmp_path)
+    (tmp_path / "pkg" / "__pycache__").mkdir()
+    (tmp_path / "pkg" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+    assert bench.tree_sha256(tmp_path) == digest
+    (tmp_path / "pkg" / "a.py").write_text("x = 2\n")
+    assert bench.tree_sha256(tmp_path) != digest
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "a.py").rename(tmp_path / "pkg" / "b.py")
+    assert bench.tree_sha256(tmp_path) != digest

@@ -4,7 +4,7 @@ import tracemalloc
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from holoent.entanglement import entanglement_entropy_bits, schmidt
@@ -457,17 +457,77 @@ class TestPhaseMax:
     @example(0.0, 0.0, 2.0 * math.pi)
     def test_result_lies_in_the_searched_period(self, start, theta, period):
         # the peaks theta + n period of this score: the one in [start, start + period) is returned
-        phi, value = _phase_max(lambda x: np.cos(2.0 * math.pi * (x - theta) / period), start, period, 64)
+        w = 2.0 * math.pi / period
+
+        def slopes(x):
+            return -w * np.sin(w * (x - theta)), -w * w * np.cos(w * (x - theta))
+
+        phi, value = _phase_max(lambda x: np.cos(w * (x - theta)), slopes, start, period, 64, 1e-6)
         assert start <= phi < start + period
-        assert abs(math.remainder(phi - theta, period)) < 1e-7
+        assert abs(math.remainder(phi - theta, period)) < 1e-12
         assert value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "score",
+        [lambda x: np.full_like(x, math.nan), lambda x: np.where(np.abs(x - 1.0) < 0.05, math.nan, np.cos(x))],
+        ids=["all-nan", "cosine-nan-near-1"],
+    )
+    def test_non_finite_score_on_the_grid_is_named(self, score):
+        with pytest.raises(ValueError, match=r"^the phase search's score is not finite at phase "):
+            _phase_max(score, lambda x: (-np.sin(x), -np.cos(x)), 0.0, 2.0 * math.pi, 64, 1e-6)
+
+    def test_non_finite_score_at_the_refined_maximum_is_named(self):
+        theta = math.pi / 64  # midway between the grid points 0 and 2 pi / 64: every grid value is finite
+
+        def score(x):
+            return np.where(np.abs(x - theta) < 1e-3, math.nan, np.cos(x - theta))
+
+        with pytest.raises(ValueError, match=r"^the phase search's score is not finite at phase 0\.049"):
+            _phase_max(score, lambda x: (-np.sin(x - theta), -np.cos(x - theta)), 0.0, 2.0 * math.pi, 64, 1e-6)
+
+    @pytest.mark.parametrize("curvature", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+    def test_unusable_curvature_bisects_on_the_slope(self, curvature):
+        theta = 0.123
+
+        def slopes(x):
+            return -np.sin(x - theta), np.full_like(x, curvature)
+
+        phi, value = _phase_max(lambda x: np.cos(x - theta), slopes, 0.0, 2.0 * math.pi, 64, 1e-6)
+        assert abs(phi - theta) < 1e-14
+        assert value == 1.0
 
 
 class TestMaxEntropyOverPhase:
     def test_balanced_two_photon_input(self):
         phi, entropy = max_entropy_over_phase(2, 1)
-        assert abs(phi - phi_maximally_entangled()) < 1e-4
+        assert abs(phi - phi_maximally_entangled()) < 1e-14
         assert abs(entropy - math.log2(3.0)) < 1e-9
+
+    @pytest.mark.parametrize("photons", range(1, 7))
+    def test_east_input_peaks_at_quarter_pi(self, photons):
+        phi, _ = max_entropy_over_phase(photons, 0)
+        assert abs(phi - math.pi / 4.0) < 1e-14
+
+    def test_peak_on_a_grid_point_is_kept(self):
+        # pi/4 is grid point 128 of 512, where the Newton step is below one ulp: the peak must not be bisected away
+        phi, _ = max_entropy_over_phase(3, 1, 512)
+        assert abs(phi - math.pi / 4.0) < 1e-14
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 6), st.data(), st.sampled_from([64, 512, 2048]), st.floats(-0.05, 0.05))
+    def test_search_ends_above_its_grid_and_slopes_match_the_entropy(
+        self, phase_searches, photons, data, points, offset
+    ):
+        index = data.draw(st.integers(0, photons), label="input_index")
+        phi, entropy = max_entropy_over_phase(photons, index, points)
+        f, slopes, start, period, n, _ = phase_searches[-1]
+        assert entropy >= f(start + np.arange(n) * period / n).max() - 1e-12  # the tie tolerance
+        # central differences near the maximum: S'' diverges only where a population vanishes
+        h, x = 1e-4, phi + offset
+        down, mid, up = f(np.array([x - h, x, x + h]))
+        slope, curvature = (value[0] for value in slopes(np.array([x])))
+        assert slope == pytest.approx((up - down) / (2.0 * h), abs=1e-5 * (1.0 + abs(curvature)))
+        assert curvature == pytest.approx((up - 2.0 * mid + down) / h**2, abs=1e-4 * (1.0 + abs(curvature)))
 
     def test_single_photon_input(self):
         oracle_phi, oracle_val = binary_entropy_max_oracle()
