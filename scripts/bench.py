@@ -13,7 +13,9 @@ L2_SEED, --seconds each, tracing off) and copy its drift-corrected medians; --se
 skips them. The file also
 records the git SHA, whether the tree differs from it, a SHA-256 of src/ that names
 the measured tree even when it does, the numpy and Python versions, nproc and whether
-PYTHONDONTWRITEBYTECODE is set, which makes setup_s include compiling holoent.
+PYTHONDONTWRITEBYTECODE is set, which makes setup_s include compiling holoent. Run as a
+script, it first sets perfbench's THREAD_ENV (one BLAS thread, as in perfbench's children)
+and records the thread settings in effect.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from run import THREAD_ENV  # noqa: E402  (perfbench/run.py, which never imports numpy)
+
+if __name__ == "__main__":  # before numpy loads its BLAS; an importing process keeps its own
+    os.environ.update(THREAD_ENV)
 
 import numpy as np  # noqa: E402
 
@@ -172,6 +179,7 @@ def main(argv: list[str] | None = None) -> None:
         "machine": platform.machine(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
         "repeats": args.repeats,
         "rows": time_rows(args.repeats) + (end_to_end(args.seconds) if args.seconds > 0 else []),
     }

@@ -358,7 +358,9 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     Bernstein's inequality |score''| <= P^2 sum |c_m|, so the grid point nearest a peak lies
     within 1/2 P^2 sum |c_m| (step/2)^2 of it; that is the candidate margin. The result is the
     least-squares maximizer in [-period/2, period/2); an exactly represented rotation is
-    recovered to rounding. `block` must be a finite (P+1)x(P+1) matrix.
+    recovered to rounding. `block` must be a finite (P+1)x(P+1) matrix with rotation content:
+    a block whose sum |c_m| is not above 1e-12 of its Frobenius norm, the all-zero block
+    included, has no best phase and raises ValueError.
     """
     family = RotationFamily(photon_count)
     block = np.asarray(block, dtype=complex)
@@ -368,6 +370,9 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     if not np.isfinite(block).all():
         raise ValueError("block has non-finite entries")
     coefficients = family.trace_coefficients(block)
+    weight = float(np.abs(coefficients).sum())
+    if not weight > 1e-12 * np.linalg.norm(block):
+        raise ValueError(f"block has no rotation content: sum |c_m| = {weight:.3e}, not above 1e-12 of its norm")
     m = family.charges
     derivatives = np.stack([1j * m * coefficients, -m * m * coefficients], axis=1)  # slope, curvature
 
@@ -379,7 +384,7 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
 
     turns = 1 + photon_count % 2  # the score's period in units of pi
     step = math.pi / 720
-    margin = 0.5 * photon_count**2 * float(np.abs(coefficients).sum()) * (0.5 * step) ** 2
+    margin = 0.5 * photon_count**2 * weight * (0.5 * step) ** 2
     return _phase_max(score, slopes, -0.5 * math.pi * turns, math.pi * turns, 720 * turns, margin)[0]
 
 

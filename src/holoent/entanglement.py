@@ -157,15 +157,34 @@ def partial_transpose(rho: DensityMatrix, side: Side) -> np.ndarray:
     return _transpose_mode(rho.matrix, _require_bipartite(rho.dims), side)
 
 
+def trace_norm(matrices: np.ndarray) -> np.ndarray:
+    """Sum of |eigenvalues| of Hermitian matrices over the last two axes, batched over leading axes.
+
+    Reads the lower triangle, as eigvalsh does. A 1x1 matrix [[a]] has norm |Re a|. A 2x2
+    matrix [[a, b*], [b, d]] has eigenvalues mean +- radius with mean (a + d) / 2 and
+    radius hypot((a - d) / 2, |b|), so its norm is 2 max(|mean|, radius), computed as
+    max(|a + d|, hypot(a - d, 2 |b|)) so that no halving rounds a subnormal entry away.
+    Larger matrices go through eigvalsh.
+    """
+    side = matrices.shape[-1]
+    if side == 1:
+        return np.abs(matrices[..., 0, 0].real)
+    if side == 2:
+        a, d = matrices[..., 0, 0].real, matrices[..., 1, 1].real
+        return np.maximum(np.abs(a + d), np.hypot(a - d, 2.0 * np.abs(matrices[..., 1, 0])))
+    return np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1)
+
+
 def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """log2 of the trace norm of the partial transpose, clamped at zero, batched over leading axes.
 
     `matrices` has shape (..., d_east * d_west, d_east * d_west) with the flat
-    index convention of DensityMatrix; one eigvalsh covers the whole batch. Either
+    index convention of DensityMatrix; one `trace_norm` covers the whole batch, in
+    closed form when the side is 1 or 2 and by one eigvalsh otherwise. Either
     side's partial transpose serves: the west one is the transpose of the east one.
     """
     pt = _transpose_mode(matrices, _require_bipartite(dims), "east")
-    return negativity_bits(np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1))
+    return negativity_bits(trace_norm(pt))
 
 
 def negativity_bits(trace_norm: np.ndarray) -> np.ndarray:

@@ -26,9 +26,12 @@ trace norm gives the negativity, moves |a,b><c,e| to |c,b><a,e| and so keeps thi
 sparsity. For the reference states it is block diagonal: three 2x2 and three 1x1 blocks
 for the holonomic state, blocks of 3, 2, 2, 1 and 1 for the Bell qutrit. So `evolve`
 transposes the table once, splits its indices into the connected components of the
-support of the transposed C_q, and samples and diagonalizes each block alone. An entry
-outside every block is zero at every time, so the eigenvalues of the blocks are those of
-the whole partial transpose. A sample scales entry (i, j) once, by eta^((N_i + N_j) / 2),
+support of the transposed C_q, samples each block alone and sums the blocks' trace norms
+(`entanglement.trace_norm`). An entry outside every block is zero at every time, so the
+eigenvalues of the blocks are those of the whole partial transpose. The norms of the
+small blocks are closed forms: |a| for a 1x1 block [[a]], max(|a + d|, hypot(a - d, 2|b|))
+for a 2x2 block [[a, b*], [b, d]]; only blocks of side 3 and more, such as the Bell
+qutrit's, go through eigvalsh. A sample scales entry (i, j) once, by eta^((N_i + N_j) / 2),
 and the partial transpose keeps N_i + N_j, so a block holds the same bits as the
 matching entries of the transposed rho(t).
 
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import DensityMatrix, _require_bipartite, _transpose_mode, negativity_bits
+from .entanglement import DensityMatrix, _require_bipartite, _transpose_mode, negativity_bits, trace_norm
 # partial_transpose is re-exported: benchmark tracing wraps it through this binding
 from .entanglement import partial_transpose  # noqa: F401
 from .fock import MEMORY_BUDGET_BYTES, check_finite, check_integer
@@ -210,14 +213,14 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
         stop = min(first + CHUNK_SAMPLES, cfg.steps + 1)
         chunk = slice(first, stop)
         gamma_t = np.arange(first, stop) * dt
-        trace_norm = np.zeros(stop - first)
+        norm = np.zeros(stop - first)
         # a partial transpose keeps the diagonal, so the blocks' diagonals are rho(t)'s
         diagonal = np.empty((stop - first, len(photon_number)))
         for index, sub_table, block_photons in blocks:
             rho = _sample(sub_table, block_photons, gamma_t)
-            trace_norm += np.abs(np.linalg.eigvalsh(rho)).sum(axis=-1).sum(axis=-1)
+            norm += trace_norm(rho).sum(axis=-1)
             diagonal[:, index] = np.diagonal(rho, axis1=-2, axis2=-1).real
-        negativity[chunk] = negativity_bits(trace_norm)
+        negativity[chunk] = negativity_bits(norm)
         if initial_photons > 1e-12:
             population[chunk] = diagonal @ photon_number / initial_photons
         else:

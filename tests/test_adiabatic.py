@@ -618,6 +618,17 @@ class TestFitRotationPhase:
         with pytest.raises(ValueError, match="block has non-finite entries"):
             fit_rotation_phase(block, 2)
 
+    @pytest.mark.parametrize("photons, off_diagonal", [(1, False), (2, False), (3, False), (2, True)])
+    def test_rejects_block_without_rotation_content(self, photons, off_diagonal):
+        # a zero score has every phase as its maximum; so does a block that is off-diagonal in the
+        # family's eigenbasis, whose c_m = <v_m|block|v_m> vanish to rounding (about 4e-16)
+        block = np.zeros((photons + 1,) * 2)
+        if off_diagonal:
+            vectors = RotationFamily(photons).vectors
+            block = vectors @ np.roll(np.eye(photons + 1), 1, axis=0) @ vectors.conj().T
+        with pytest.raises(ValueError, match="block has no rotation content"):
+            fit_rotation_phase(block, photons)
+
 
 class TestLandauZener:
     def test_four_percent_working_point(self):

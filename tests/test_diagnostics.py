@@ -53,6 +53,7 @@ def test_bench_writes_every_row_and_the_machine(tmp_path):
     record = json.loads(out.read_text())
     for key in ("git_sha", "numpy", "nproc", "PYTHONDONTWRITEBYTECODE"):
         assert key in record
+    assert record["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     assert len(record["src_sha256"]) == 64
     names = [row["name"] for row in record["rows"]]
     assert "propagate_single_photon default, cold" in names and "evolve, 10000 samples" in names

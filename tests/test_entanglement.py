@@ -4,7 +4,7 @@ import tracemalloc
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
@@ -21,6 +21,7 @@ from holoent.entanglement import (
     reduce,
     renyi2_bits,
     schmidt,
+    trace_norm,
     von_neumann_entropy_bits,
 )
 from holoent.fock import PureState, basis_state, dark_basis
@@ -305,6 +306,54 @@ class TestLogNegativity:
     def test_batched_rejects_non_bipartite_dims(self):
         with pytest.raises(ValueError, match="bipartite"):
             log_negativity_bits(np.eye(8)[None] / 8.0, (2, 2, 2))
+
+
+def hermitian_2x2(a, d, b) -> np.ndarray:
+    """The batch [[a_k, conj(b_k)], [b_k, d_k]] from real a, d and complex b."""
+    m = np.empty((len(a), 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 1, 1], m[:, 1, 0] = a, d, b
+    m[:, 0, 1] = np.conj(b)
+    return m
+
+
+@composite
+def small_hermitian_batches(draw):
+    """(n, 1, 1) or (n, 2, 2) Hermitian batches, entries of order 1 or near 1e-300."""
+    side, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 1e-300]))
+    parts = [draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1.0, 1.0))) * scale for _ in range(4)]
+    if side == 1:
+        return parts[0].astype(complex).reshape(n, 1, 1)
+    return hermitian_2x2(parts[0], parts[1], parts[2] + 1j * parts[3])
+
+
+class TestTraceNorm:
+    @settings(max_examples=200)
+    @given(small_hermitian_batches())
+    @example(hermitian_2x2([0.3, -0.7, 0.0], [0.3, -0.7, 0.0], [0.0, 0.0, 0.0]))  # exactly degenerate
+    @example(hermitian_2x2([0.5, -0.2], [-0.2, 1e-17], [0.0, 0.0]))  # zero off-diagonal
+    @example(hermitian_2x2([-1.0, -0.4], [-0.5, -0.4], [0.3 + 0.2j, 0.1j]))  # negative definite
+    @example(hermitian_2x2([1e-300, -2e-300], [-3e-300, -1e-300], [(2 + 1j) * 1e-300, 5e-301j]))
+    @example(np.array([[[-0.25]], [[1e-300]], [[0.0]]], dtype=complex))
+    @example(hermitian_2x2([0.0, 0.0], [1.15658603e-315, 5e-324], [(1 + 1j) * 1.15658603e-315, 0.0]))  # subnormal
+    def test_small_sides_match_eigvalsh(self, matrices):
+        expected = np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1)
+        norm = trace_norm(matrices)
+        assert norm.shape == expected.shape
+        # among subnormals the spacing 5e-324 exceeds 1e-14 of any entry, and eigvalsh's result
+        # is itself rounded to it: one spacing for [[0, x(1-i)], [x(1+i), x]] at x = 1.16e-315
+        tiny = np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(norm - expected) <= 1e-14 * np.abs(matrices).max() + 2.0 * tiny)
+        if matrices.shape[-1] == 1:
+            assert np.array_equal(norm, expected)
+        # like eigvalsh, it reads the lower triangle alone
+        assert np.array_equal(trace_norm(np.tril(matrices)), norm)
+
+    def test_larger_sides_take_eigvalsh(self):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(2, 4, 3, 3)) + 1j * rng.normal(size=(2, 4, 3, 3))
+        m = g + np.swapaxes(g.conj(), -1, -2)
+        assert np.array_equal(trace_norm(m), np.abs(np.linalg.eigvalsh(m)).sum(axis=-1))
 
 
 class TestPureStateIdentities:

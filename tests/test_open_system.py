@@ -524,11 +524,10 @@ class TestInitialPositivityCheck:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         steps = 2 * CHUNK_SAMPLES
-        for rho0 in (me_density(), bell_qutrit_state()):
+        chunks = [CHUNK_SAMPLES, CHUNK_SAMPLES, 1]  # the lengths of the chunks of steps + 1 samples
+        # the positivity check on rho0, then one call per chunk for the Bell qutrit's one 3x3 block;
+        # the holonomic state's 1x1 and 2x2 blocks and the Bell qutrit's others take closed forms
+        for rho0, sampled in ((me_density(), []), (bell_qutrit_state(), [(n, 1, 3, 3) for n in chunks])):
             shapes.clear()
             evolve(rho0, LossConfig(t_max=2.0, steps=steps))
-            # the positivity check on rho0, then one call per block size and chunk, none on a 9x9 side
-            chunks = len(range(0, steps + 1, CHUNK_SAMPLES))
-            assert shapes[0] == (9, 9)
-            assert len(shapes) == 1 + chunks * len(coherence_blocks(rho0))
-            assert all(len(shape) == 4 and shape[-1] < 9 for shape in shapes[1:])
+            assert shapes == [(9, 9)] + sampled
