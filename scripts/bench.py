@@ -42,7 +42,7 @@ import numpy as np  # noqa: E402
 
 from holoent import adiabatic, cli, holonomy  # noqa: E402
 from holoent.diagnostics import StageTimer  # noqa: E402
-from holoent.entanglement import density_from_pure  # noqa: E402
+from holoent.entanglement import DensityMatrix, density_from_pure  # noqa: E402
 from holoent.fock import basis_state  # noqa: E402
 from holoent.open_system import LossConfig, bell_qutrit_state, evolve  # noqa: E402
 
@@ -70,6 +70,9 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
     schedule = adiabatic.default_schedule()
     rotation = holonomy.single_mode_rotation(0.3)
     bell = bell_qutrit_state()
+    # the Bell qutrit after the local phase i^n on the east mode: same trajectory, complex table
+    east_phase = np.kron(np.diag([1.0, 1.0j, -1.0]), np.eye(3))
+    rotated_bell = DensityMatrix(east_phase @ bell.matrix @ east_phase.conj().T, bell.dims)
     holonomic = density_from_pure(
         holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
     )
@@ -100,6 +103,8 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L1", "evolve, 10000 samples", lambda: evolve(bell, LossConfig(t_max=10.0, steps=10000))),
         ("L1", "evolve holonomic state, 1000 samples",
          lambda: evolve(holonomic, LossConfig(t_max=10.0, steps=1000))),
+        ("L1", "evolve phase-rotated Bell qutrit, 1000 samples",
+         lambda: evolve(rotated_bell, LossConfig(t_max=10.0, steps=1000))),
         ("L2", "cli loss", command(["loss"], outdir / "loss.csv")),
         ("L2", "cli sweep --input 1,1", command(["sweep", "--input", "1,1"], outdir / "sweep.csv")),
         ("L2", "cli volume", command(["volume"], outdir / "volume.csv")),

@@ -182,7 +182,11 @@ def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarr
     index convention of DensityMatrix; one `trace_norm` covers the whole batch, in
     closed form when the side is 1 or 2 and by one eigvalsh otherwise. Either
     side's partial transpose serves: the west one is the transpose of the east one.
+    Raises ValueError if an entry is not finite, where the closed forms would return
+    NaN and eigvalsh would fail to converge.
     """
+    if not np.isfinite(matrices).all():
+        raise ValueError("log_negativity_bits needs finite matrices, got a NaN or infinite entry")
     pt = _transpose_mode(matrices, _require_bipartite(dims), "east")
     return negativity_bits(trace_norm(pt))
 

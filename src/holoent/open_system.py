@@ -26,14 +26,23 @@ trace norm gives the negativity, moves |a,b><c,e| to |c,b><a,e| and so keeps thi
 sparsity. For the reference states it is block diagonal: three 2x2 and three 1x1 blocks
 for the holonomic state, blocks of 3, 2, 2, 1 and 1 for the Bell qutrit. So `evolve`
 transposes the table once, splits its indices into the connected components of the
-support of the transposed C_q, samples each block alone and sums the blocks' trace norms
-(`entanglement.trace_norm`). An entry outside every block is zero at every time, so the
-eigenvalues of the blocks are those of the whole partial transpose. The norms of the
-small blocks are closed forms: |a| for a 1x1 block [[a]], max(|a + d|, hypot(a - d, 2|b|))
-for a 2x2 block [[a, b*], [b, d]]; only blocks of side 3 and more, such as the Bell
-qutrit's, go through eigvalsh. A sample scales entry (i, j) once, by eta^((N_i + N_j) / 2),
-and the partial transpose keeps N_i + N_j, so a block holds the same bits as the
-matching entries of the transposed rho(t).
+support of the transposed C_q, and sums the blocks' trace norms (`entanglement.trace_norm`).
+An entry outside every block is zero at every time, so the eigenvalues of the blocks are
+those of the whole partial transpose. The norms of the small blocks are closed forms: |a|
+for a 1x1 block [[a]], max(|a + d|, hypot(a - d, 2|b|)) for a 2x2 block [[a, b*], [b, d]];
+only blocks of side 3 and more, such as the Bell qutrit's, go through eigvalsh.
+
+The entries of every block are laid out side by side in one flat table of shape (Q, E),
+E = 15 for the holonomic state and 19 for the Bell qutrit, each block size's entries in one
+stretch. One sampler evaluates it: one Horner pass per chunk of sample times over all E
+entries, then one scaling of entry (i, j) by eta^((N_i + N_j) / 2). The partial transpose
+keeps N_i + N_j, so a block holds the same bits as the matching entries of the transposed
+rho(t). Each block size's stretch is reshaped into its blocks for `trace_norm`, and rho(t)'s
+diagonal, which the partial transpose keeps, is read from the flat samples by one `take`.
+The table is float64 when rho0 is real, as both reference states are, and complex
+otherwise. A real entry goes through the same multiplications and additions as the real
+part of the complex one, whose imaginary part is zero, so the samples are the same
+numbers; only the eigvalsh of a block of side 3 or more runs a different LAPACK routine.
 
 Positivity is checked once, on rho0. Write rho0 = P - N with P, N >= 0: the
 channel Phi is completely positive, so Phi(rho0) >= -Phi(N) and, Phi being
@@ -57,8 +66,8 @@ STEP_SIZE_GUARD = 0.01
 # lower bound on the summed negative eigenvalues of rho0, which bound those of every rho(t)
 POSITIVITY_ABORT = -1e-6
 # sample times evaluated per batch; bounds the working memory of evolve, which holds per
-# sample the blocks of the partial transpose: 19 complex entries for the Bell qutrit, 15
-# for the holonomic state, against 81 for the whole 9x9 matrix
+# sample the blocks of the partial transpose: 19 entries for the Bell qutrit, 15 for the
+# holonomic state, against 81 for the whole 9x9 matrix
 CHUNK_SAMPLES = 256
 # upper bound on steps: the memory budget at 1024 bytes per sample. One `holoent loss`
 # run holds four float64 arrays for each of its two trajectories and one more column,
@@ -109,10 +118,11 @@ class Trajectory:
 
 def _damping_table(rho0: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients C_q of the module docstring, shape (d_E + d_W - 1,) + rho0.matrix.shape,
-    and the photon number N_i of each basis state."""
+    and the photon number N_i of each basis state. The table is float64 when rho0 is real."""
     d_east, d_west = _require_bipartite(rho0.dims)
-    r = rho0.matrix.reshape(d_east, d_west, d_east, d_west)
-    table = np.zeros((d_east + d_west - 1,) + r.shape, dtype=complex)
+    matrix = rho0.matrix if rho0.matrix.imag.any() else rho0.matrix.real
+    r = matrix.reshape(d_east, d_west, d_east, d_west)
+    table = np.zeros((d_east + d_west - 1,) + r.shape, dtype=r.dtype)
     for l in range(d_east):
         east = np.sqrt([math.comb(n + l, l) for n in range(d_east - l)])
         for lw in range(d_west):
@@ -127,10 +137,15 @@ def _damping_table(rho0: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _coherence_blocks(
     table: np.ndarray, photon_number: np.ndarray, dims: tuple[int, int]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The east partial transpose of a `_damping_table`, split into the connected components
-    of its support and grouped by size: for each size s, the flat indices of its nb blocks,
-    shape (nb, s), their sub-tables, shape (len(table), nb, s, s), and their photon numbers."""
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, slice]], np.ndarray]:
+    """The east partial transpose of a `_damping_table` as one flat table over the entries of
+    the connected components of its support.
+
+    Returns the flat table, shape (len(table), E); the photon-number sum N_i + N_j of each
+    entry, shape (E,); for each block size s, in increasing order, the flat indices of its nb
+    blocks, shape (nb, s), and the stretch of the flat table that holds those blocks row-major
+    as (nb, s, s); and the position in the flat table of each diagonal entry, in basis order.
+    """
     pt = _transpose_mode(table, dims, "east")
     side = pt.shape[-1]
     # reachability by repeated squaring: after k squarings, paths of up to 2^k links
@@ -139,38 +154,40 @@ def _coherence_blocks(
         reach = closure
     roots = np.flatnonzero(reach.argmax(axis=1) == np.arange(side))  # each component's lowest index
     sizes = reach[roots].sum(axis=1)
-    groups = []
+    groups, entries, start = [], [], 0
     for size in sorted(set(sizes.tolist())):  # not np.unique: it imports numpy.ma, 12 ms
         index = np.nonzero(reach[roots[sizes == size]])[1].reshape(-1, size)
-        groups.append((index, pt[:, index[:, :, None], index[:, None, :]], photon_number[index]))
-    return groups
+        entries.append((index[:, :, None] * side + index[:, None, :]).ravel())
+        groups.append((index, slice(start, start + len(entries[-1]))))
+        start += len(entries[-1])
+    entries = np.concatenate(entries)
+    position = np.zeros(side * side, dtype=np.intp)
+    position[entries] = np.arange(len(entries))
+    pair_photons = np.add.outer(photon_number, photon_number).ravel()[entries]
+    # every index lies in its own component, so every diagonal entry is in the flat table
+    return pt.reshape(len(pt), -1)[:, entries], pair_photons, groups, position[:: side + 1]
 
 
-def _sample(table: np.ndarray, photon_number: np.ndarray, gamma_t: np.ndarray) -> np.ndarray:
-    """rho at each gamma*t from a `_damping_table` of rho0, shape gamma_t.shape + table.shape[1:].
+def _sample(table: np.ndarray, pair_photons: np.ndarray, gamma_t: np.ndarray) -> np.ndarray:
+    """The table's entries of rho(t) at each gamma*t, shape gamma_t.shape + table.shape[1:], in its dtype.
 
-    `table` has shape (Q,) + batch + (s, s) and `photon_number` batch + (s,): the whole
-    table, or the sub-tables of `_coherence_blocks`. The polynomial in x runs by Horner's
-    rule, one elementwise pass per degree, so a sample does not depend on the other times
-    in its batch (a BLAS product's rounding can depend on the batch length). Entry (i, j)
-    is then scaled once, by exp(-gamma t (N_i + N_j) / 2).
+    `table` has shape (Q,) + entries, the flat table of `_coherence_blocks` or a whole
+    `_damping_table`, and `pair_photons` holds N_i + N_j for each entry (i, j). The polynomial
+    in x runs by Horner's rule, one elementwise pass per degree, so a sample does not depend
+    on the other times in its batch (a BLAS product's rounding can depend on the batch
+    length). Entry (i, j) is then scaled once, by exp(-gamma t (N_i + N_j) / 2).
     """
     gamma_t = np.asarray(gamma_t, dtype=float)
     x = -np.expm1(-gamma_t).reshape(gamma_t.shape + (1,) * (table.ndim - 1))
-    rho = np.empty(gamma_t.shape + table.shape[1:], dtype=complex)
+    rho = np.empty(gamma_t.shape + table.shape[1:], dtype=table.dtype)
     rho[...] = table[-1]
     for coefficient in table[-2::-1]:
         rho *= x
         rho += coefficient
-    scale = np.multiply.outer(gamma_t, photon_number[..., :, None] + photon_number[..., None, :])
+    scale = np.multiply.outer(gamma_t, pair_photons)
     scale *= -0.5
     rho *= np.exp(scale, out=scale)
     return rho
-
-
-def damped_states(rho0: DensityMatrix, gamma_t: np.ndarray) -> np.ndarray:
-    """Exact rho(t) under equal single-photon loss in both modes, shape gamma_t.shape + rho0.matrix.shape."""
-    return _sample(*_damping_table(rho0), gamma_t)
 
 
 def bell_qutrit_state() -> DensityMatrix:
@@ -187,9 +204,9 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
     rho0 may be any two-mode density matrix; its dims set the occupation levels
     of each mode. Records the logarithmic negativity, the total photon number
     normalized to its initial value, and the trace error. The coefficient table
-    is built and split into the blocks of its partial transpose once; the blocks
-    are sampled CHUNK_SAMPLES times at a time, so the working memory does not
-    grow with `steps`.
+    is built and laid out as the flat table of its partial transpose's blocks once;
+    that table is sampled CHUNK_SAMPLES times at a time, so the working memory does
+    not grow with `steps`.
     Raises IntegrationError before sampling if the negative eigenvalues of rho0
     sum below POSITIVITY_ABORT (or to NaN); see the module docstring for why
     this one check bounds every sample.
@@ -201,7 +218,7 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
             f"the initial state is not positive semidefinite: its negative eigenvalues sum to "
             f"{negative_mass:.3e}, below {POSITIVITY_ABORT}"
         )
-    blocks = _coherence_blocks(table, photon_number, rho0.dims)
+    flat, pair_photons, groups, diagonal_entries = _coherence_blocks(table, photon_number, rho0.dims)
     initial_photons = float(photon_number @ np.diagonal(rho0.matrix).real)
 
     dt = cfg.t_max / cfg.steps
@@ -213,14 +230,14 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
         stop = min(first + CHUNK_SAMPLES, cfg.steps + 1)
         chunk = slice(first, stop)
         gamma_t = np.arange(first, stop) * dt
+        samples = _sample(flat, pair_photons, gamma_t)
         norm = np.zeros(stop - first)
-        # a partial transpose keeps the diagonal, so the blocks' diagonals are rho(t)'s
-        diagonal = np.empty((stop - first, len(photon_number)))
-        for index, sub_table, block_photons in blocks:
-            rho = _sample(sub_table, block_photons, gamma_t)
-            norm += trace_norm(rho).sum(axis=-1)
-            diagonal[:, index] = np.diagonal(rho, axis1=-2, axis2=-1).real
+        for index, entries in groups:
+            blocks = samples[:, entries].reshape((stop - first,) + index.shape + index.shape[-1:])
+            norm += trace_norm(blocks).sum(axis=-1)
         negativity[chunk] = negativity_bits(norm)
+        # a partial transpose keeps the diagonal, so the blocks' diagonals are rho(t)'s
+        diagonal = samples.take(diagonal_entries, axis=-1).real
         if initial_photons > 1e-12:
             population[chunk] = diagonal @ photon_number / initial_photons
         else:

@@ -1,11 +1,13 @@
-"""Independent reference methods for the loss tests.
+"""Reference methods for the loss tests.
 
-These are the direct forms the library's coefficient-table loss channel
-replaced: the amplitude-damping Kraus operators `damping_kraus`, summed one
-Kronecker product at a time by the tests, and a fixed-step RK4 integration of
-the Lindblad generator `lindblad_rhs`, with the state re-Hermitized after every
-step, built from truncated ladder operators. Tests compare the library against
-them.
+The independent ones are the direct forms the library's coefficient-table loss
+channel replaced: the amplitude-damping Kraus operators `damping_kraus`, summed
+one Kronecker product at a time by the tests, and a fixed-step RK4 integration
+of the Lindblad generator `lindblad_rhs`, with the state re-Hermitized after
+every step, built from truncated ladder operators. Tests compare the library
+against them. `damped_states` is the library's own sampler run over the whole
+coefficient table rather than its coherence blocks: the tests check it against
+the independent references, and `evolve`'s block samples against it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import math
 
 import numpy as np
 
+from holoent import open_system
 from holoent.entanglement import DensityMatrix, _require_bipartite
+
+
+def damped_states(rho0: DensityMatrix, gamma_t: np.ndarray) -> np.ndarray:
+    """Exact rho(t) under equal single-photon loss in both modes, shape gamma_t.shape + rho0.matrix.shape;
+    float64 when rho0 is real, complex otherwise."""
+    table, photon_number = open_system._damping_table(rho0)
+    return open_system._sample(table, np.add.outer(photon_number, photon_number), gamma_t)
 
 
 def lowering_operator(cutoff: int) -> np.ndarray:

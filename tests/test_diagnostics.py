@@ -58,6 +58,7 @@ def test_bench_writes_every_row_and_the_machine(tmp_path):
     names = [row["name"] for row in record["rows"]]
     assert "propagate_single_photon default, cold" in names and "evolve, 10000 samples" in names
     assert "evolve holonomic state, 1000 samples" in names and "fit_rotation_phase P=1" in names
+    assert "evolve phase-rotated Bell qutrit, 1000 samples" in names
     assert "fit_rotation_phase P=6" in names and "cli volume --max-photons 4 --points 512" in names
     assert {"cli loss", "cli sweep --input 1,1", "cli volume", "cli diabatic, cold"} <= set(names)
     assert {row["layer"] for row in record["rows"]} == {"L0", "L1", "L2"}

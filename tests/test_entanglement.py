@@ -303,6 +303,15 @@ class TestLogNegativity:
             trace_norm = np.abs(np.linalg.eigvalsh(partial_transpose(rho, side))).sum()
             assert batched[index] == pytest.approx(max(0.0, math.log2(trace_norm)), abs=1e-12)
 
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 1), (3, 3)], ids=["1x1", "1x2", "2x1", "3x3"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrices_rejected_by_name(self, dims, bad):
+        side = dims[0] * dims[1]
+        m = np.broadcast_to(np.eye(side, dtype=complex) / side, (2, side, side)).copy()
+        m[1, side - 1, 0] = bad
+        with pytest.raises(ValueError, match="^log_negativity_bits needs finite matrices"):
+            log_negativity_bits(m, dims)
+
     def test_batched_rejects_non_bipartite_dims(self):
         with pytest.raises(ValueError, match="bipartite"):
             log_negativity_bits(np.eye(8)[None] / 8.0, (2, 2, 2))
@@ -348,6 +357,14 @@ class TestTraceNorm:
             assert np.array_equal(norm, expected)
         # like eigvalsh, it reads the lower triangle alone
         assert np.array_equal(trace_norm(np.tril(matrices)), norm)
+
+    @settings(max_examples=100)
+    @given(small_hermitian_batches())
+    def test_real_input_gives_the_complex_bits(self, matrices):
+        # the closed forms of real matrices equal those of the same matrices held as complex
+        lower = np.tril(matrices.real)
+        real = lower + np.swapaxes(np.tril(lower, -1), -1, -2)
+        assert np.array_equal(trace_norm(real), trace_norm(real.astype(complex)))
 
     def test_larger_sides_take_eigvalsh(self):
         rng = np.random.default_rng(5)

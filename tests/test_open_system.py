@@ -28,10 +28,9 @@ from holoent.open_system import (
     IntegrationError,
     LossConfig,
     bell_qutrit_state,
-    damped_states,
     evolve,
 )
-from loss_oracle import damping_kraus, lindblad_rhs, rk4_states
+from loss_oracle import damped_states, damping_kraus, lindblad_rhs, rk4_states
 
 LOG2_3 = math.log2(3.0)
 
@@ -54,6 +53,13 @@ def embedded_state(amplitudes: dict[tuple[int, int], complex], dim: int) -> Dens
     for (n_east, n_west), amp in amplitudes.items():
         psi[n_east * dim + n_west] = amp
     return DensityMatrix(np.outer(psi, psi.conj()), (dim, dim))
+
+
+def rotated_bell_qutrit() -> DensityMatrix:
+    """(|0,0> + i|1,1> - |2,2>)/sqrt(3): the Bell qutrit after the local phase i^n on the east mode,
+    so its coefficient table is complex."""
+    s = 1.0 / math.sqrt(3.0)
+    return embedded_state({(0, 0): s, (1, 1): 1j * s, (2, 2): -s}, 3)
 
 
 @composite
@@ -107,20 +113,27 @@ def edge_state(eps: float) -> DensityMatrix:
     return DensityMatrix(np.diag([1.0 + 2.0 * eps, -eps, -eps]).astype(complex), (3, 1))
 
 
-def coherence_blocks(rho0: DensityMatrix) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def coherence_blocks(rho0: DensityMatrix):
+    """The flat table, pair photon numbers, block groups and diagonal positions of rho0's loss channel."""
     return open_system._coherence_blocks(*open_system._damping_table(rho0), rho0.dims)
 
 
+def group_blocks(samples: np.ndarray, index: np.ndarray, entries: slice) -> np.ndarray:
+    """One block group of flat samples, shape (len(samples), nb, s, s) for block indices of shape (nb, s)."""
+    return samples[:, entries].reshape((len(samples),) + index.shape + index.shape[-1:])
+
+
 def evolve_checking_blocks(monkeypatch, rho0: DensityMatrix, cfg: LossConfig):
-    """evolve(rho0, cfg) and damped_states at its times, after checking that evolve's block samples
-    are the matching entries of the transposed damped_states, bit for bit, and that its negativity
-    is that of damped_states, bit for bit when the support is one block."""
-    groups, samples = [], []
+    """evolve(rho0, cfg) and damped_states at its times, after checking that evolve samples once per
+    chunk, that its samples are the matching entries of the transposed damped_states, bit for bit and
+    in the same dtype, block by block and on the diagonal, and that its negativity is that of
+    damped_states, bit for bit when the support is one block."""
+    layouts, samples = [], []
     split, sample = open_system._coherence_blocks, open_system._sample
 
     def record_split(*args):
-        groups.extend(split(*args))
-        return groups
+        layouts.append(split(*args))
+        return layouts[-1]
 
     def record_sample(*args):
         samples.append(sample(*args))
@@ -130,14 +143,21 @@ def evolve_checking_blocks(monkeypatch, rho0: DensityMatrix, cfg: LossConfig):
     monkeypatch.setattr(open_system, "_sample", record_sample)
     traj = evolve(rho0, cfg)
     monkeypatch.undo()
+    [(flat, _, groups, diagonal)] = layouts
+    # the groups' stretches tile the flat table
+    assert [entries.start for _, entries in groups] == [0] + [entries.stop for _, entries in groups[:-1]]
+    assert groups[-1][1].stop == flat.shape[1]
     states = damped_states(rho0, traj.times)
     transposed = _transpose_mode(states, rho0.dims, "east")
     chunks = range(0, cfg.steps + 1, CHUNK_SAMPLES)
-    assert len(samples) == len(chunks) * len(groups)
-    for k, first in enumerate(chunks):
-        for (index, _, _), block in zip(groups, samples[k * len(groups) : (k + 1) * len(groups)]):
-            chunk = transposed[first : first + CHUNK_SAMPLES]
-            assert np.array_equal(block, chunk[:, index[:, :, None], index[:, None, :]])
+    assert len(samples) == len(chunks)
+    for first, sampled in zip(chunks, samples):
+        chunk = transposed[first : first + CHUNK_SAMPLES]
+        assert sampled.dtype == states.dtype
+        for index, entries in groups:
+            expected = chunk[:, index[:, :, None], index[:, None, :]]
+            assert np.array_equal(group_blocks(sampled, index, entries), expected)
+        assert np.array_equal(sampled.take(diagonal, axis=-1), np.diagonal(chunk, axis1=-2, axis2=-1))
     expected = log_negativity_bits(states, rho0.dims)
     assert np.abs(traj.negativity - expected).max() <= 1e-14
     if len(groups) == 1 and len(groups[0][0]) == 1:
@@ -316,6 +336,17 @@ class TestEvolve:
         assert np.all(traj.single_photon_population == 0.0)
         assert np.all(traj.negativity == 0.0)
 
+    def test_phase_rotated_bell_qutrit_matches_the_real_one(self):
+        # a local phase commutes with the loss and leaves negativity and populations alone; the
+        # rotated state's table is complex, the Bell qutrit's real
+        rotated, bell = rotated_bell_qutrit(), bell_qutrit_state()
+        assert open_system._damping_table(rotated)[0].dtype == np.complex128
+        assert open_system._damping_table(bell)[0].dtype == np.float64
+        cfg = LossConfig(t_max=10.0, steps=1000)
+        a, b = evolve(rotated, cfg), evolve(bell, cfg)
+        for field in ("negativity", "single_photon_population", "trace_error"):
+            assert np.abs(getattr(a, field) - getattr(b, field)).max() <= 1e-12
+
     def test_trajectory_is_reproducible(self):
         cfg = LossConfig(t_max=1.0, steps=100)
         a = evolve(me_density(), cfg)
@@ -388,7 +419,7 @@ class TestDampingChannel:
         neg_halving = np.abs(neg_fine[::2] - log_negativity_bits(coarse, rho0.dims)).max()
         assert np.abs(neg_exact - neg_fine).max() <= neg_halving
 
-    @pytest.mark.parametrize("make_state", [me_density, bell_qutrit_state, dense_state])
+    @pytest.mark.parametrize("make_state", [me_density, bell_qutrit_state, rotated_bell_qutrit, dense_state])
     def test_evolve_samples_the_channel(self, monkeypatch, make_state):
         rho0 = make_state()
         # three chunks, the last one short
@@ -450,15 +481,16 @@ class TestCoherenceBlocks:
         "make_state, sizes", [(me_density, [1, 1, 1, 2, 2, 2]), (bell_qutrit_state, [1, 1, 2, 2, 3])]
     )
     def test_reference_state_block_sizes(self, make_state, sizes):
-        groups = coherence_blocks(make_state())
-        assert sorted(size for index, _, _ in groups for size in map(len, index)) == sizes
-        assert sorted(np.concatenate([index.ravel() for index, _, _ in groups]).tolist()) == list(range(9))
+        flat, pair_photons, groups, _ = coherence_blocks(make_state())
+        assert sorted(size for index, _ in groups for size in map(len, index)) == sizes
+        assert sorted(np.concatenate([index.ravel() for index, _ in groups]).tolist()) == list(range(9))
+        assert flat.shape[1] == len(pair_photons) == sum(size * size for size in sizes)
 
     @settings(max_examples=40, deadline=None)
     @given(psd_states())
     def test_dense_state_is_one_block(self, rho0):
         assume(np.all(rho0.matrix != 0))
-        groups = coherence_blocks(rho0)
+        groups = coherence_blocks(rho0)[2]
         side = rho0.matrix.shape[0]
         assert len(groups) == 1
         assert np.array_equal(groups[0][0], np.arange(side)[None, :])
@@ -474,13 +506,14 @@ class TestCoherenceBlocks:
         m = 0.5 * np.outer(psi[0], psi[0].conj()) + 0.3 * np.outer(psi[1], psi[1].conj())
         m[5, 5] = 0.2
         rho0 = DensityMatrix(m, (2, 4))
-        groups = coherence_blocks(rho0)
+        flat, pair_photons, groups, _ = coherence_blocks(rho0)
         assert len(groups) > 1
         gamma_t = np.array([0.0, 0.1, 0.7, 2.5, 9.0])
         full = np.linalg.eigvalsh(_transpose_mode(damped_states(rho0, gamma_t), rho0.dims, "east"))
+        samples = open_system._sample(flat, pair_photons, gamma_t)
         blocks = np.concatenate(
-            [np.linalg.eigvalsh(open_system._sample(table, numbers, gamma_t)).reshape(len(gamma_t), -1)
-             for _, table, numbers in groups],
+            [np.linalg.eigvalsh(group_blocks(samples, index, entries)).reshape(len(gamma_t), -1)
+             for index, entries in groups],
             axis=-1,
         )
         assert np.abs(np.sort(blocks, axis=-1) - full).max() <= 1e-14
@@ -515,19 +548,25 @@ class TestInitialPositivityCheck:
         assert np.linalg.eigvalsh(states).min() >= negative_mass - 1e-12
 
     def test_one_positivity_eigvalsh_per_evolve(self, monkeypatch):
-        shapes = []
+        calls = []
         eigvalsh = np.linalg.eigvalsh
 
         def spy(m):
-            shapes.append(np.shape(m))
+            calls.append((np.shape(m), np.asarray(m).dtype))
             return eigvalsh(m)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         steps = 2 * CHUNK_SAMPLES
         chunks = [CHUNK_SAMPLES, CHUNK_SAMPLES, 1]  # the lengths of the chunks of steps + 1 samples
-        # the positivity check on rho0, then one call per chunk for the Bell qutrit's one 3x3 block;
-        # the holonomic state's 1x1 and 2x2 blocks and the Bell qutrit's others take closed forms
-        for rho0, sampled in ((me_density(), []), (bell_qutrit_state(), [(n, 1, 3, 3) for n in chunks])):
-            shapes.clear()
+        real, complex_ = np.dtype(np.float64), np.dtype(np.complex128)
+        # the positivity check on the complex rho0, then one call per chunk for the Bell qutrit's one
+        # 3x3 block, real for a real rho0; the holonomic state's 1x1 and 2x2 blocks and the Bell
+        # qutrit's others take closed forms
+        for rho0, sampled in (
+            (me_density(), []),
+            (bell_qutrit_state(), [((n, 1, 3, 3), real) for n in chunks]),
+            (rotated_bell_qutrit(), [((n, 1, 3, 3), complex_) for n in chunks]),
+        ):
+            calls.clear()
             evolve(rho0, LossConfig(t_max=2.0, steps=steps))
-            assert shapes == [(9, 9)] + sampled
+            assert calls == [((9, 9), complex_)] + sampled
