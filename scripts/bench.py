@@ -69,6 +69,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
     """(layer, name, call) of every timed row; CLI rows write into outdir."""
     schedule = adiabatic.default_schedule()
     rotation = holonomy.single_mode_rotation(0.3)
+    block_phases = np.arange(cli.ROW_BLOCK) * (np.pi / cli.ROW_BLOCK)  # one block of the sweep's rotations
     bell = bell_qutrit_state()
     # the Bell qutrit after the local phase i^n on the east mode: same trajectory, complex table
     east_phase = np.kron(np.diag([1.0, 1.0j, -1.0]), np.eye(3))
@@ -89,6 +90,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         for n in (136, 272, 544, 1088, 2176)
     ]
     out += [
+        ("L0", f"single_mode_rotation, {cli.ROW_BLOCK} phases", lambda: holonomy.single_mode_rotation(block_phases)),
         ("L0", "fock_lift P=1", lambda: holonomy.fock_lift(rotation, 1)),
         ("L0", "fock_lift P=6", lambda: holonomy.fock_lift(rotation, 6)),
         ("L0", "entropy_at_phase P=6", lambda: holonomy.entropy_at_phase(0.3, 6, 3)),
@@ -107,6 +109,8 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
          lambda: evolve(rotated_bell, LossConfig(t_max=10.0, steps=1000))),
         ("L2", "cli loss", command(["loss"], outdir / "loss.csv")),
         ("L2", "cli sweep --input 1,1", command(["sweep", "--input", "1,1"], outdir / "sweep.csv")),
+        ("L2", "cli sweep --input 3,3 --photons 6 --points 1024",  # the phase-sweep workload's P = 6 job
+         command(["sweep", "--input", "3,3", "--photons", "6", "--points", "1024"], outdir / "sweep6.csv")),
         ("L2", "cli volume", command(["volume"], outdir / "volume.csv")),
         ("L2", "cli volume --max-photons 4 --points 512",  # the phase-sweep workload's volume job
          command(["volume", "--max-photons", "4", "--points", "512"], outdir / "volume512.csv")),

@@ -50,7 +50,9 @@ EXIT_SCHEDULE = 5
 MAX_SCAN_POINTS = MEMORY_BUDGET_BYTES // 1024
 
 FLOAT_CELL = "%.12g"  # the one rule for a float cell: 12 significant digits
-ROW_BLOCK = 256  # rows rendered per write, so the text held at once does not grow with the table
+# rows rendered per write, and sweep rotations built per pass, so what is held at once for them
+# does not grow with the table
+ROW_BLOCK = 256
 
 
 class CliError(Exception):
@@ -153,6 +155,21 @@ def _parse_input_label(label: str, photons: int) -> int:
     return dark_basis(photons).index_of(occ)
 
 
+def _sweep_amplitudes(phis: np.ndarray, photons: int, index: int) -> np.ndarray:
+    """Column `index` of fock_lift(R(phi), photons) for each phase, one row per phase.
+
+    One fock_lift per phase, as perfbench/test_perfbench.py asserts, and no other Python work per
+    phase: the rotations are built ROW_BLOCK phases at a time (a whole-sweep stack would double
+    the sweep's per-point peak), and each lift is freed once its column is copied.
+    """
+    amplitudes = np.empty((len(phis), photons + 1), dtype=complex)
+    for start in range(0, len(phis), ROW_BLOCK):
+        rows = amplitudes[start : start + ROW_BLOCK]
+        for row, rotation in zip(rows, holonomy.single_mode_rotation(phis[start : start + ROW_BLOCK])):
+            row[:] = holonomy.fock_lift(rotation, photons)[:, index]
+    return amplitudes
+
+
 def cmd_sweep(args) -> int:
     check_integer("--points", args.points, 1, holonomy.MAX_SWEEP_ENTRIES)
     holonomy.check_sweep_size(args.photons, args.points)
@@ -160,12 +177,7 @@ def cmd_sweep(args) -> int:
     grid = np.arange(args.points) * (math.pi / args.points)
     markers = [phi for phi in (holonomy.phi_maximally_entangled(), math.pi / 4.0) if phi not in grid]
     phis = np.sort(np.concatenate([grid, markers]))  # not np.union1d: np.unique imports numpy.ma, 12 ms
-    # one fock_lift per phase, as perfbench/test_perfbench.py asserts; each lift is freed once copied
-    amplitudes = np.empty((len(phis), args.photons + 1), dtype=complex)
-    for row, phi in zip(amplitudes, phis):
-        row[:] = holonomy.fock_lift(holonomy.single_mode_rotation(phi), args.photons)[:, index]
-    populations = np.abs(amplitudes)
-    del amplitudes, row  # row, a view, would keep the table alive; the peak holds one such table
+    populations = np.abs(_sweep_amplitudes(phis, args.photons, index))  # the peak holds one such table
     populations **= 2
     purities = (populations * populations).sum(axis=-1)
     renyi2 = -np.fromiter(map(math.log2, purities), float, len(purities)) + 0.0

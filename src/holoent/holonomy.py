@@ -26,7 +26,8 @@ DEFAULT_SWEEP_POINTS = 2048
 
 
 def u3(phi: float) -> np.ndarray:
-    """The 3x3 holonomy on the two-photon dark basis {|2,0>, |1,1>, |0,2>}."""
+    """The 3x3 holonomy on the two-photon dark basis {|2,0>, |1,1>, |0,2>}; phi must pass `check_finite`."""
+    check_finite("phi", phi)
     c, s = math.cos(phi), math.sin(phi)
     sc = math.sqrt(2.0) * s * c
     return np.array(
@@ -39,10 +40,24 @@ def u3(phi: float) -> np.ndarray:
     )
 
 
-def single_mode_rotation(phi: float) -> np.ndarray:
-    """Rotation on the single-photon dark basis [(1,0), (0,1)]."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def single_mode_rotation(phi) -> np.ndarray:
+    """Rotation R(phi) = [[cos, -sin], [sin, cos]] on the single-photon dark basis [(1,0), (0,1)].
+
+    phi is a real scalar or an array (or sequence) of phases; the result has shape
+    phi.shape + (2, 2), from one np.cos/np.sin pass, and entry i is R(phi[i]) bit for bit. A
+    scalar must pass `check_finite`. An array of bool or non-real dtype raises ValueError, and so
+    does a non-finite entry, naming the first one.
+    """
+    if np.ndim(phi) == 0 and not isinstance(phi, np.ndarray):
+        check_finite("phi", phi)
+    phis = np.asarray(phi)
+    if phis.dtype.kind not in "iuf":
+        raise ValueError(f"phi must hold real numbers, got dtype {phis.dtype}")
+    bad = np.flatnonzero(~np.isfinite(phis))
+    if bad.size:
+        raise ValueError(f"phi must be finite, got {float(phis.flat[bad[0]])!r} at flat index {bad[0]}")
+    c, s = np.cos(phis), np.sin(phis)
+    return np.stack([c, -s, s, c], axis=-1).reshape(phis.shape + (2, 2)).astype(complex)
 
 
 @functools.lru_cache(maxsize=MAX_LIFT_PHOTONS + 1)

@@ -249,6 +249,22 @@ class TestSweepCommand:
             {k: v for k, v in r.items() if k != "input_label"} for r in records
         ]
 
+    def test_rows_across_rotation_blocks_are_the_pinned_lifts(self, tmp_path, monkeypatch):
+        # 300 points and the markers make more than ROW_BLOCK rows, so the rotations come in two blocks
+        sweep_amplitudes, calls = cli._sweep_amplitudes, []
+
+        def recorded(phis, photons, index):
+            calls.append((phis, photons, index, sweep_amplitudes(phis, photons, index)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cli, "_sweep_amplitudes", recorded)
+        argv = ["sweep", "--input", "4,2", "--photons", "6", "--points", "300", "--output", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        [(phis, photons, index, amplitudes)] = calls
+        assert len(read_csv(tmp_path / "s.csv")) == len(phis) > ROW_BLOCK and (photons, index) == (6, 2)
+        for phi, row in zip(phis, amplitudes, strict=True):
+            assert np.array_equal(row, holonomy.fock_lift(holonomy.single_mode_rotation(phi), 6)[:, index])
+
     def test_invalid_points_exits_2(self):
         assert run_cli("sweep", "--input", "1,1", "--points", "0").returncode == 2
 

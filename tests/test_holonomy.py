@@ -105,6 +105,42 @@ class TestU3:
         assert np.abs(u3(phi) @ u3(-phi) - np.eye(3)).max() < 1e-12
 
 
+class TestRotationBuilders:
+    """single_mode_rotation and u3 build from phases that pass the input rule, and nothing else."""
+
+    @pytest.mark.parametrize("build", [single_mode_rotation, u3])
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, True, "0.3", np.float64(math.nan)])
+    def test_scalar_that_is_not_a_finite_real_raises_named(self, build, phi):
+        with pytest.raises(ValueError, match=r"^phi must be finite, got"):
+            build(phi)
+
+    def test_array_names_its_first_non_finite_phase(self):
+        phis = np.array([0.1, 0.2, math.nan, 0.4, math.inf])
+        with pytest.raises(ValueError, match=r"^phi must be finite, got nan at flat index 2$"):
+            single_mode_rotation(phis)
+        with pytest.raises(ValueError, match=r"^phi must be finite, got -inf at flat index 3$"):
+            single_mode_rotation(np.array([[0.0, 1.0], [2.0, -math.inf]]))
+        with pytest.raises(ValueError, match=r"^phi must be finite, got nan at flat index 0$"):
+            single_mode_rotation(np.array(math.nan))
+
+    @pytest.mark.parametrize("phis", [np.array([True, False]), np.array(False), np.array([0.3 + 0j]),
+                                      np.array(["0.3"]), np.array([0.3], dtype=object)])
+    def test_array_of_non_real_dtype_raises_named(self, phis):
+        with pytest.raises(ValueError, match=r"^phi must hold real numbers, got dtype"):
+            single_mode_rotation(phis)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_batch_entries_are_the_scalar_rotations_bit_for_bit(self, shape):
+        phis = np.random.default_rng(24).uniform(-10.0, 10.0, shape)
+        batch = single_mode_rotation(phis)
+        assert batch.shape == shape + (2, 2) and batch.dtype == complex
+        for i in np.ndindex(shape):
+            assert np.array_equal(batch[i], single_mode_rotation(phis[i]))
+            assert np.array_equal(batch[i], single_mode_rotation(float(phis[i])))
+        assert np.array_equal(single_mode_rotation(np.arange(3)), single_mode_rotation(np.arange(3.0)))
+        assert np.array_equal(single_mode_rotation([0.1, 0.2]), single_mode_rotation(np.array([0.1, 0.2])))
+
+
 class TestLift:
     def test_rotation_basics(self):
         assert np.abs(single_mode_rotation(0.0) - np.eye(2)).max() == 0.0
