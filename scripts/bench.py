@@ -40,9 +40,9 @@ if __name__ == "__main__":  # before numpy loads its BLAS; an importing process 
 
 import numpy as np  # noqa: E402
 
-from holoent import adiabatic, cli, holonomy  # noqa: E402
+from holoent import adiabatic, cli, holonomy, open_system  # noqa: E402
 from holoent.diagnostics import StageTimer  # noqa: E402
-from holoent.entanglement import DensityMatrix, density_from_pure  # noqa: E402
+from holoent.entanglement import DensityMatrix, density_from_pure, trace_norm  # noqa: E402
 from holoent.fock import basis_state  # noqa: E402
 from holoent.open_system import LossConfig, bell_qutrit_state, evolve  # noqa: E402
 
@@ -65,6 +65,16 @@ def command(argv: list[str], output: Path):
     return call
 
 
+def first_chunk_blocks(rho0: DensityMatrix) -> np.ndarray:
+    """The largest coherence blocks of rho0's first CHUNK_SAMPLES samples at the default loss
+    spacing, shaped as `evolve` hands them to `trace_norm`."""
+    flat, pair_photons, groups, _ = open_system._coherence_blocks(*open_system._damping_table(rho0), rho0.dims)
+    index, entries = groups[-1]
+    cfg = LossConfig()
+    samples = open_system._sample(flat, pair_photons, np.arange(open_system.CHUNK_SAMPLES) * (cfg.t_max / cfg.steps))
+    return samples[:, entries].reshape((len(samples),) + index.shape + index.shape[-1:])
+
+
 def rows(outdir: Path) -> list[tuple[str, str, object]]:
     """(layer, name, call) of every timed row; CLI rows write into outdir."""
     schedule = adiabatic.default_schedule()
@@ -74,6 +84,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
     # the Bell qutrit after the local phase i^n on the east mode: same trajectory, complex table
     east_phase = np.kron(np.diag([1.0, 1.0j, -1.0]), np.eye(3))
     rotated_bell = DensityMatrix(east_phase @ bell.matrix @ east_phase.conj().T, bell.dims)
+    bell_blocks = first_chunk_blocks(bell)  # (256, 1, 3, 3) float64
     holonomic = density_from_pure(
         holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
     )
@@ -94,6 +105,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L0", "fock_lift P=1", lambda: holonomy.fock_lift(rotation, 1)),
         ("L0", "fock_lift P=6", lambda: holonomy.fock_lift(rotation, 6)),
         ("L0", "entropy_at_phase P=6", lambda: holonomy.entropy_at_phase(0.3, 6, 3)),
+        ("L0", f"trace_norm, {open_system.CHUNK_SAMPLES} Bell-qutrit 3x3 blocks", lambda: trace_norm(bell_blocks)),
         ("L1", "max_entropy_over_phase(2, 1)", lambda: holonomy.max_entropy_over_phase(2, 1)),
         ("L1", "max_entropy_over_phase(6, 3)", lambda: holonomy.max_entropy_over_phase(6, 3)),
         ("L1", "fit_rotation_phase P=1", lambda: adiabatic.fit_rotation_phase(rotation, 1)),

@@ -170,13 +170,24 @@ def _sweep_amplitudes(phis: np.ndarray, photons: int, index: int) -> np.ndarray:
     return amplitudes
 
 
+def _sweep_phases(points: int) -> np.ndarray:
+    """The grid k pi / points, k < points, and each marker phase that is not on it, in increasing order.
+
+    A marker counts as on the grid when it lies within rounding of its nearest grid phase: pi/4 is
+    on the grid when 4 divides `points`, and k (pi / points) can round one ulp away from it.
+    """
+    step = math.pi / points
+    markers = [phi for phi in (holonomy.phi_maximally_entangled(), math.pi / 4.0)
+               if abs(round(phi / step) * step - phi) > 4.0 * math.ulp(phi)]
+    # not np.union1d: np.unique imports numpy.ma, 12 ms
+    return np.sort(np.concatenate([np.arange(points) * step, markers]))
+
+
 def cmd_sweep(args) -> int:
     check_integer("--points", args.points, 1, holonomy.MAX_SWEEP_ENTRIES)
     holonomy.check_sweep_size(args.photons, args.points)
     index = _parse_input_label(args.input, args.photons)
-    grid = np.arange(args.points) * (math.pi / args.points)
-    markers = [phi for phi in (holonomy.phi_maximally_entangled(), math.pi / 4.0) if phi not in grid]
-    phis = np.sort(np.concatenate([grid, markers]))  # not np.union1d: np.unique imports numpy.ma, 12 ms
+    phis = _sweep_phases(args.points)
     populations = np.abs(_sweep_amplitudes(phis, args.photons, index))  # the peak holds one such table
     populations **= 2
     purities = (populations * populations).sum(axis=-1)

@@ -164,6 +164,22 @@ def trace_norm(matrices: np.ndarray) -> np.ndarray:
     matrix [[a, b*], [b, d]] has eigenvalues mean +- radius with mean (a + d) / 2 and
     radius hypot((a - d) / 2, |b|), so its norm is 2 max(|mean|, radius), computed as
     max(|a + d|, hypot(a - d, 2 |b|)) so that no halving rounds a subnormal entry away.
+
+    A 3x3 matrix A is first divided by its largest lower-triangle magnitude s (a complex
+    entry counts its real and imaginary parts), so that no square or cube of an entry
+    near 1e-300 underflows or of one near 1e308 overflows. With m = tr A / 3, B = A - m I,
+    p = sqrt(tr B^2 / 6) and r = det B / (2 p^3), its eigenvalues are m + 2p cos(phi),
+    m + 2p cos(phi - 2pi/3) and m + 2p cos(phi + 2pi/3), phi = arccos(r) / 3 (Smith, Commun.
+    ACM 4, 168 (1961)), and its norm is s max(|tr A|, tr A - 2 lambda_min, 2 lambda_max - tr A),
+    which is 1-Lipschitz in lambda_min and lambda_max. Near a degenerate pair arccos
+    amplifies the rounding error of r (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)): the two
+    members of the pair err by about +-delta, delta = 2p/3 PHASE_ROUNDING / sqrt(1 - r^2).
+    Those errors cancel in the norm unless the pair straddles zero, so a matrix whose pair
+    lies within delta of straddling zero, with delta above PAIR_ERROR_TOL (of s), goes
+    through eigvalsh, held as complex so that real input gives the bits of complex input.
+    The norm is within 1e-14 s of eigvalsh's on near-degenerate, rank-one and subnormal
+    matrices alike (tests/test_entanglement.py::TestTraceNorm).
+
     Larger matrices go through eigvalsh.
     """
     side = matrices.shape[-1]
@@ -172,7 +188,65 @@ def trace_norm(matrices: np.ndarray) -> np.ndarray:
     if side == 2:
         a, d = matrices[..., 0, 0].real, matrices[..., 1, 1].real
         return np.maximum(np.abs(a + d), np.hypot(a - d, 2.0 * np.abs(matrices[..., 1, 0])))
+    if side == 3:
+        return _trace_norm_3x3(matrices)
     return np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1)
+
+
+# flat indices of a 3x3 matrix's lower triangle: the diagonal, then entries (1, 0), (2, 0), (2, 1)
+_LOWER_3X3 = [0, 4, 8, 3, 6, 7]
+# rounding error allowed for r in `trace_norm`'s 3x3 form: twice the largest seen, 7.8 eps, on
+# rotated spectra (1, e, -e), (-1, e, -e) and (0.3, 0.3 + e, -0.3) for e from 1e-1 to 1e-15
+PHASE_ROUNDING = 16.0 * np.finfo(float).eps
+# the pair error, relative to the largest entry, above which a pair near zero is not trusted
+PAIR_ERROR_TOL = 3e-15
+
+
+def _trace_norm_3x3(matrices: np.ndarray) -> np.ndarray:
+    """`trace_norm` of 3x3 Hermitian matrices: the closed form of its docstring, eigvalsh where that fails."""
+    flat = matrices.reshape(-1, 9)  # a single matrix too, so that the fallback can assign into the batch
+    lower = flat.T[_LOWER_3X3]
+    # u, v, w are the entries (1, 0), (2, 0), (2, 1); cross is Re(u w conj(v)). A real matrix skips
+    # the imaginary terms, which add zeros to the same products when it is held as complex
+    if np.iscomplexobj(lower):
+        scale = np.maximum(np.abs(lower.real).max(axis=0), np.abs(lower.imag[3:]).max(axis=0))
+        unit = np.where(scale > 0.0, scale, 1.0)  # a zero matrix stays zero
+        a0, a1, a2, ur, vr, wr = lower.real / unit
+        ui, vi, wi = lower.imag[3:] / unit
+        uu, vv, ww = ur * ur + ui * ui, vr * vr + vi * vi, wr * wr + wi * wi
+        cross = ur * (wr * vr + wi * vi) + ui * (wr * vi - wi * vr)
+    else:
+        scale = np.abs(lower).max(axis=0)
+        unit = np.where(scale > 0.0, scale, 1.0)
+        a0, a1, a2, ur, vr, wr = lower / unit
+        uu, vv, ww = ur * ur, vr * vr, wr * wr
+        cross = ur * (wr * vr)
+    trace = a0 + a1 + a2
+    mean = trace / 3.0
+    d0, d1, d2 = a0 - mean, a1 - mean, a2 - mean
+    p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (uu + vv + ww)) / 6.0
+    p = np.sqrt(p2)
+    det = d0 * d1 * d2 - d0 * ww - d1 * vv - d2 * uu + 2.0 * cross
+    # where 2 p^3 is below tiny, every eigenvalue is within 2p < 1e-102 of m, whatever r reads
+    r = np.clip(det / np.maximum(2.0 * p2 * p, np.finfo(float).tiny), -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    top = mean + 2.0 * p * np.cos(phi)
+    bottom = mean + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    middle = trace - top - bottom
+    norm = np.maximum(np.abs(trace), np.maximum(trace - 2.0 * bottom, 2.0 * top - trace))
+    # arccos moves by at most sqrt(2 PHASE_ROUNDING) for an error of PHASE_ROUNDING next to +-1
+    slope = np.maximum(np.sqrt(1.0 - r * r), math.sqrt(PHASE_ROUNDING / 2.0))
+    pair_error = (2.0 * PHASE_ROUNDING / 3.0) * p / slope
+    # the pair that nears degeneracy: bottom and middle where r >= 0 (phi <= pi/6), else middle and top
+    other = np.where(r >= 0.0, bottom, top)
+    uncertain = pair_error > PAIR_ERROR_TOL
+    uncertain &= np.minimum(other, middle) < pair_error
+    uncertain &= np.maximum(other, middle) > -pair_error
+    norm *= scale
+    if uncertain.any():
+        fallback = flat[uncertain].reshape(-1, 3, 3).astype(complex)
+        norm[uncertain] = np.abs(np.linalg.eigvalsh(fallback)).sum(axis=-1)
+    return norm.reshape(matrices.shape[:-2])
 
 
 def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -180,7 +254,7 @@ def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarr
 
     `matrices` has shape (..., d_east * d_west, d_east * d_west) with the flat
     index convention of DensityMatrix; one `trace_norm` covers the whole batch, in
-    closed form when the side is 1 or 2 and by one eigvalsh otherwise. Either
+    closed form when the side is 1 to 3 and by one eigvalsh otherwise. Either
     side's partial transpose serves: the west one is the transpose of the east one.
     Raises ValueError if an entry is not finite, where the closed forms would return
     NaN and eigvalsh would fail to converge.

@@ -28,9 +28,13 @@ for the holonomic state, blocks of 3, 2, 2, 1 and 1 for the Bell qutrit. So `evo
 transposes the table once, splits its indices into the connected components of the
 support of the transposed C_q, and sums the blocks' trace norms (`entanglement.trace_norm`).
 An entry outside every block is zero at every time, so the eigenvalues of the blocks are
-those of the whole partial transpose. The norms of the small blocks are closed forms: |a|
-for a 1x1 block [[a]], max(|a + d|, hypot(a - d, 2|b|)) for a 2x2 block [[a, b*], [b, d]];
-only blocks of side 3 and more, such as the Bell qutrit's, go through eigvalsh.
+those of the whole partial transpose. The norms of blocks up to side 3 are closed forms: |a|
+for a 1x1 block [[a]], max(|a + d|, hypot(a - d, 2|b|)) for a 2x2 block [[a, b*], [b, d]], and
+the trigonometric form of `trace_norm` for a 3x3 block such as the Bell qutrit's, which sends
+only a block whose near-degenerate eigenvalue pair straddles zero to eigvalsh (no Bell-qutrit
+sample up to gamma t = 10 does, real or phase-rotated); only blocks of side 4 and more always
+go through eigvalsh. So for both reference states `evolve` makes no LAPACK call after its
+positivity check.
 
 The entries of every block are laid out side by side in one flat table of shape (Q, E),
 E = 15 for the holonomic state and 19 for the Bell qutrit, each block size's entries in one
@@ -42,7 +46,8 @@ diagonal, which the partial transpose keeps, is read from the flat samples by on
 The table is float64 when rho0 is real, as both reference states are, and complex
 otherwise. A real entry goes through the same multiplications and additions as the real
 part of the complex one, whose imaginary part is zero, so the samples are the same
-numbers; only the eigvalsh of a block of side 3 or more runs a different LAPACK routine.
+numbers and their closed-form norms the same bits; only the eigvalsh of a block of side 4 or
+more runs a different LAPACK routine.
 
 Positivity is checked once, on rho0. Write rho0 = P - N with P, N >= 0: the
 channel Phi is completely positive, so Phi(rho0) >= -Phi(N) and, Phi being

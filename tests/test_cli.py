@@ -265,6 +265,27 @@ class TestSweepCommand:
         for phi, row in zip(phis, amplitudes, strict=True):
             assert np.array_equal(row, holonomy.fock_lift(holonomy.single_mode_rotation(phi), 6)[:, index])
 
+    def test_quarter_marker_one_ulp_off_the_grid_is_written_once(self, tmp_path):
+        # 75 (pi / 300) rounds one ulp away from pi/4: the marker must not add a second row with
+        # the same phi and the same values
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--input", "1,1", "--points", "300", "--output", str(out)]) == 0
+        phis = [row["phi"] for row in read_csv(out)]
+        assert len(phis) == len(set(phis)) == 301  # the grid and the maximally entangled phase
+        assert phis.count(_fmt(math.pi / 4.0)) == 1
+
+    def test_markers_within_rounding_of_the_grid_are_dropped(self):
+        # pi/4 is on every grid of a multiple of 4 points; k (pi / points) misses it by an ulp at 55 of them
+        phi_me, off_by_rounding = holonomy.phi_maximally_entangled(), 0
+        for points in range(4, 2049, 4):
+            grid = np.arange(points) * (math.pi / points)
+            off_by_rounding += grid[points // 4] != math.pi / 4.0
+            phis = cli._sweep_phases(points)
+            assert np.array_equal(phis[phis != phi_me], grid)
+            assert len(phis) == points + 1  # the maximally entangled phase is never on the grid
+        assert off_by_rounding == 55
+        assert math.pi / 4.0 in cli._sweep_phases(1024)  # exact on a power-of-two grid
+
     def test_invalid_points_exits_2(self):
         assert run_cli("sweep", "--input", "1,1", "--points", "0").returncode == 2
 
@@ -606,6 +627,24 @@ class TestCliBasics:
         assert cp.returncode == 0
         for sub in ("basis", "sweep", "loss", "volume", "diabatic"):
             assert sub in cp.stdout
+
+    def test_commands_import_neither_scipy_nor_numpy_ma(self, tmp_path):
+        # a fresh interpreter runs every subcommand in both formats on a tiny input; scipy may be
+        # installed but is no dependency, and numpy.ma (through np.unique, say) costs 12 ms of import
+        script = (
+            "import sys\n"
+            "from holoent.cli import main\n"
+            "for argv in (['basis', '--photons', '1'], ['sweep', '--input', '1,0', '--photons', '1', '--points', '8'],\n"
+            "             ['loss', '--t-max', '0.1', '--steps', '10'], ['volume', '--max-photons', '1', '--points', '8'],\n"
+            "             ['diabatic', '--scan-points', '2']):\n"
+            "    for fmt in ([], ['--json']):\n"
+            "        assert main(argv + fmt + ['--output', sys.argv[1]]) == 0, argv\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] == 'scipy' or name.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        cp = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == "[]\n"
 
     def test_console_output_defaults_to_stdout(self):
         cp = run_cli("sweep", "--input", "1,0", "--photons", "1", "--points", "8")

@@ -327,24 +327,53 @@ def hermitian_2x2(a, d, b) -> np.ndarray:
 
 @composite
 def small_hermitian_batches(draw):
-    """(n, 1, 1) or (n, 2, 2) Hermitian batches, entries of order 1 or near 1e-300."""
-    side, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 6))
+    """(n, s, s) Hermitian batches of side 1, 2 or 3, entries of order 1 or near 1e-300."""
+    side, n = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 6))
     scale = draw(st.sampled_from([1.0, 1e-300]))
-    parts = [draw(hnp.arrays(np.float64, (n,), elements=st.floats(-1.0, 1.0))) * scale for _ in range(4)]
-    if side == 1:
-        return parts[0].astype(complex).reshape(n, 1, 1)
-    return hermitian_2x2(parts[0], parts[1], parts[2] + 1j * parts[3])
+    re, im = (draw(hnp.arrays(np.float64, (n, side, side), elements=st.floats(-1.0, 1.0))) * scale for _ in range(2))
+    lower = np.tril(re + 1j * im, -1)
+    return lower + np.swapaxes(lower.conj(), -1, -2) + np.eye(side) * np.diagonal(re, axis1=-2, axis2=-1)[..., None]
+
+
+def rotated_spectra(spectra, dtype=complex) -> np.ndarray:
+    """Q diag(spectrum) Q^dagger for each row of `spectra`, Q a seeded random unitary (orthogonal
+    for a real dtype): 3x3 matrices with known eigenvalues, exactly Hermitian only up to rounding."""
+    spectra = np.asarray(spectra, dtype=float)
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=spectra.shape + (3,)).astype(dtype)
+    if np.iscomplexobj(g):
+        g += 1j * rng.normal(size=g.shape)
+    q = np.linalg.qr(g)[0]
+    return (q * spectra[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
+
+
+# the splittings e of the 3x3 examples' near-degenerate pairs, down to an exact degeneracy
+PAIR_SPLITS = [10.0**-k for k in range(3, 15)] + [0.0]
 
 
 class TestTraceNorm:
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(small_hermitian_batches())
+    # 3x3, each family at every split in PAIR_SPLITS: a pair (e, -e) straddling zero beside +1 or -1,
+    # a pair (0.3, 0.3 + e) clear of zero; then exact degeneracies, rank one and two, zero, subnormal
+    @example(rotated_spectra([(1.0, e, -e) for e in PAIR_SPLITS]))
+    @example(rotated_spectra([(-1.0, e, -e) for e in PAIR_SPLITS]))
+    @example(rotated_spectra([(0.3, 0.3 + e, -0.3) for e in PAIR_SPLITS]))
+    @example(rotated_spectra([(1.0, e, -e) for e in PAIR_SPLITS], dtype=float))
+    @example(rotated_spectra([(0.5, 0.5, 0.5), (-2.0, -2.0, -2.0), (0.0, 0.0, 0.0)]))  # triple degeneracy
+    @example(np.array([0.5, -2.0, 1e-300])[:, None, None] * np.eye(3))  # exact multiples of I
+    @example(rotated_spectra([(1.0, 0.0, 0.0), (-0.7, 0.0, 0.0), (1.0, 1.0, 0.0)]))  # rank one, two
+    @example(np.ones((2, 3, 3)))  # rank one, real
+    @example(np.zeros((1, 3, 3), dtype=complex))
+    @example(rotated_spectra([(1.0, 0.5, -0.25), (1.0, 1e-8, -1e-8)]) * 1e-315)  # subnormal
+    @example(rotated_spectra([(1.0, e, -e) for e in PAIR_SPLITS]) * 1e-300)
     @example(hermitian_2x2([0.3, -0.7, 0.0], [0.3, -0.7, 0.0], [0.0, 0.0, 0.0]))  # exactly degenerate
     @example(hermitian_2x2([0.5, -0.2], [-0.2, 1e-17], [0.0, 0.0]))  # zero off-diagonal
     @example(hermitian_2x2([-1.0, -0.4], [-0.5, -0.4], [0.3 + 0.2j, 0.1j]))  # negative definite
     @example(hermitian_2x2([1e-300, -2e-300], [-3e-300, -1e-300], [(2 + 1j) * 1e-300, 5e-301j]))
     @example(np.array([[[-0.25]], [[1e-300]], [[0.0]]], dtype=complex))
     @example(hermitian_2x2([0.0, 0.0], [1.15658603e-315, 5e-324], [(1 + 1j) * 1.15658603e-315, 0.0]))  # subnormal
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow, invalid value or division by zero
     def test_small_sides_match_eigvalsh(self, matrices):
         expected = np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1)
         norm = trace_norm(matrices)
@@ -360,17 +389,27 @@ class TestTraceNorm:
 
     @settings(max_examples=100)
     @given(small_hermitian_batches())
+    @example(rotated_spectra([(1.0, e, -e) for e in PAIR_SPLITS], dtype=float))  # 3x3 eigvalsh fallback
+    @example(np.ones((2, 3, 3)))
     def test_real_input_gives_the_complex_bits(self, matrices):
-        # the closed forms of real matrices equal those of the same matrices held as complex
+        # the closed forms of real matrices equal those of the same matrices held as complex, and
+        # the 3x3 fallback holds them as complex too
         lower = np.tril(matrices.real)
         real = lower + np.swapaxes(np.tril(lower, -1), -1, -2)
         assert np.array_equal(trace_norm(real), trace_norm(real.astype(complex)))
 
+    def test_single_3x3_matrix_is_a_batch_of_one(self):
+        for m in (np.ones((3, 3)), rotated_spectra([(1.0, 0.5, -0.25)])[0]):  # eigvalsh fallback, closed form
+            assert trace_norm(m).shape == ()
+            assert trace_norm(m) == trace_norm(m[None])[0]
+
     def test_larger_sides_take_eigvalsh(self):
         rng = np.random.default_rng(5)
-        g = rng.normal(size=(2, 4, 3, 3)) + 1j * rng.normal(size=(2, 4, 3, 3))
-        m = g + np.swapaxes(g.conj(), -1, -2)
-        assert np.array_equal(trace_norm(m), np.abs(np.linalg.eigvalsh(m)).sum(axis=-1))
+        for side in (4, 5, 9):
+            g = rng.normal(size=(2, 4, side, side)) + 1j * rng.normal(size=(2, 4, side, side))
+            m = g + np.swapaxes(g.conj(), -1, -2)
+            assert np.array_equal(trace_norm(m), np.abs(np.linalg.eigvalsh(m)).sum(axis=-1))
+            assert np.array_equal(trace_norm(m.real), np.abs(np.linalg.eigvalsh(m.real)).sum(axis=-1))
 
 
 class TestPureStateIdentities:

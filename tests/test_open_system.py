@@ -17,6 +17,7 @@ from holoent.entanglement import (
     log_negativity,
     log_negativity_bits,
     reduce,
+    trace_norm,
     von_neumann_entropy_bits,
 )
 from holoent.fock import basis_state
@@ -121,6 +122,19 @@ def coherence_blocks(rho0: DensityMatrix):
 def group_blocks(samples: np.ndarray, index: np.ndarray, entries: slice) -> np.ndarray:
     """One block group of flat samples, shape (len(samples), nb, s, s) for block indices of shape (nb, s)."""
     return samples[:, entries].reshape((len(samples),) + index.shape + index.shape[-1:])
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The (shape, dtype) of every np.linalg.eigvalsh call from here on."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(m):
+        calls.append((np.shape(m), np.asarray(m).dtype))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
 
 
 def evolve_checking_blocks(monkeypatch, rho0: DensityMatrix, cfg: LossConfig):
@@ -547,26 +561,23 @@ class TestInitialPositivityCheck:
         states = damped_states(rho0, np.array(gamma_t))
         assert np.linalg.eigvalsh(states).min() >= negative_mass - 1e-12
 
-    def test_one_positivity_eigvalsh_per_evolve(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+    def test_one_positivity_eigvalsh_per_evolve(self, eigvalsh_calls):
+        # three chunks, the last of one sample; every block, the Bell qutrits' 3x3 blocks included,
+        # takes a closed form, so the positivity check on the complex rho0 is the only call
+        for rho0 in (me_density(), bell_qutrit_state(), rotated_bell_qutrit()):
+            eigvalsh_calls.clear()
+            evolve(rho0, LossConfig(t_max=2.0, steps=2 * CHUNK_SAMPLES))
+            assert eigvalsh_calls == [((9, 9), np.dtype(np.complex128))]
 
-        def spy(m):
-            calls.append((np.shape(m), np.asarray(m).dtype))
-            return eigvalsh(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        steps = 2 * CHUNK_SAMPLES
-        chunks = [CHUNK_SAMPLES, CHUNK_SAMPLES, 1]  # the lengths of the chunks of steps + 1 samples
-        real, complex_ = np.dtype(np.float64), np.dtype(np.complex128)
-        # the positivity check on the complex rho0, then one call per chunk for the Bell qutrit's one
-        # 3x3 block, real for a real rho0; the holonomic state's 1x1 and 2x2 blocks and the Bell
-        # qutrit's others take closed forms
-        for rho0, sampled in (
-            (me_density(), []),
-            (bell_qutrit_state(), [((n, 1, 3, 3), real) for n in chunks]),
-            (rotated_bell_qutrit(), [((n, 1, 3, 3), complex_) for n in chunks]),
-        ):
-            calls.clear()
-            evolve(rho0, LossConfig(t_max=2.0, steps=steps))
-            assert calls == [((9, 9), complex_)] + sampled
+    @pytest.mark.parametrize("make_state", [bell_qutrit_state, rotated_bell_qutrit])
+    def test_bell_qutrit_blocks_never_fall_back_to_eigvalsh(self, eigvalsh_calls, make_state):
+        # trace_norm sends a 3x3 block to eigvalsh only where its closed form cannot vouch for a
+        # near-degenerate pair straddling zero; no block of 100 001 samples up to gamma*t = 10 does,
+        # real (Bell qutrit) or complex (its phase-rotated twin)
+        flat, pair_photons, groups, _ = coherence_blocks(make_state())
+        index, entries = groups[-1]
+        assert index.shape == (1, 3)
+        for gamma_t in np.array_split(np.linspace(0.0, 10.0, 100_001), 100):
+            norm = trace_norm(group_blocks(open_system._sample(flat, pair_photons, gamma_t), index, entries))
+            assert np.isfinite(norm).all()
+        assert eigvalsh_calls == []
