@@ -23,6 +23,7 @@ Side = Literal["east", "west"]
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = 1e-12
+FLOOR_RAMP = 1e-3  # width of entropy_bits' ramp above the floor, relative to the floor
 NEGATIVE_EIGENVALUE_TOL = 1e-9
 
 
@@ -93,10 +94,30 @@ def _checked_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     return np.clip(evals, 0.0, None)
 
 
+def floor_ramp(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight w of each population's term -p log2 p in `entropy_bits`, and dw/dp.
+
+    w is 0 at or below EIGENVALUE_FLOOR, rises linearly to 1 at (1 + FLOOR_RAMP) times the
+    floor and is 1 above. Without the ramp the entropy would step by the floor's
+    p log2(1/p), about 4e-11 bits, where a population crosses the floor. The ramp is narrow,
+    so the entropy keeps the plain floor rule outside it; its slope, about 4e4 bits per unit
+    population, turns a population's rounding error into far less than 1e-15 bits.
+    """
+    width = FLOOR_RAMP * EIGENVALUE_FLOOR
+    t = (populations - EIGENVALUE_FLOOR) / width
+    return np.clip(t, 0.0, 1.0), np.where((0.0 < t) & (t < 1.0), 1.0 / width, 0.0)
+
+
 def entropy_bits(populations: np.ndarray) -> np.ndarray:
-    """Shannon entropy (bits) over the last axis; populations at or below the floor count as zero."""
+    """Shannon entropy (bits) over the last axis.
+
+    Populations at or below the floor count as zero, and each term is weighted by `floor_ramp`,
+    so the entropy is continuous in the populations.
+    """
     p = np.where(populations <= EIGENVALUE_FLOOR, 1.0, populations)  # NaN propagates
     p *= np.log2(p)  # in place: one population-sized temporary besides p
+    ramp = np.flatnonzero((populations > EIGENVALUE_FLOOR) & (populations < (1.0 + FLOOR_RAMP) * EIGENVALUE_FLOOR))
+    p.flat[ramp] *= floor_ramp(populations.flat[ramp])[0]
     return np.maximum(0.0, -p.sum(axis=-1)) + 0.0
 
 

@@ -265,9 +265,9 @@ def max_entropy_over_phase(
     `_phase_max` over [0, pi) on `points` grid points, with candidates within 1e-6 of the grid
     maximum and ties to the lowest phase. Its Newton polish uses the closed-form derivatives of
     the populations p = |a|^2 of the output a and its phase derivatives a', a'':
-    p' = 2 Re(a* a'), p'' = 2 (|a'|^2 + Re(a* a'')), so S' = -sum p' log2 p and
-    S'' = -sum (p'' log2 p + p'^2 / (p ln 2)), where populations at or below EIGENVALUE_FLOOR
-    contribute nothing, as in `entanglement.entropy_bits`.
+    p' = 2 Re(a* a'), p'' = 2 (|a'|^2 + Re(a* a'')). With `entanglement.entropy_bits`' term
+    g(p) = -w(p) p log2 p, w from `entanglement.floor_ramp`, S' = sum g'(p) p' and
+    S'' = sum (g''(p) p'^2 + g'(p) p''); populations at or below EIGENVALUE_FLOOR contribute nothing.
     """
     check_integer("points", points, 8, MAX_SWEEP_ENTRIES)
     check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)  # before check_sweep_size's arithmetic
@@ -280,11 +280,14 @@ def max_entropy_over_phase(
     def slopes(phis):
         a, a1, a2 = (family.outputs(phis, input_index, order) for order in range(3))
         p = np.abs(a) ** 2
-        kept = p > entanglement.EIGENVALUE_FLOOR
-        p = np.where(kept, p, 1.0)
+        w, w1 = entanglement.floor_ramp(p)
+        p = np.where(w > 0.0, p, 1.0)  # g, g' and g'' are 0 there
         log_p = np.log2(p)
-        p1 = np.where(kept, 2.0 * (a.conj() * a1).real, 0.0)
+        h1 = -(log_p + 1.0 / math.log(2.0))  # d(-p log2 p)/dp
+        g1 = w * h1 - w1 * p * log_p
+        g2 = 2.0 * w1 * h1 - w / (p * math.log(2.0))
+        p1 = 2.0 * (a.conj() * a1).real
         p2 = 2.0 * (np.abs(a1) ** 2 + (a.conj() * a2).real)
-        return -(p1 * log_p).sum(axis=-1), -(p2 * log_p + p1**2 / (p * math.log(2.0))).sum(axis=-1)
+        return (g1 * p1).sum(axis=-1), (g2 * p1**2 + g1 * p2).sum(axis=-1)
 
     return _phase_max(entropies, slopes, 0.0, math.pi, points, 1e-6)

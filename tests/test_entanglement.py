@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
 from holoent.entanglement import (
+    EIGENVALUE_FLOOR,
+    FLOOR_RAMP,
     DensityMatrix,
     density_from_pure,
     entanglement_entropy_bits,
@@ -476,6 +478,23 @@ class TestGhzReference:
     def test_me_output_matches_ghz_entropy(self):
         out = apply_holonomy(u3(phi_maximally_entangled()), basis_state(2, 1))
         assert abs(entanglement_entropy_bits(out) - LOG2_3) < 1e-12
+
+
+class TestEntropyBitsFloor:
+    def test_continuous_at_the_floor_and_at_the_ramp_top(self):
+        # a plain floor steps by about 4e-11 bits where a population crosses it
+        for edge in (EIGENVALUE_FLOOR, (1.0 + FLOOR_RAMP) * EIGENVALUE_FLOOR):
+            below, above = entropy_bits(np.array([np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)])[:, None])
+            assert abs(above - below) < 1e-15
+
+    def test_plain_floor_rule_outside_the_ramp(self):
+        p = np.array([0.0, 0.5 * EIGENVALUE_FLOOR, EIGENVALUE_FLOOR, 1.01 * EIGENVALUE_FLOOR, 1e-6, 0.25])
+        kept = p > (1.0 + FLOOR_RAMP) * EIGENVALUE_FLOOR
+        assert entropy_bits(p) == -np.where(kept, p * np.log2(np.where(kept, p, 1.0)), 0.0).sum()
+
+    def test_term_rises_linearly_across_the_ramp(self):
+        p = EIGENVALUE_FLOOR * (1.0 + FLOOR_RAMP * np.array([0.25, 0.5, 0.75]))
+        assert entropy_bits(p[:, None]) == pytest.approx(-np.array([0.25, 0.5, 0.75]) * p * np.log2(p), rel=1e-9)
 
 
 class TestEntropyBitsMemory:

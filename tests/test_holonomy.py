@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from holoent.entanglement import entanglement_entropy_bits, schmidt
+from holoent.entanglement import EIGENVALUE_FLOOR, FLOOR_RAMP, entanglement_entropy_bits, schmidt
 from holoent.fock import basis_state
 from holoent.holonomy import (
     MAX_DARK_PHOTONS,
@@ -565,6 +565,16 @@ class TestMaxEntropyOverPhase:
         assert slope == pytest.approx((up - down) / (2.0 * h), abs=1e-5 * (1.0 + abs(curvature)))
         assert curvature == pytest.approx((up - 2.0 * mid + down) / h**2, abs=1e-4 * (1.0 + abs(curvature)))
 
+    def test_slopes_match_the_entropy_inside_the_floor_ramp(self, phase_searches):
+        max_entropy_over_phase(1, 0)
+        f, slopes = phase_searches[-1][:2]
+        x = math.asin(math.sqrt(EIGENVALUE_FLOOR * (1.0 + 0.5 * FLOOR_RAMP)))  # sin^2 x mid-ramp
+        h = 1e-11  # the ramp spans about 5e-10 rad here
+        down, mid, up = f(np.array([x - h, x, x + h]))
+        slope, curvature = (value[0] for value in slopes(np.array([x])))
+        assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-3)
+        assert curvature == pytest.approx((up - 2.0 * mid + down) / h**2, rel=1e-3)
+
     def test_single_photon_input(self):
         oracle_phi, oracle_val = binary_entropy_max_oracle()
         phi, entropy = max_entropy_over_phase(1, 0)
@@ -601,3 +611,7 @@ class TestMirrorSymmetry:
         k = data.draw(st.integers(0, photons), label="input_index")
         mirrored = entropy_at_phase(math.pi - phi, photons, photons - k)
         assert abs(mirrored - entropy_at_phase(phi, photons, k)) <= 1e-12
+
+    def test_mirror_holds_where_a_population_meets_the_floor(self):
+        # sin^2(1e-6) is within rounding of EIGENVALUE_FLOOR, and pi - 1e-6 rounds it to the other side
+        assert abs(entropy_at_phase(math.pi - 1e-6, 1, 1) - entropy_at_phase(1e-6, 1, 0)) <= 1e-12
