@@ -79,6 +79,8 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
     """(layer, name, call) of every timed row; CLI rows write into outdir."""
     schedule = adiabatic.default_schedule()
     rotation = holonomy.single_mode_rotation(0.3)
+    modes = [adiabatic.MODE_EAST, adiabatic.MODE_WEST]  # the sub-unitary facet block dark_holonomy lifts
+    facet = adiabatic.propagate_single_photon(schedule)[np.ix_(modes, modes)]
     block_phases = np.arange(cli.ROW_BLOCK) * (np.pi / cli.ROW_BLOCK)  # one block of the sweep's rotations
     bell = bell_qutrit_state()
     # the Bell qutrit after the local phase i^n on the east mode: same trajectory, complex table
@@ -104,6 +106,8 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L0", f"single_mode_rotation, {cli.ROW_BLOCK} phases", lambda: holonomy.single_mode_rotation(block_phases)),
         ("L0", "fock_lift P=1", lambda: holonomy.fock_lift(rotation, 1)),
         ("L0", "fock_lift P=6", lambda: holonomy.fock_lift(rotation, 6)),
+        ("L0", "multimode_lift P=6", lambda: holonomy.multimode_lift(facet, 6)),
+        ("L0", "multimode_lift P=42", lambda: holonomy.multimode_lift(facet, holonomy.MAX_LIFT_PHOTONS)),
         ("L0", "entropy_at_phase P=6", lambda: holonomy.entropy_at_phase(0.3, 6, 3)),
         ("L0", f"trace_norm, {open_system.CHUNK_SAMPLES} Bell-qutrit 3x3 blocks", lambda: trace_norm(bell_blocks)),
         ("L1", "max_entropy_over_phase(2, 1)", lambda: holonomy.max_entropy_over_phase(2, 1)),

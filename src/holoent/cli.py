@@ -184,6 +184,7 @@ def _sweep_phases(points: int) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
+    check_integer("--photons", args.photons, 1, holonomy.MAX_LIFT_PHOTONS)
     check_integer("--points", args.points, 1, holonomy.MAX_SWEEP_ENTRIES)
     holonomy.check_sweep_size(args.photons, args.points)
     index = _parse_input_label(args.input, args.photons)

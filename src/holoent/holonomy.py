@@ -5,6 +5,8 @@ single-parameter rotation of the east/west mode pair; multi-photon inputs see
 its bosonic lift, held for every phase at once by `RotationFamily`. The binomial
 symmetric power `multimode_lift`, which lifts any 2x2 matrix from a term table
 built once per photon count, and the explicit 3x3 form `u3` are its references.
+`fock_lift` and `multimode_lift` share one validation pass and one kernel, `_lift`;
+they differ only in the last check, unitarity (before the kernel) or overflow (after it).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ UNITARITY_TOL = 1e-9
 # largest photon count multimode_lift accepts: the worst unitarity defect of the lift of a unitary
 # stays 10x under UNITARITY_TOL up to here (measured 8.1e-11 at 42, 1.2e-10 at 43, 1.4e-10 at 44)
 MAX_LIFT_PHOTONS = 42
+# every lift's powers 0..P, sliced per call (read-only); complex, as np.power casts integer exponents anyway
+_EXPONENTS = np.broadcast_to(np.arange(MAX_LIFT_PHOTONS + 1, dtype=complex), (MAX_LIFT_PHOTONS + 1,))
 DEFAULT_SWEEP_POINTS = 2048
 
 
@@ -85,28 +89,40 @@ def check_dark_photons(photon_count: int, purpose: str) -> None:
         raise ValueError(f"{photon_count} photons exceed the bound {MAX_DARK_PHOTONS} for {purpose}")
 
 
-def _lift(u, photon_count: int, lowest: int) -> tuple[np.ndarray, list[complex]]:
-    """The lift of u and its entries u00, u10, u01, u11 as Python scalars, after one validation pass.
+def _lift(u, photon_count: int, unitary: bool) -> np.ndarray:
+    """The photon_count-photon lift of u: the one validation pass and kernel of both public lifts.
 
-    Checks, in order: u is 2x2; its four entries are finite; photon_count is an integer in
-    [lowest, MAX_LIFT_PHOTONS]; the lift is finite. The public lifts call this once and add
-    nothing to it but fock_lift's unitarity check on the returned scalars.
+    Checks, in order: u is 2x2; its entries are finite; photon_count is an integer in
+    [1, MAX_LIFT_PHOTONS] if `unitary`, else [0, MAX_LIFT_PHOTONS]; last, the unitarity defect
+    of the entries is within UNITARITY_TOL, before any array work (`unitary`), or the lift is
+    finite, after the kernel (otherwise). A unitary lift cannot overflow: |u_ij| <= sqrt(1 + 1e-9)
+    and sum_a C(P-k, a) C(k, j-a) = C(P, j), so |L_jk| <= sqrt(C(P, j) C(P, k)) (1 + 1e-9)^(P/2)
+    <= C(42, 21) ~ 5.4e11. The kernel raises the entries to the powers 0..P, forms the pair
+    table, gathers its `_lift_terms` with one take, multiplies them in place and sums them with
+    np.add.reduceat.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"u must be a 2x2 matrix, got shape {u.shape}")
-    entries = u.ravel(order="F")  # u00, u10, u01, u11
-    scalars = entries.tolist()
+    scalars = u00, u01, u10, u11 = u.ravel().tolist()
     if not all(map(cmath.isfinite, scalars)):
         raise ValueError("u has non-finite entries")
-    check_integer("photon_count", photon_count, lowest, MAX_LIFT_PHOTONS)
+    check_integer("photon_count", photon_count, 1 if unitary else 0, MAX_LIFT_PHOTONS)
+    if unitary:
+        defect = _unitarity_defect(u00, u10, u01, u11)
+        if not defect <= UNITARITY_TOL:
+            raise ValueError(f"input matrix is not unitary (defect {defect:.3e})")
+    q = photon_count + 1
     index, weights, starts = _lift_terms(int(photon_count))
-    powers = entries[:, None] ** np.arange(photon_count + 1)
-    east, west = (powers[0::2, :, None] * powers[1::2, None, :]).take(index)
-    lifted = np.add.reduceat(east * west * weights, starts).reshape(photon_count + 1, photon_count + 1)
-    if not np.isfinite(lifted).all():
+    powers = u[..., None] ** _EXPONENTS[:q]  # powers[i, j, n] = u_ij^n
+    terms = (powers[0, :, :, None] * powers[1, :, None, :]).take(index)
+    product = terms[0]
+    product *= terms[1]
+    product *= weights
+    lifted = np.add.reduceat(product, starts).reshape(q, q)
+    if not unitary and not np.isfinite(lifted).all():
         raise ValueError(f"the {photon_count}-photon lift of u overflows")
-    return lifted, scalars
+    return lifted
 
 
 def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
@@ -118,31 +134,31 @@ def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
     with np.add.reduceat; their weights hold sqrt(C(P, k) / C(P, j)), the ratio of Fock norms,
     finite where a float sqrt(n!) would overflow. Any finite 2x2 whose lift stays finite is
     accepted (a leaky chip's facet block is sub-unitary); photon_count is an integer up to
-    MAX_LIFT_PHOTONS, the accuracy limit of the expansion. The shape, finiteness, photon-count
-    and overflow checks run once, in `_lift`.
+    MAX_LIFT_PHOTONS, the accuracy limit of the expansion. `_lift` checks the shape, the
+    finiteness and the photon count, runs the kernel `fock_lift` shares, and checks last that
+    the lift did not overflow.
     """
-    return _lift(u, photon_count, 0)[0]
+    return _lift(u, photon_count, False)
 
 
 def _unitarity_defect(u00: complex, u10: complex, u01: complex, u11: complex) -> float:
     """max |u u^dag - I| of the 2x2 matrix [[u00, u01], [u10, u11]]: its row norms minus 1 and row overlap."""
     norm0 = u00 * u00.conjugate() + u01 * u01.conjugate()
     norm1 = u10 * u10.conjugate() + u11 * u11.conjugate()
-    return max(abs(norm0 - 1.0), abs(norm1 - 1.0), abs(u00 * u10.conjugate() + u01 * u11.conjugate()))
+    overlap = u00 * u10.conjugate() + u01 * u11.conjugate()
+    # math.hypot gives inf where abs() of a complex with finite parts raises OverflowError
+    return max(abs(norm0 - 1.0), abs(norm1 - 1.0), math.hypot(overlap.real, overlap.imag))
 
 
 def fock_lift(u2: np.ndarray, photon_count: int) -> np.ndarray:
     """(P+1)x(P+1) representation of a 2x2 unitary on dark_basis(photon_count).
 
-    One `_lift` pass checks the shape, the finiteness, photon_count in [1, MAX_LIFT_PHOTONS]
-    and overflow; the unitarity defect is then taken from the four scalars it returns, and
-    must be within UNITARITY_TOL.
+    `_lift` checks the shape, the finiteness and photon_count in [1, MAX_LIFT_PHOTONS], then,
+    before any array work, that the unitarity defect of the four entries is within
+    UNITARITY_TOL. It then runs the kernel `multimode_lift` shares, bit for bit, and skips the
+    overflow check: within the tolerance no entry of the lift exceeds C(42, 21) ~ 5.4e11.
     """
-    lifted, scalars = _lift(u2, photon_count, 1)
-    defect = _unitarity_defect(*scalars)
-    if not defect <= UNITARITY_TOL:
-        raise ValueError(f"input matrix is not unitary (defect {defect:.3e})")
-    return lifted
+    return _lift(u2, photon_count, True)
 
 
 def apply_holonomy(u: np.ndarray, state: PureState) -> PureState:

@@ -295,7 +295,14 @@ class TestSweepCommand:
         code = main(["sweep", "--input", f"{photons},0", "--photons", str(photons), "--points", "16",
                      "--output", str(out)])
         assert code == 2
-        assert "photon_count must be in" in capsys.readouterr().err
+        assert "--photons must be in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_photons_exits_2_naming_the_bound(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(["sweep", "--input", "1,0", "--photons", "0", "--points", "16", "--output", str(out)])
+        assert code == 2
+        assert f"--photons must be in [1, {MAX_LIFT_PHOTONS}], got 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -310,21 +317,38 @@ class TestSweepSizeBound:
     """Sizes one past MAX_SWEEP_ENTRIES exit 2 before anything of that size is allocated."""
 
     @pytest.mark.parametrize(
-        "args",
+        "args, message",
         [
-            ["sweep", "--input", "1,0", "--photons", "1", "--points", str(MAX_SWEEP_ENTRIES // 2 - 1)],
-            ["volume", "--max-photons", "4", "--points", str(MAX_SWEEP_ENTRIES // 5 - 4)],
-            [
-                "sweep",
-                "--input",
-                f"{smallest_photons_above_bound(DEFAULT_SWEEP_POINTS)},0",
-                "--photons",
-                str(smallest_photons_above_bound(DEFAULT_SWEEP_POINTS)),
-            ],
+            (["sweep", "--input", "1,0", "--photons", "1", "--points", str(MAX_SWEEP_ENTRIES // 2 - 1)],
+             "exceed the bound"),
+            (["volume", "--max-photons", "4", "--points", str(MAX_SWEEP_ENTRIES // 5 - 4)], "exceed the bound"),
+            # this photon count is past MAX_LIFT_PHOTONS too, which sweep checks first
+            (
+                [
+                    "sweep",
+                    "--input",
+                    f"{smallest_photons_above_bound(DEFAULT_SWEEP_POINTS)},0",
+                    "--photons",
+                    str(smallest_photons_above_bound(DEFAULT_SWEEP_POINTS)),
+                ],
+                "--photons must be in",
+            ),
+            (
+                [
+                    "sweep",
+                    "--input",
+                    f"{MAX_LIFT_PHOTONS},0",
+                    "--photons",
+                    str(MAX_LIFT_PHOTONS),
+                    "--points",
+                    str(MAX_SWEEP_ENTRIES // (MAX_LIFT_PHOTONS + 1) - MAX_LIFT_PHOTONS),
+                ],
+                "exceed the bound",
+            ),
         ],
-        ids=["sweep-points", "volume-points", "sweep-photons"],
+        ids=["sweep-points", "volume-points", "sweep-photons", "sweep-points-at-the-lift-bound"],
     )
-    def test_exits_2_without_allocating(self, tmp_path, capsys, args):
+    def test_exits_2_without_allocating(self, tmp_path, capsys, args, message):
         out = tmp_path / "out.csv"
         tracemalloc.start()
         try:
@@ -333,7 +357,7 @@ class TestSweepSizeBound:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "exceed the bound" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
         assert peak < 1 << 20
 

@@ -60,6 +60,7 @@ def test_bench_writes_every_row_and_the_machine(tmp_path):
     assert "evolve holonomic state, 1000 samples" in names and "fit_rotation_phase P=1" in names
     assert "evolve phase-rotated Bell qutrit, 1000 samples" in names
     assert "trace_norm, 256 Bell-qutrit 3x3 blocks" in names
+    assert {"fock_lift P=1", "fock_lift P=6", "multimode_lift P=6", "multimode_lift P=42"} <= set(names)
     assert "single_mode_rotation, 256 phases" in names and "cli sweep --input 3,3 --photons 6 --points 1024" in names
     assert "fit_rotation_phase P=6" in names and "cli volume --max-photons 4 --points 512" in names
     assert {"cli loss", "cli sweep --input 1,1", "cli volume", "cli diabatic, cold"} <= set(names)

@@ -216,6 +216,34 @@ class TestLift:
         with pytest.raises(ValueError):
             fock_lift(np.array(u2, dtype=complex), 2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_huge_matrix_as_non_unitary_before_lifting(self):
+        # lifting first would overflow in the powers and warn; the defect check comes first
+        with pytest.raises(ValueError, match=r"^input matrix is not unitary \(defect 1\.000e\+20\)$"):
+            fock_lift(1e10 * np.eye(2), MAX_LIFT_PHOTONS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("photons", [1, 2, MAX_LIFT_PHOTONS])
+    def test_row_overlap_beyond_the_float_range_is_an_infinite_defect(self, photons):
+        # finite entries whose row overlap has a modulus above the largest float
+        u = np.array([[complex(1.3e154, 1.3e154), 0.0], [1.3e154, 1.0]])
+        with pytest.raises(ValueError, match=r"^input matrix is not unitary \(defect inf\)$"):
+            fock_lift(u, photons)
+
+    @pytest.mark.parametrize(
+        "u2, photons, message",
+        [
+            (np.diag([1.0, 2.0, 3.0]), 0, r"^u must be a 2x2 matrix"),
+            ([[math.nan, 0.0], [0.0, 2.0]], 0, r"^u has non-finite entries$"),
+            ([[1.0, 0.0], [0.0, 2.0]], 0, rf"^photon_count must be in \[1, {MAX_LIFT_PHOTONS}\], got 0$"),
+            ([[1.0, 0.0], [0.0, 2.0]], 2.0, r"^photon_count must be an integer, got 2\.0$"),
+            ([[1.0, 0.0], [0.0, 2.0]], 2, r"^input matrix is not unitary \(defect 3\.000e\+00\)$"),
+        ],
+    )
+    def test_checks_shape_then_finiteness_then_photon_count_then_unitarity(self, u2, photons, message):
+        with pytest.raises(ValueError, match=message):
+            fock_lift(u2, photons)
+
     @given(phases)
     def test_lift_is_unitary(self, phi):
         lifted = fock_lift(single_mode_rotation(phi), 3)
@@ -326,6 +354,26 @@ class TestLiftTerms:
             lhs = multimode_lift(a @ b, MAX_LIFT_PHOTONS)
             rhs = multimode_lift(a, MAX_LIFT_PHOTONS) @ multimode_lift(b, MAX_LIFT_PHOTONS)
             assert np.abs(lhs - rhs).max() <= 0.1 * UNITARITY_TOL
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("photons", [1, 2, 3, 4, 5, 6, MAX_LIFT_PHOTONS])
+    def test_fock_lift_and_multimode_lift_agree_bit_for_bit(self, photons):
+        rng = np.random.default_rng(photons)
+        matrices = [random_unitary(rng) for _ in range(10)]
+        matrices += list(single_mode_rotation(rng.uniform(-10.0, 10.0, 10)))
+        for u in matrices:
+            assert fock_lift(u, photons).tobytes() == multimode_lift(u, photons).tobytes()
+
+    @pytest.mark.parametrize("photons", [1, 2, 6, MAX_LIFT_PHOTONS])
+    def test_row_view_of_a_rotation_block_lifts_as_its_copy(self, photons):
+        # the (2, 2) views of a stacked block are what the sweep passes
+        block = single_mode_rotation(np.arange(256) * (math.pi / 256))
+        for rotation in block[::17]:
+            assert not rotation.flags.owndata
+            lifted = fock_lift(rotation, photons)
+            assert lifted.shape == (photons + 1, photons + 1)
+            assert lifted.tobytes() == fock_lift(rotation.copy(), photons).tobytes()
 
 
 class TestRotationFamily:
