@@ -12,7 +12,8 @@ before every call. The perfbench L2 rows run perfbench/run.py once per workload 
 L2_SEED, --seconds each, tracing off) and copy its drift-corrected medians; --seconds 0
 skips them. The file also
 records the git SHA, whether the tree differs from it, a SHA-256 of src/ that names
-the measured tree even when it does, the numpy and Python versions, nproc and whether
+the measured tree even when it does, the line count of each src/holoent module and their
+total (`src_lines`, as `wc -l` counts), the numpy and Python versions, nproc and whether
 PYTHONDONTWRITEBYTECODE is set, which makes setup_s include compiling holoent. Run as a
 script, it first sets perfbench's THREAD_ENV (one BLAS thread, as in perfbench's children)
 and records the thread settings in effect.
@@ -175,6 +176,12 @@ def tree_sha256(root: Path) -> str:
     return digest.hexdigest()
 
 
+def src_lines(package: Path) -> dict:
+    """The newline count of each .py file directly under package, by name, and their total."""
+    files = {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def git(*args: str) -> str | None:
     try:
         proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
@@ -199,6 +206,7 @@ def main(argv: list[str] | None = None) -> None:
         "git_sha": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
         "src_sha256": tree_sha256(ROOT / "src"),
+        "src_lines": src_lines(ROOT / "src" / "holoent"),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -10,9 +10,10 @@ sequence of per-row text cells. Each format renders a table through one row
 template (for CSV, such as "%.12g,%.12g,..." with its text quoted once by the
 csv rules), ROW_BLOCK rows at a time, straight into the output file.
 
-Argparse only turns option text into an int or a float. Each value is then checked
-once, by the library function it reaches or by the command's own `check_integer`, and
-a value that fails exits 2 with `error: ...` on stderr.
+Argparse only turns option text into an int or a float. Each value is then checked by the
+library function it reaches or by the command's own `check_integer`, which checks a
+photon-count option first and names it ("--photons must be in [0, 1023], got 1024"). A
+value that fails exits 2 with `error: ...` on stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 unwritable output path,
 4 integrator abort, 5 schedule boundary-condition violation.
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adiabatic, entanglement, holonomy, open_system
-from .fock import MEMORY_BUDGET_BYTES, OccupationState, basis_state, check_integer, dark_basis
+from .fock import MAX_DARK_PHOTONS, MEMORY_BUDGET_BYTES, OccupationState, basis_state, check_integer, dark_basis
 
 # pulse area at which the analytic single-photon diabatic error is 4%
 WORKING_POINT_OMEGA_T = -math.log(0.04) / math.sqrt(2.0)
@@ -243,7 +244,7 @@ def cmd_diabatic(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    holonomy.check_dark_photons(args.photons, "basis")
+    check_integer("--photons", args.photons, 0, MAX_DARK_PHOTONS)
     labels = list(dark_basis(args.photons).labels())
     text = json.dumps(labels, indent=2) + "\n" if args.json else "".join(label + "\n" for label in labels)
     _write_text(args.output, [text])

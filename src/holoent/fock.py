@@ -4,8 +4,8 @@ Every other module builds its states from the primitives here.
 Basis ordering is fixed (descending east occupation) so that matrices written
 in the dark basis have a single, unambiguous row/column convention.
 
-It also owns the input rules every module applies where a value enters (`check_integer`
-for counts, indices and step counts; `check_finite` for reals) and the dark-sector bounds.
+It also owns the dark-sector bounds and the input rules every module applies where a value enters:
+`check_integer`, the one check of any count (photon counts too), index or step; `check_finite` for reals.
 """
 
 from __future__ import annotations

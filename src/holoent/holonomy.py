@@ -37,7 +37,7 @@ def u3(phi: float) -> np.ndarray:
     return np.array(
         [
             [c * c, -sc, s * s],
-            [sc, math.cos(2.0 * phi), -sc],
+            [sc, (c - s) * (c + s), -sc],  # cos 2phi from the one (c, s) pair: 2phi may overflow
             [s * s, sc, c * c],
         ],
         dtype=complex,
@@ -80,13 +80,6 @@ def _lift_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     index = np.array([(p - k - a) * q + a, q * q + (k - j + a) * q + j - a])
     table = index, np.array(weights), np.flatnonzero(np.diff(j * q + k, prepend=-1))
     return tuple(np.broadcast_to(array, array.shape) for array in table)  # read-only views
-
-
-def check_dark_photons(photon_count: int, purpose: str) -> None:
-    """Reject a non-integer photon count, and one above MAX_DARK_PHOTONS naming the `purpose` it was asked for."""
-    check_integer("photon_count", photon_count, -math.inf, math.inf)
-    if photon_count > MAX_DARK_PHOTONS:
-        raise ValueError(f"{photon_count} photons exceed the bound {MAX_DARK_PHOTONS} for {purpose}")
 
 
 def _lift(u, photon_count: int, unitary: bool) -> np.ndarray:
@@ -228,7 +221,8 @@ def _check_score(values: np.ndarray, phis: np.ndarray) -> None:
 def check_sweep_size(photon_count: int, points: int) -> None:
     """Reject a sweep whose (points + P + 1) * (P + 1) exceeds MAX_SWEEP_ENTRIES."""
     if (points + photon_count + 1) * (photon_count + 1) > MAX_SWEEP_ENTRIES:
-        raise ValueError(f"{points} points at {photon_count} photons exceed the bound {MAX_SWEEP_ENTRIES}")
+        raise ValueError(f"{points} points at {photon_count} photons: the sweep's entries exceed the bound "
+                         f"{MAX_SWEEP_ENTRIES}")
 
 
 class RotationFamily:
@@ -237,10 +231,10 @@ class RotationFamily:
     The lift of R(phi) = exp(phi [[0, -1], [1, 0]]) is exp(phi G) with the tridiagonal
     generator G[k+1, k] = -G[k, k+1] = sqrt((P-k)(k+1)). iG is Hermitian with eigenvalues
     m = -P, -P+2, ..., P, so one eigh gives lift(R(phi)) = V diag(e^{-i m phi}) V^dag.
+    `check_integer` alone holds photon_count to [1, MAX_DARK_PHOTONS].
     """
 
     def __init__(self, photon_count: int):
-        check_dark_photons(photon_count, "RotationFamily")
         check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)
         k = np.arange(photon_count)
         off = np.sqrt((photon_count - k) * (k + 1.0))
@@ -249,7 +243,7 @@ class RotationFamily:
         self.vectors = np.linalg.eigh(1j * (np.diag(off, -1) - np.diag(off, 1)))[1]
 
     def phases(self, phis) -> np.ndarray:
-        """e^{-i m phi}, shape phis.shape + (P+1,)."""
+        """e^{-i m phi}, shape phis.shape + (P+1,); NaN unless every |phi| * P is within the float range."""
         return np.exp(-1j * np.multiply.outer(phis, self.charges))
 
     def outputs(self, phis, input_index: int, order: int = 0) -> np.ndarray:
@@ -267,9 +261,12 @@ class RotationFamily:
 
 
 def entropy_at_phase(phi: float, photon_count: int, input_index: int) -> float:
-    """Entanglement entropy (bits) of the chip output for one dark basis input; phi must be finite."""
+    """Entanglement entropy (bits) of the chip output for one dark basis input; phi and phi * P must be finite."""
     check_finite("phi", phi)
-    amplitudes = RotationFamily(photon_count).outputs(phi, input_index)
+    family = RotationFamily(photon_count)
+    if not math.isfinite(phi * photon_count):
+        raise ValueError(f"phi * photon_count must be within the float range, got {phi!r} * {photon_count}")
+    amplitudes = family.outputs(phi, input_index)
     return float(entanglement.entropy_bits(np.abs(amplitudes) ** 2))
 
 

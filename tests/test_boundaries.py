@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -43,11 +44,14 @@ from holoent.fock import (
     occupation_basis,
 )
 from holoent.holonomy import (
+    MAX_LIFT_PHOTONS,
     RotationFamily,
     entropy_at_phase,
     fock_lift,
     max_entropy_over_phase,
     multimode_lift,
+    single_mode_rotation,
+    u3,
 )
 from holoent.open_system import LossConfig
 from test_adiabatic import far_profile
@@ -72,7 +76,7 @@ bad_reals = st.sampled_from(
 def _call(entry, bad):
     """entry is (argument name, call with the bad value, error class)."""
     name, call, error = entry
-    with pytest.raises(error, match=rf"^{name} must be|^\S+ photons exceed the bound"):
+    with pytest.raises(error, match=rf"^{name} must be"):
         call(bad)
 
 
@@ -157,6 +161,75 @@ class TestLibraryEntryPoints:
     def test_inputs_that_used_to_reach_numpy(self, name, call, error):
         with pytest.raises(error, match=rf"^{name} must be"):
             call()
+
+
+# every library entry point that takes a photon count, with the range check_integer holds it to
+PHOTON_COUNT_ENTRIES = [
+    ("RotationFamily", RotationFamily, 1, MAX_DARK_PHOTONS),
+    ("entropy_at_phase", lambda v: entropy_at_phase(0.3, v, 0), 1, MAX_DARK_PHOTONS),
+    ("fit_rotation_phase", lambda v: fit_rotation_phase(np.eye(3), v), 1, MAX_DARK_PHOTONS),
+    ("max_entropy_over_phase", lambda v: max_entropy_over_phase(v, 0, 64), 1, MAX_DARK_PHOTONS),
+    ("fock_lift", lambda v: fock_lift(np.eye(2), v), 1, MAX_LIFT_PHOTONS),
+    ("multimode_lift", lambda v: multimode_lift(np.eye(2), v), 0, MAX_LIFT_PHOTONS),
+    ("dark_basis", dark_basis, 0, MAX_DARK_PHOTONS),
+    ("dark_holonomy", lambda v: dark_holonomy(idle_schedule(), v), 1, MAX_LIFT_PHOTONS),
+]
+
+
+class TestOnePhotonCountRule:
+    """check_integer is the one check of a photon count: one message format, in the library and at the CLI."""
+
+    @pytest.mark.parametrize(
+        "call, bounds, value",
+        [
+            pytest.param(call, (lowest, highest), value, id=f"{name}-{value!r}")
+            for name, call, lowest, highest in PHOTON_COUNT_ENTRIES
+            for value in (lowest - 1, highest + 1, 2.5, True)
+        ],
+    )
+    def test_library_message(self, call, bounds, value):
+        lowest, highest = bounds
+        with pytest.raises(ValueError, match=rf"^photon_count must be (an integer|in \[{lowest}, {highest}\]), got {value}$"):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (["basis"], "--photons", -1),
+            (["basis"], "--photons", MAX_DARK_PHOTONS + 1),
+            (["sweep", "--input", "1,0"], "--photons", 0),
+            (["sweep", "--input", "1,0"], "--photons", MAX_LIFT_PHOTONS + 1),
+            (["volume"], "--max-photons", 0),
+            (["volume"], "--max-photons", 7),
+        ],
+    )
+    def test_cli_message(self, command, option, value):
+        code, err, text = run_main(command + [f"{option}={value}"])
+        assert code == 2 and text is None
+        assert re.match(rf"^error: --(photons|max-photons) must be in \[\d+, \d+\], got {value}$", err), err
+
+
+class TestEveryFinitePhase:
+    """Every phase check_finite accepts gives all-finite output or a ValueError naming phi."""
+
+    @settings(max_examples=200)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(1e308)
+    @example(-1e308)
+    @example(9e307)
+    @example(3.1e307)
+    @example(5e-324)
+    def test_finite_output_or_named_error(self, phi):
+        calls = [lambda: u3(phi), lambda: single_mode_rotation(phi)]
+        calls += [lambda photons=photons, index=index: entropy_at_phase(phi, photons, index)
+                  for photons in range(1, 7) for index in range(photons + 1)]
+        for call in calls:
+            try:
+                value = call()
+            except ValueError as exc:
+                assert str(exc).startswith("phi"), exc
+            else:
+                assert np.isfinite(value).all()
 
 
 class TestCheckers:

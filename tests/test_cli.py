@@ -175,14 +175,14 @@ class TestBasisCommand:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "exceed the bound" in capsys.readouterr().err
+        assert f"--photons must be in [0, {BASIS_PHOTON_BOUND}]" in capsys.readouterr().err
         assert not out.exists()
         assert peak < 1 << 20
 
     def test_photons_over_bound_message_names_the_photon_bound(self, capsys):
         assert main(["basis", "--photons", str(BASIS_PHOTON_BOUND + 1)]) == 2
         err = capsys.readouterr().err
-        assert f"{BASIS_PHOTON_BOUND + 1} photons exceed the bound {BASIS_PHOTON_BOUND} for basis" in err
+        assert err == f"error: --photons must be in [0, {BASIS_PHOTON_BOUND}], got {BASIS_PHOTON_BOUND + 1}\n"
 
 
 class TestSweepCommand:

@@ -55,6 +55,10 @@ def test_bench_writes_every_row_and_the_machine(tmp_path):
         assert key in record
     assert record["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     assert len(record["src_sha256"]) == 64
+    modules = sorted((ROOT / "src" / "holoent").glob("*.py"))
+    counts = {path.name: len(path.read_text(encoding="utf-8").split("\n")) - 1 for path in modules}
+    assert record["src_lines"] == {"files": counts, "total": sum(counts.values())}
+    assert "holonomy.py" in counts and "cli.py" in counts
     names = [row["name"] for row in record["rows"]]
     assert "propagate_single_photon default, cold" in names and "evolve, 10000 samples" in names
     assert "evolve holonomic state, 1000 samples" in names and "fit_rotation_phase P=1" in names

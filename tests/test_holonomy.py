@@ -459,7 +459,7 @@ class TestSweepSizeBound:
 
     def test_family_rejects_photons_above_bound(self):
         photons = math.isqrt(MAX_SWEEP_ENTRIES)  # (P + 1)^2 > MAX_SWEEP_ENTRIES
-        with pytest.raises(ValueError, match="exceed the bound"):
+        with pytest.raises(ValueError, match=rf"^photon_count must be in \[1, {photons - 1}\], got {photons}$"):
             RotationFamily(photons)
 
     def test_dark_photon_bound_is_the_largest_square_within_the_entries(self):
@@ -469,7 +469,7 @@ class TestSweepSizeBound:
 
     def test_family_bound_message_names_photons(self):
         photons = MAX_DARK_PHOTONS + 1
-        with pytest.raises(ValueError, match=rf"^{photons} photons exceed the bound {MAX_DARK_PHOTONS} for RotationFamily$"):
+        with pytest.raises(ValueError, match=rf"^photon_count must be in \[1, {MAX_DARK_PHOTONS}\], got {photons}$"):
             RotationFamily(photons)
 
 
