@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import check_finite, check_integer
+from .fock import check_finite, check_integer, check_tolerance
 from .holonomy import MAX_LIFT_PHOTONS, RotationFamily, _phase_max, multimode_lift
 from .open_system import IntegrationError
 
@@ -134,12 +134,9 @@ class PulseSchedule:
             raise ScheduleError(f"z_span must be increasing, got {self.z_span}")
         check_integer("steps", self.steps, 16, MAX_STEPS, ScheduleError)
         for name, profile in (("east", self.east), ("west", self.west), ("aux", self.aux)):
-            for z in (z_start, z_end):
-                if not profile.value(z) <= BOUNDARY_DECAY * profile.peak:
-                    raise ScheduleError(
-                        f"{name} coupling has not decayed below {BOUNDARY_DECAY:g} of its peak "
-                        f"at z = {z}; facet states would not be dark"
-                    )
+            for z in (z_start, z_end):  # a coupling left at a facet would make its states bright
+                check_tolerance(f"{name} coupling at the facet z = {z}", profile.value(z),
+                                BOUNDARY_DECAY * profile.peak, ScheduleError)
         object.__setattr__(self, "z_span", (float(z_start), float(z_end)))
 
     @property
@@ -302,7 +299,7 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     cap = schedule.steps
     span = schedule.z_span[1] - schedule.z_span[0]
     first = np.ceil(4.0 * span / min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)))
-    if not 4.0 * first <= cap:  # an h^6 estimate needs three levels
+    if not 4.0 * first <= cap:  # an h^6 estimate needs three levels; a count rule with advice, not a tolerance
         advice = (f"increase steps to at least {4.0 * first:.0f}" if 4.0 * first <= MAX_STEPS
                   else f"the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}")
         raise IntegrationError(
@@ -318,11 +315,7 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
         if previous is not None:
             estimate = np.abs(x - previous).max() / 63.0
         coarse = fine
-    if not estimate <= STEP_ERROR_ABORT:
-        raise IntegrationError(
-            f"step-doubling error estimate {estimate:.3e} exceeds {STEP_ERROR_ABORT:g}; "
-            "increase steps"
-        )
+    check_tolerance("step-doubling error estimate", estimate, STEP_ERROR_ABORT, IntegrationError)
     x.flags.writeable = False
     return x
 
@@ -371,6 +364,7 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
         raise ValueError("block has non-finite entries")
     coefficients = family.trace_coefficients(block)
     weight = float(np.abs(coefficients).sum())
+    # a strict lower bound, so not a check_tolerance: the zero block would pass there as 0 <= 0
     if not weight > 1e-12 * np.linalg.norm(block):
         raise ValueError(f"block has no rotation content: sum |c_m| = {weight:.3e}, not above 1e-12 of its norm")
     m = family.charges

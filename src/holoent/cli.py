@@ -10,10 +10,10 @@ sequence of per-row text cells. Each format renders a table through one row
 template (for CSV, such as "%.12g,%.12g,..." with its text quoted once by the
 csv rules), ROW_BLOCK rows at a time, straight into the output file.
 
-Argparse only turns option text into an int or a float. Each value is then checked by the
-library function it reaches or by the command's own `check_integer`, which checks a
-photon-count option first and names it ("--photons must be in [0, 1023], got 1024"). A
-value that fails exits 2 with `error: ...` on stderr.
+Argparse only turns option text into an int or a float. Every integer option is checked first,
+by the command's own `check_integer`, which names it ("--photons must be in [0, 1023], got 1024");
+each other value is checked by the library function it reaches. A value that fails exits 2 with
+`error: ...` on stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 unwritable output path,
 4 integrator abort, 5 schedule boundary-condition violation.
@@ -199,6 +199,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_loss(args) -> int:
+    check_integer("--steps", args.steps, 1, open_system.MAX_LOSS_STEPS)
     cfg = open_system.LossConfig(t_max=args.t_max, steps=args.steps)
     out = holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
     traj_holonomic = open_system.evolve(entanglement.density_from_pure(out), cfg)
@@ -211,6 +212,7 @@ def cmd_loss(args) -> int:
 
 def cmd_volume(args) -> int:
     check_integer("--max-photons", args.max_photons, 1, 6)  # a desk-scale guard
+    check_integer("--points", args.points, 8, holonomy.MAX_SWEEP_ENTRIES)
     holonomy.check_sweep_size(args.max_photons, args.points)
     rows = []
     for photons in range(1, args.max_photons + 1):
@@ -232,9 +234,9 @@ def cmd_volume(args) -> int:
 
 
 def cmd_diabatic(args) -> int:
+    check_integer("--scan-points", args.scan_points, 2, MAX_SCAN_POINTS)
     path = args.schedule
     schedule = adiabatic.default_schedule() if path is None else adiabatic.load_schedule(path)
-    check_integer("--scan-points", args.scan_points, 2, MAX_SCAN_POINTS)
     if not 0 < args.scan_from < args.scan_to < math.inf:  # before np.linspace meets an inf
         raise ValueError(f"scan range must satisfy 0 < from < to < inf, got {args.scan_from} to {args.scan_to}")
     omega_ts = np.linspace(args.scan_from, args.scan_to, args.scan_points)

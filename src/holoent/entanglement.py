@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import PureState, check_integer
+from .fock import PureState, check_integer, check_tolerance
 
 Side = Literal["east", "west"]
 
@@ -47,12 +47,8 @@ class DensityMatrix:
         side = math.prod(self.dims)
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
-        herm_defect = np.abs(m - m.conj().T).max()
-        if not herm_defect <= HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-        trace_defect = abs(np.trace(m) - 1.0)
-        if not trace_defect <= TRACE_TOL:
-            raise ValueError(f"trace deviates from 1 by {trace_defect:.3e}")
+        check_tolerance("Hermiticity defect", np.abs(m - m.conj().T).max(), HERMITICITY_TOL)
+        check_tolerance("trace defect", abs(np.trace(m) - 1.0), TRACE_TOL)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
@@ -89,8 +85,7 @@ def reduce(rho: DensityMatrix, keep: Side) -> DensityMatrix:
 
 def _checked_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     evals = np.linalg.eigvalsh(rho.matrix)
-    if not -evals.min() <= NEGATIVE_EIGENVALUE_TOL:
-        raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} below tolerance")
+    check_tolerance("negated lowest eigenvalue of the density matrix", -evals.min(), NEGATIVE_EIGENVALUE_TOL)
     return np.clip(evals, 0.0, None)
 
 

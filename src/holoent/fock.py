@@ -4,8 +4,9 @@ Every other module builds its states from the primitives here.
 Basis ordering is fixed (descending east occupation) so that matrices written
 in the dark basis have a single, unambiguous row/column convention.
 
-It also owns the dark-sector bounds and the input rules every module applies where a value enters:
-`check_integer`, the one check of any count (photon counts too), index or step; `check_finite` for reals.
+It also owns the dark-sector bounds and the rules every module applies where a value enters or a
+result is certified: `check_integer`, the one check of any count (photon counts too), index or
+step; `check_finite` for reals; `check_tolerance`, the one check of a value against its tolerance.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def check_finite(name: str, value, error: type[ValueError] = ValueError) -> None
         finite = False
     if not finite:
         raise error(f"{name} must be finite, got {value!r}")
+
+
+def check_tolerance(name: str, value, bound, error: type[Exception] = ValueError) -> None:
+    """Raise `error` naming `name`, the checked quantity, unless value <= bound; NaN fails."""
+    if not value <= bound:
+        raise error(f"{name} {value:.3e} exceeds {bound:g}")
 
 
 @dataclass(frozen=True, order=True)
@@ -143,9 +150,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amp.shape[0]}, basis dimension is {self.basis.dimension}"
             )
-        norm = np.linalg.norm(amp)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        check_tolerance("state norm defect", abs(np.linalg.norm(amp) - 1.0), NORM_TOL)
         object.__setattr__(self, "amplitudes", amp)
 
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import entanglement
-from .fock import MAX_DARK_PHOTONS, MAX_SWEEP_ENTRIES, PureState, check_finite, check_integer
+from .fock import MAX_DARK_PHOTONS, MAX_SWEEP_ENTRIES, PureState, check_finite, check_integer, check_tolerance
 
 UNITARITY_TOL = 1e-9
 # largest photon count multimode_lift accepts: the worst unitarity defect of the lift of a unitary
@@ -102,9 +102,7 @@ def _lift(u, photon_count: int, unitary: bool) -> np.ndarray:
         raise ValueError("u has non-finite entries")
     check_integer("photon_count", photon_count, 1 if unitary else 0, MAX_LIFT_PHOTONS)
     if unitary:
-        defect = _unitarity_defect(u00, u10, u01, u11)
-        if not defect <= UNITARITY_TOL:
-            raise ValueError(f"input matrix is not unitary (defect {defect:.3e})")
+        check_tolerance("unitarity defect of u", _unitarity_defect(u00, u10, u01, u11), UNITARITY_TOL)
     q = photon_count + 1
     index, weights, starts = _lift_terms(int(photon_count))
     powers = u[..., None] ** _EXPONENTS[:q]  # powers[i, j, n] = u_ij^n

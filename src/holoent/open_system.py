@@ -65,7 +65,7 @@ import numpy as np
 from .entanglement import DensityMatrix, _require_bipartite, _transpose_mode, negativity_bits, trace_norm
 # partial_transpose is re-exported: benchmark tracing wraps it through this binding
 from .entanglement import partial_transpose  # noqa: F401
-from .fock import MEMORY_BUDGET_BYTES, check_finite, check_integer
+from .fock import MEMORY_BUDGET_BYTES, check_finite, check_integer, check_tolerance
 
 STEP_SIZE_GUARD = 0.01
 # lower bound on the summed negative eigenvalues of rho0, which bound those of every rho(t)
@@ -103,11 +103,7 @@ class LossConfig:
         if self.t_max <= 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         check_integer("steps", self.steps, 1, MAX_LOSS_STEPS)
-        if self.t_max / self.steps > STEP_SIZE_GUARD + 1e-15:
-            raise ValueError(
-                f"sampling-density guard violated: gamma*dt = {self.t_max / self.steps:.4g} "
-                f"exceeds {STEP_SIZE_GUARD}; increase steps"
-            )
+        check_tolerance("sampling step gamma*dt", self.t_max / self.steps, STEP_SIZE_GUARD + 1e-15)
 
 
 @dataclass(frozen=True)
@@ -217,12 +213,9 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
     this one check bounds every sample.
     """
     table, photon_number = _damping_table(rho0)
-    negative_mass = np.minimum(np.linalg.eigvalsh(rho0.matrix), 0.0).sum()
-    if not negative_mass >= POSITIVITY_ABORT:
-        raise IntegrationError(
-            f"the initial state is not positive semidefinite: its negative eigenvalues sum to "
-            f"{negative_mass:.3e}, below {POSITIVITY_ABORT}"
-        )
+    negative_mass = -np.minimum(np.linalg.eigvalsh(rho0.matrix), 0.0).sum()
+    check_tolerance("negative eigenvalue mass of the initial state", negative_mass, -POSITIVITY_ABORT,
+                    IntegrationError)
     flat, pair_photons, groups, diagonal_entries = _coherence_blocks(table, photon_number, rho0.dims)
     initial_photons = float(photon_number @ np.diagonal(rho0.matrix).real)
 

@@ -467,6 +467,20 @@ class TestTransferCache:
             propagate_single_photon(strong)
         assert cf4_steps == 2 * [136, 272, 544]
 
+    def test_abort_edge(self, cf4_steps, monkeypatch):
+        # the estimate cannot be chosen, so the bound moves onto it: it passes there and fails one float under
+        strong = strong_pulse_schedule()
+        u136, u272, u544 = (_cf4_transfer(strong, n) for n in (136, 272, 544))
+        estimate = np.abs(extrapolant(u544, u272) - extrapolant(u272, u136)).max() / 63.0
+        monkeypatch.setattr(adiabatic, "STEP_ERROR_ABORT", estimate)
+        propagate_single_photon(strong)
+        adiabatic.propagate_single_photon.cache_clear()
+        below = math.nextafter(estimate, 0.0)
+        monkeypatch.setattr(adiabatic, "STEP_ERROR_ABORT", below)
+        message = rf"^step-doubling error estimate {estimate:.3e} exceeds {below:g}$"
+        with pytest.raises(IntegrationError, match=message):
+            propagate_single_photon(strong)
+
     def test_entries_stay_within_the_bound(self):
         adiabatic.propagate_single_photon.cache_clear()
         for steps in range(320, 320 + TRANSFER_CACHE_ENTRIES + 5):

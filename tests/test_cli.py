@@ -670,6 +670,22 @@ class TestCliBasics:
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout == "[]\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["volume", "--points=0"], f"--points must be in [8, {MAX_SWEEP_ENTRIES}], got 0"),
+            (["loss", "--steps=0"], f"--steps must be in [1, {MAX_LOSS_STEPS}], got 0"),
+            # checked before the schedule is read: the path does not exist
+            (["diabatic", "--schedule=missing.json", "--scan-points=1"],
+             f"--scan-points must be in [2, {cli.MAX_SCAN_POINTS}], got 1"),
+        ],
+    )
+    def test_integer_option_is_checked_first_and_named(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_console_output_defaults_to_stdout(self):
         cp = run_cli("sweep", "--input", "1,0", "--photons", "1", "--points", "8")
         assert cp.returncode == 0

@@ -1,18 +1,33 @@
+import ast
+import inspect
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holoent.adiabatic import BOUNDARY_DECAY, CouplingProfile, PulseSchedule, ScheduleError
+from holoent.entanglement import (
+    HERMITICITY_TOL,
+    NEGATIVE_EIGENVALUE_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    von_neumann_entropy_bits,
+)
 from holoent.fock import (
+    NORM_TOL,
     OccupationState,
     PureState,
     basis_state,
+    check_tolerance,
     dark_basis,
     occupation_basis,
 )
+from holoent.holonomy import UNITARITY_TOL, fock_lift
+from holoent.open_system import POSITIVITY_ABORT, STEP_SIZE_GUARD, IntegrationError, LossConfig, evolve
 from loss_oracle import identity_operator, lowering_operator, two_mode_embed
 
 
@@ -177,3 +192,138 @@ class TestStates:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             PureState(dark_basis(2), np.array([1.0, 0.0]))
+
+
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "holoent"
+# every tolerance a library check raises on; PAIR_ERROR_TOL only selects trace_norm's fallback
+TOLERANCES = {"NORM_TOL", "HERMITICITY_TOL", "TRACE_TOL", "NEGATIVE_EIGENVALUE_TOL", "UNITARITY_TOL",
+              "BOUNDARY_DECAY", "STEP_ERROR_ABORT", "POSITIVITY_ABORT", "STEP_SIZE_GUARD"}
+
+
+def one_plus_edge(tol: float) -> tuple[float, float]:
+    """The largest float x with x - 1 <= tol, and the float after it."""
+    x = 1.0 + tol
+    while x - 1.0 > tol:
+        x = math.nextafter(x, 0.0)
+    return x, math.nextafter(x, math.inf)
+
+
+class TestCheckTolerance:
+    """check_tolerance is the one check of a value against its tolerance: value <= bound, NaN fails."""
+
+    @pytest.mark.parametrize("bound", [0.0, 1e-12, 1e-6, 0.01 + 1e-15, 7.5])
+    def test_the_bound_passes_and_the_next_float_fails(self, bound):
+        check_tolerance("defect", bound, bound)
+        above = math.nextafter(bound, math.inf)
+        with pytest.raises(ValueError) as info:
+            check_tolerance("defect", above, bound)
+        assert str(info.value) == f"defect {above:.3e} exceeds {bound:g}"
+
+    @pytest.mark.parametrize("value, shown", [(math.nan, "nan"), (math.inf, "inf"), (np.float64(math.nan), "nan")])
+    def test_non_finite_values_fail(self, value, shown):
+        with pytest.raises(ValueError, match=rf"^defect {shown} exceeds 1e-09$"):
+            check_tolerance("defect", value, 1e-9)
+
+    @pytest.mark.parametrize("error", [ValueError, IntegrationError, ScheduleError])
+    def test_raises_the_class_it_is_given(self, error):
+        with pytest.raises(error) as info:
+            check_tolerance("defect", 1.0, 0.5, error)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("name, value, bound", [("trace defect", 2.5e-10, 1e-10), ("x", 12345.678, 0.01 + 1e-15)])
+    def test_message(self, name, value, bound):
+        with pytest.raises(ValueError) as info:
+            check_tolerance(name, value, bound)
+        assert str(info.value) == f"{name} {value:.3e} exceeds {bound:g}"
+
+    def test_pure_state_norm(self):
+        at, above = one_plus_edge(NORM_TOL)
+        PureState(dark_basis(0), np.array([at]))
+        with pytest.raises(ValueError, match=rf"^state norm defect {above - 1.0:.3e} exceeds 1e-12$"):
+            PureState(dark_basis(0), np.array([above]))
+
+    def test_density_matrix_hermiticity(self):
+        def skewed(defect):
+            return DensityMatrix(np.array([[1.0, defect], [0.0, 0.0]]), (2,))
+
+        skewed(HERMITICITY_TOL)
+        with pytest.raises(ValueError, match=r"^Hermiticity defect 1\.000e-10 exceeds 1e-10$"):
+            skewed(math.nextafter(HERMITICITY_TOL, math.inf))
+
+    def test_density_matrix_trace(self):
+        at, above = one_plus_edge(TRACE_TOL)
+        DensityMatrix(np.diag([at, 0.0]), (2,))
+        with pytest.raises(ValueError, match=rf"^trace defect {above - 1.0:.3e} exceeds 1e-10$"):
+            DensityMatrix(np.diag([above, 0.0]), (2,))
+
+    def test_negative_eigenvalue(self):
+        def entropy(depth):
+            return von_neumann_entropy_bits(DensityMatrix(np.diag([1.0 + depth, -depth]), (2,)))
+
+        entropy(NEGATIVE_EIGENVALUE_TOL)
+        message = r"^negated lowest eigenvalue of the density matrix 1\.000e-09 exceeds 1e-09$"
+        with pytest.raises(ValueError, match=message):
+            entropy(math.nextafter(NEGATIVE_EIGENVALUE_TOL, math.inf))
+
+    def test_lift_unitarity(self):
+        # the row overlap of [[1, 0], [c, 1]] is c; the row norms round to 1
+        fock_lift(np.array([[1.0, 0.0], [UNITARITY_TOL, 1.0]]), 3)
+        with pytest.raises(ValueError, match=r"^unitarity defect of u 1\.000e-09 exceeds 1e-09$"):
+            fock_lift(np.array([[1.0, 0.0], [math.nextafter(UNITARITY_TOL, math.inf), 1.0]]), 3)
+
+    def test_pulse_schedule_facet_coupling(self):
+        # the first float z past the centre where the unscaled coupling is within BOUNDARY_DECAY * peak
+        east = CouplingProfile(peak=3.0, center=0.0, sigma=1.0)
+        far = CouplingProfile(peak=1.0, center=1e6, sigma=1.0)
+        dark = math.sqrt(-2.0 * math.log(BOUNDARY_DECAY))  # about where exp(-z^2 / 2) = BOUNDARY_DECAY
+        while east.value(dark) <= BOUNDARY_DECAY * east.peak:
+            dark = math.nextafter(dark, 0.0)
+        while east.value(dark) > BOUNDARY_DECAY * east.peak:
+            dark = math.nextafter(dark, math.inf)
+        bright = math.nextafter(dark, 0.0)
+        PulseSchedule(east, far, far, (-10.0, dark), steps=64)
+        message = rf"^east coupling at the facet z = {bright} {east.value(bright):.3e} exceeds 3e-06$"
+        with pytest.raises(ScheduleError, match=message):
+            PulseSchedule(east, far, far, (-10.0, bright), steps=64)
+
+    def test_initial_positivity(self):
+        # diag(1 + 2 eps, -eps, -eps): negative eigenvalue mass 2 eps, exactly 1e-6 at eps = 5e-7
+        def evolve_edge(eps):
+            rho0 = DensityMatrix(np.diag([1.0 + 2.0 * eps, -eps, -eps]), (3, 1))
+            return evolve(rho0, LossConfig(t_max=1.0, steps=100))
+
+        assert -2.0 * 5e-7 == POSITIVITY_ABORT
+        evolve_edge(5e-7)
+        message = r"^negative eigenvalue mass of the initial state 1\.000e-06 exceeds 1e-06$"
+        with pytest.raises(IntegrationError, match=message):
+            evolve_edge(math.nextafter(5e-7, math.inf))
+
+    def test_loss_sampling_step(self):
+        bound = STEP_SIZE_GUARD + 1e-15
+        LossConfig(t_max=4.0 * bound, steps=4)
+        with pytest.raises(ValueError, match=r"^sampling step gamma\*dt 1\.000e-02 exceeds 0\.01$"):
+            LossConfig(t_max=4.0 * math.nextafter(bound, math.inf), steps=4)
+
+    def test_takes_no_message_advice_or_recorder(self):
+        assert list(inspect.signature(check_tolerance).parameters) == ["name", "value", "bound", "error"]
+
+    def test_every_tolerance_is_read_only_by_check_tolerance(self):
+        # a new inline `value <= TOL` check would read its constant outside a check_tolerance call
+        inside, outside = set(), []
+        for path in sorted(SOURCES.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = {
+                id(node)
+                for call in ast.walk(tree)
+                if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "check_tolerance"
+                for arg in call.args + [keyword.value for keyword in call.keywords]
+                for node in ast.walk(arg)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and node.id in TOLERANCES and isinstance(node.ctx, ast.Load):
+                    if id(node) in allowed:
+                        inside.add(node.id)
+                    else:
+                        outside.append(f"{path.name}:{node.lineno} reads {node.id}")
+        assert outside == []
+        assert inside == TOLERANCES

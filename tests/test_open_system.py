@@ -483,7 +483,8 @@ class TestDampingChannel:
 
     def test_positivity_abort_names_the_initial_state(self):
         m = np.diag([1.0 + 1e-5, -1e-5] + [0.0] * 7).astype(complex)
-        with pytest.raises(IntegrationError, match="initial state is not positive semidefinite"):
+        message = r"^negative eigenvalue mass of the initial state 1\.000e-05 exceeds 1e-06$"
+        with pytest.raises(IntegrationError, match=message):
             evolve(DensityMatrix(m, (3, 3)), LossConfig(t_max=1.0, steps=100))
 
 
@@ -541,7 +542,8 @@ class TestInitialPositivityCheck:
     def test_edge_pins(self, eps, aborts):
         cfg = LossConfig(t_max=1.0, steps=100)
         if aborts:
-            with pytest.raises(IntegrationError, match="initial state is not positive semidefinite"):
+            message = r"^negative eigenvalue mass of the initial state 1\.800e-06 exceeds 1e-06$"
+            with pytest.raises(IntegrationError, match=message):
                 evolve(edge_state(eps), cfg)
         else:
             assert evolve(edge_state(eps), cfg).trace_error.max() < 1e-12
