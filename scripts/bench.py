@@ -49,6 +49,9 @@ from holoent.open_system import LossConfig, bell_qutrit_state, evolve  # noqa: E
 
 L2_SEED = 1
 L2_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+# Bell-qutrit blocks in the trace_norm row: a fixed batch, the loss chunk of BENCH_17 to BENCH_28,
+# so that the row keeps its name and its work when open_system.CHUNK_SAMPLES changes
+TRACE_NORM_BLOCKS = 256
 
 
 def cold(fn):
@@ -66,13 +69,13 @@ def command(argv: list[str], output: Path):
     return call
 
 
-def first_chunk_blocks(rho0: DensityMatrix) -> np.ndarray:
-    """The largest coherence blocks of rho0's first CHUNK_SAMPLES samples at the default loss
+def first_blocks(rho0: DensityMatrix) -> np.ndarray:
+    """The largest coherence blocks of rho0's first TRACE_NORM_BLOCKS samples at the default loss
     spacing, shaped as `evolve` hands them to `trace_norm`."""
     flat, pair_photons, groups, _ = open_system._coherence_blocks(*open_system._damping_table(rho0), rho0.dims)
     index, entries = groups[-1]
     cfg = LossConfig()
-    samples = open_system._sample(flat, pair_photons, np.arange(open_system.CHUNK_SAMPLES) * (cfg.t_max / cfg.steps))
+    samples = open_system._sample(flat, pair_photons, np.arange(TRACE_NORM_BLOCKS) * (cfg.t_max / cfg.steps))
     return samples[:, entries].reshape((len(samples),) + index.shape + index.shape[-1:])
 
 
@@ -87,7 +90,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
     # the Bell qutrit after the local phase i^n on the east mode: same trajectory, complex table
     east_phase = np.kron(np.diag([1.0, 1.0j, -1.0]), np.eye(3))
     rotated_bell = DensityMatrix(east_phase @ bell.matrix @ east_phase.conj().T, bell.dims)
-    bell_blocks = first_chunk_blocks(bell)  # (256, 1, 3, 3) float64
+    bell_blocks = first_blocks(bell)  # (TRACE_NORM_BLOCKS, 1, 3, 3) float64
     holonomic = density_from_pure(
         holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
     )
@@ -110,7 +113,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L0", "multimode_lift P=6", lambda: holonomy.multimode_lift(facet, 6)),
         ("L0", "multimode_lift P=42", lambda: holonomy.multimode_lift(facet, holonomy.MAX_LIFT_PHOTONS)),
         ("L0", "entropy_at_phase P=6", lambda: holonomy.entropy_at_phase(0.3, 6, 3)),
-        ("L0", f"trace_norm, {open_system.CHUNK_SAMPLES} Bell-qutrit 3x3 blocks", lambda: trace_norm(bell_blocks)),
+        ("L0", f"trace_norm, {TRACE_NORM_BLOCKS} Bell-qutrit 3x3 blocks", lambda: trace_norm(bell_blocks)),
         ("L1", "max_entropy_over_phase(2, 1)", lambda: holonomy.max_entropy_over_phase(2, 1)),
         ("L1", "max_entropy_over_phase(6, 3)", lambda: holonomy.max_entropy_over_phase(6, 3)),
         ("L1", "fit_rotation_phase P=1", lambda: adiabatic.fit_rotation_phase(rotation, 1)),

@@ -8,7 +8,8 @@ A dataset command hands `_emit` its table as columns, not rows: an ordered
 mapping from column name to a 1-D float array, a constant string, or a short
 sequence of per-row text cells. Each format renders a table through one row
 template (for CSV, such as "%.12g,%.12g,..." with its text quoted once by the
-csv rules), ROW_BLOCK rows at a time, straight into the output file.
+csv rules), ROW_BLOCK rows at a time, straight into the output file. A block of rows is one
+`%` call: the template repeated once per row, filled from one flat tuple of the block's cells.
 
 Argparse only turns option text into an int or a float. Every integer option is checked first,
 by the command's own `check_integer`, which names it ("--photons must be in [0, 1023], got 1024");
@@ -31,6 +32,7 @@ import math
 import os
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -83,21 +85,23 @@ def _json_number(value: float) -> str:
 
 
 def _row_blocks(columns: dict, number, text):
-    """Row tuples of the per-row cells, ROW_BLOCK rows at a time: number(x) per float (x if number
-    is None), text(cell) per text cell. Constant strings are left to the row template."""
+    """The row count and the per-row cells, row after row in one tuple, of each block of ROW_BLOCK
+    rows: number(x) per float (x if number is None), text(cell) per text cell. Constant strings
+    are left to the row template."""
     varying = [column for column in columns.values() if not isinstance(column, str)]
     for start in range(0, len(varying[0]), ROW_BLOCK):
         block = [column[start : start + ROW_BLOCK] for column in varying]
-        yield zip(*(map(text, cells) if not isinstance(cells, np.ndarray) else
-                    cells.tolist() if number is None else map(number, cells.tolist()) for cells in block))
+        yield len(block[0]), tuple(chain.from_iterable(zip(*(
+            map(text, cells) if not isinstance(cells, np.ndarray) else
+            cells.tolist() if number is None else map(number, cells.tolist()) for cells in block))))
 
 
 def _render_csv(columns: dict):
     yield _csv_line(columns)
     template = _csv_line(FLOAT_CELL if isinstance(column, np.ndarray) else column.replace("%", "%%")
                          if isinstance(column, str) else "%s" for column in columns.values())
-    for rows in _row_blocks(columns, None, _csv_cell):
-        yield "".join(map(template.__mod__, rows))
+    for count, cells in _row_blocks(columns, None, _csv_cell):
+        yield (template * count) % cells
 
 
 def _render_json(columns: dict):
@@ -108,8 +112,8 @@ def _render_json(columns: dict):
         for name, column in columns.items()
     ) + "\n  }"
     opening = "[\n"
-    for rows in _row_blocks(columns, _json_number, json.dumps):
-        yield opening + ",\n".join(map(template.__mod__, rows))
+    for count, cells in _row_blocks(columns, _json_number, json.dumps):
+        yield opening + ",\n".join([template] * count) % cells
         opening = ",\n"
     yield "[]\n" if opening == "[\n" else "\n]\n"
 

@@ -218,23 +218,23 @@ PHASE_ROUNDING = 16.0 * np.finfo(float).eps
 PAIR_ERROR_TOL = 3e-15
 
 
-def _trace_norm_3x3(matrices: np.ndarray) -> np.ndarray:
-    """`trace_norm` of 3x3 Hermitian matrices: the closed form of its docstring, eigvalsh where that fails."""
-    flat = matrices.reshape(-1, 9)  # a single matrix too, so that the fallback can assign into the batch
-    lower = flat.T[_LOWER_3X3]
+def _invariants_3x3(flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The scale s of 3x3 Hermitian matrices, one per row of `flat` (shape (n, 9), row-major), and
+    tr A, m, p and r of `trace_norm`'s docstring for each matrix A divided by its s."""
+    lower = flat.T[_LOWER_3X3]  # a copy, so it is divided by the scale in place
     # u, v, w are the entries (1, 0), (2, 0), (2, 1); cross is Re(u w conj(v)). A real matrix skips
     # the imaginary terms, which add zeros to the same products when it is held as complex
     if np.iscomplexobj(lower):
         scale = np.maximum(np.abs(lower.real).max(axis=0), np.abs(lower.imag[3:]).max(axis=0))
         unit = np.where(scale > 0.0, scale, 1.0)  # a zero matrix stays zero
-        a0, a1, a2, ur, vr, wr = lower.real / unit
-        ui, vi, wi = lower.imag[3:] / unit
+        a0, a1, a2, ur, vr, wr = np.divide(lower.real, unit, out=lower.real)
+        ui, vi, wi = np.divide(lower.imag[3:], unit, out=lower.imag[3:])
         uu, vv, ww = ur * ur + ui * ui, vr * vr + vi * vi, wr * wr + wi * wi
         cross = ur * (wr * vr + wi * vi) + ui * (wr * vi - wi * vr)
     else:
         scale = np.abs(lower).max(axis=0)
         unit = np.where(scale > 0.0, scale, 1.0)
-        a0, a1, a2, ur, vr, wr = lower / unit
+        a0, a1, a2, ur, vr, wr = np.divide(lower, unit, out=lower)
         uu, vv, ww = ur * ur, vr * vr, wr * wr
         cross = ur * (wr * vr)
     trace = a0 + a1 + a2
@@ -245,6 +245,16 @@ def _trace_norm_3x3(matrices: np.ndarray) -> np.ndarray:
     det = d0 * d1 * d2 - d0 * ww - d1 * vv - d2 * uu + 2.0 * cross
     # where 2 p^3 is below tiny, every eigenvalue is within 2p < 1e-102 of m, whatever r reads
     r = np.clip(det / np.maximum(2.0 * p2 * p, np.finfo(float).tiny), -1.0, 1.0)
+    return scale, trace, mean, p, r
+
+
+def _trace_norm_3x3(matrices: np.ndarray) -> np.ndarray:
+    """`trace_norm` of 3x3 Hermitian matrices: the closed form of its docstring, eigvalsh where that fails.
+
+    The invariants come from `_invariants_3x3`, whose intermediates die when it returns, so they
+    are never held beside the spectrum's."""
+    flat = matrices.reshape(-1, 9)  # a single matrix too, so that the fallback can assign into the batch
+    scale, trace, mean, p, r = _invariants_3x3(flat)
     phi = np.arccos(r) / 3.0
     top = mean + 2.0 * p * np.cos(phi)
     bottom = mean + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)

@@ -72,12 +72,16 @@ STEP_SIZE_GUARD = 0.01
 POSITIVITY_ABORT = -1e-6
 # sample times evaluated per batch; bounds the working memory of evolve, which holds per
 # sample the blocks of the partial transpose: 19 entries for the Bell qutrit, 15 for the
-# holonomic state, against 81 for the whole 9x9 matrix
-CHUNK_SAMPLES = 256
+# holonomic state, against 81 for the whole 9x9 matrix. The default 1001 samples take two
+# passes. On the Bell qutrit at 2 x 512 samples, evolve's tracemalloc peak is 213 791 bytes
+# under numpy 2.4.6, 82 % of the 256 KiB its test allows; one pass would not fit, as the
+# samples and their scaling alone take 304 bytes per sample
+CHUNK_SAMPLES = 512
 # upper bound on steps: the memory budget at 1024 bytes per sample. One `holoent loss`
 # run holds four float64 arrays for each of its two trajectories and one more column,
 # and renders its table a block of rows at a time; its tracemalloc peak grows by about
-# 80 bytes per sample (79.8 between 16 000 and 65 535 steps), so the bound leaves ample headroom
+# 80 bytes per sample (79.8 between 16 000 and 65 535 steps at CHUNK_SAMPLES = 512), so the
+# bound leaves ample headroom
 MAX_LOSS_STEPS = MEMORY_BUDGET_BYTES // 1024 - 1
 
 
@@ -177,6 +181,10 @@ def _sample(table: np.ndarray, pair_photons: np.ndarray, gamma_t: np.ndarray) ->
     in x runs by Horner's rule, one elementwise pass per degree, so a sample does not depend
     on the other times in its batch (a BLAS product's rounding can depend on the batch
     length). Entry (i, j) is then scaled once, by exp(-gamma t (N_i + N_j) / 2).
+
+    The products gamma t (N_i + N_j) come from einsum, not from a broadcast multiply: under
+    numpy 2.4.6 a broadcast multiply into a (256, 19) result allocates iterator buffers of about
+    79 000 bytes beside its 38 912 (up to 64 KiB per broadcast operand), which einsum does not.
     """
     gamma_t = np.asarray(gamma_t, dtype=float)
     x = -np.expm1(-gamma_t).reshape(gamma_t.shape + (1,) * (table.ndim - 1))
@@ -185,7 +193,8 @@ def _sample(table: np.ndarray, pair_photons: np.ndarray, gamma_t: np.ndarray) ->
     for coefficient in table[-2::-1]:
         rho *= x
         rho += coefficient
-    scale = np.multiply.outer(gamma_t, pair_photons)
+    scale = np.einsum("...,j->...j", gamma_t, pair_photons.ravel().astype(float))
+    scale = scale.reshape(gamma_t.shape + pair_photons.shape)
     scale *= -0.5
     rho *= np.exp(scale, out=scale)
     return rho
@@ -241,6 +250,7 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
         else:
             population[chunk] = 0.0
         trace_error[chunk] = np.abs(diagonal.sum(axis=-1) - 1.0)
+        del samples, blocks, norm, diagonal  # so the next chunk is sampled beside none of this one
 
     # the time grid is built last and in place, so the chunk loop's peak memory grows only by
     # the three arrays it fills and no integer grid is ever held

@@ -458,6 +458,38 @@ class TestDampingChannel:
         # per extra sample, the peak grows by no more than the 32 bytes of the four returned arrays
         assert large - small <= 32 * 14 * CHUNK_SAMPLES
 
+    def test_second_chunk_adds_only_its_output_rows(self, monkeypatch):
+        def peak_bytes(samples: int) -> int:
+            cfg = LossConfig(t_max=1.0, steps=samples - 1)
+            tracemalloc.start()
+            try:
+                evolve(bell_qutrit_state(), cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(open_system, "CHUNK_SAMPLES", 256)
+        evolve(bell_qutrit_state(), LossConfig(t_max=1.0, steps=100))  # first-use allocations
+        one, two = peak_bytes(256), peak_bytes(512)
+        # 243 279 bytes when each chunk's arrays outlived it and the scaling was a broadcast multiply
+        assert two <= 128 * 1024
+        # the second chunk adds its rows of the three float64 outputs, not a second chunk's arrays
+        assert two - one <= 24 * 256 + 4096
+
+    @pytest.mark.parametrize("make_state", [bell_qutrit_state, me_density, rotated_bell_qutrit])
+    def test_trajectory_does_not_depend_on_the_chunk(self, monkeypatch, make_state):
+        # 1101 samples: every chunking but the first ends on a short chunk
+        cfg = LossConfig(t_max=11.0, steps=1100)
+        trajectories = []
+        for chunk in (1, 7, 256, 1001):
+            monkeypatch.setattr(open_system, "CHUNK_SAMPLES", chunk)
+            trajectories.append(evolve(make_state(), cfg))
+        for traj in trajectories[1:]:
+            assert np.array_equal(traj.negativity, trajectories[0].negativity)
+            # the population goes through a BLAS product, whose rounding can depend on the batch
+            for field in ("single_photon_population", "trace_error"):
+                assert np.abs(getattr(traj, field) - getattr(trajectories[0], field)).max() <= 1e-15
+
     @settings(max_examples=80, deadline=None)
     @given(psd_states(), loss_times)
     def test_matches_kraus_sum_over_dims_and_times(self, rho0, gamma_t):
