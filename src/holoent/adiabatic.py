@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import check_finite, check_integer, check_tolerance
+from .fock import check_finite, check_integer, check_positive, check_tolerance
 from .holonomy import MAX_LIFT_PHOTONS, RotationFamily, _phase_max, multimode_lift
 from .open_system import IntegrationError
 
@@ -91,13 +91,9 @@ class CouplingProfile:
     sigma: float
 
     def __post_init__(self) -> None:
-        for field in ("peak", "center", "sigma"):
-            check_finite(field, getattr(self, field), ScheduleError)
+        for field, check in (("peak", check_positive), ("center", check_finite), ("sigma", check_positive)):
+            check(field, getattr(self, field), ScheduleError)
             object.__setattr__(self, field, float(getattr(self, field)))
-        if self.peak <= 0:
-            raise ScheduleError(f"peak coupling must be positive, got {self.peak}")
-        if self.sigma <= 0:
-            raise ScheduleError(f"sigma must be positive, got {self.sigma}")
 
     def value(self, z):
         with np.errstate(over="ignore"):  # far from the centre the Gaussian is meant to underflow to 0
@@ -146,9 +142,7 @@ class PulseSchedule:
 
     def dilate(self, scale: float) -> "PulseSchedule":
         """Stretch every length scale by `scale`, leaving peak couplings fixed."""
-        check_finite("scale", scale, ScheduleError)
-        if scale <= 0:
-            raise ScheduleError("scale must be positive")
+        check_positive("scale", scale, ScheduleError)
 
         def stretch(p: CouplingProfile) -> CouplingProfile:
             return CouplingProfile(p.peak, p.center * scale, p.sigma * scale)
@@ -337,7 +331,7 @@ def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarra
     facet = transfer[np.ix_([MODE_EAST, MODE_WEST], [MODE_EAST, MODE_WEST])]
     block = multimode_lift(facet, photon_count)
     smallest = np.linalg.svd(facet, compute_uv=False)[-1]
-    leakage = max(0.0, 1.0 - float(smallest) ** (2 * photon_count))
+    leakage = max(1.0 - float(smallest) ** (2 * photon_count), 0.0)  # max keeps a NaN only as its first argument
     return block, leakage
 
 
@@ -384,9 +378,7 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
 
 def lz_error(omega_t: float) -> float:
     """Landau-Zener style single-photon diabatic error estimate exp(-sqrt(2)*Omega*T)."""
-    check_finite("omega_t", omega_t)
-    if omega_t <= 0:
-        raise ValueError(f"omega_t must be positive, got {omega_t}")
+    check_positive("omega_t", omega_t)
     return math.exp(-math.sqrt(2.0) * omega_t)
 
 

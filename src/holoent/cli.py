@@ -13,7 +13,8 @@ csv rules), ROW_BLOCK rows at a time, straight into the output file. A block of 
 
 Argparse only turns option text into an int or a float. Every integer option is checked first,
 by the command's own `check_integer`, which names it ("--photons must be in [0, 1023], got 1024");
-each other value is checked by the library function it reaches. A value that fails exits 2 with
+the upper bound of --points, `fock.max_sweep_points`, depends on the photon count checked before
+it. Each other value is checked by the library function it reaches. A value that fails exits 2 with
 `error: ...` on stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 unwritable output path,
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adiabatic, entanglement, holonomy, open_system
+from . import adiabatic, entanglement, fock, holonomy, open_system
 from .fock import MAX_DARK_PHOTONS, MEMORY_BUDGET_BYTES, OccupationState, basis_state, check_integer, dark_basis
 
 # pulse area at which the analytic single-photon diabatic error is 4%
@@ -190,8 +191,7 @@ def _sweep_phases(points: int) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     check_integer("--photons", args.photons, 1, holonomy.MAX_LIFT_PHOTONS)
-    check_integer("--points", args.points, 1, holonomy.MAX_SWEEP_ENTRIES)
-    holonomy.check_sweep_size(args.photons, args.points)
+    check_integer("--points", args.points, 1, fock.max_sweep_points(args.photons))
     index = _parse_input_label(args.input, args.photons)
     phis = _sweep_phases(args.points)
     populations = np.abs(_sweep_amplitudes(phis, args.photons, index))  # the peak holds one such table
@@ -216,8 +216,7 @@ def cmd_loss(args) -> int:
 
 def cmd_volume(args) -> int:
     check_integer("--max-photons", args.max_photons, 1, 6)  # a desk-scale guard
-    check_integer("--points", args.points, 8, holonomy.MAX_SWEEP_ENTRIES)
-    holonomy.check_sweep_size(args.max_photons, args.points)
+    check_integer("--points", args.points, 8, fock.max_sweep_points(args.max_photons))
     rows = []
     for photons in range(1, args.max_photons + 1):
         dimension = photons + 1

@@ -5,8 +5,8 @@ Basis ordering is fixed (descending east occupation) so that matrices written
 in the dark basis have a single, unambiguous row/column convention.
 
 It also owns the dark-sector bounds and the rules every module applies where a value enters or a
-result is certified: `check_integer`, the one check of any count (photon counts too), index or
-step; `check_finite` for reals; `check_tolerance`, the one check of a value against its tolerance.
+result is certified: `check_integer`, the one check of any count (photon counts and sizes too), index or
+step; `check_finite` for reals; `check_positive` for positive reals; `check_tolerance` against a tolerance.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ MAX_SWEEP_ENTRIES = MEMORY_BUDGET_BYTES // 64
 MAX_DARK_PHOTONS = math.isqrt(MAX_SWEEP_ENTRIES) - 1
 
 
+def max_sweep_points(photon_count: int) -> int:
+    """The most points of a sweep at photon_count photons: (points + P + 1) * (P + 1) <= MAX_SWEEP_ENTRIES."""
+    return MAX_SWEEP_ENTRIES // (photon_count + 1) - photon_count - 1
+
+
 def check_integer(name: str, value, lowest, highest, error: type[ValueError] = ValueError) -> None:
     """Raise `error` naming `name` unless value is an int or numpy integer (not a bool) in [lowest, highest]."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -45,6 +50,13 @@ def check_finite(name: str, value, error: type[ValueError] = ValueError) -> None
         finite = False
     if not finite:
         raise error(f"{name} must be finite, got {value!r}")
+
+
+def check_positive(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` naming `name` unless value passes `check_finite` and is above zero."""
+    check_finite(name, value, error)
+    if not value > 0:
+        raise error(f"{name} must be positive, got {value}")
 
 
 def check_tolerance(name: str, value, bound, error: type[Exception] = ValueError) -> None:
@@ -131,9 +143,8 @@ def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...
 
     check_integer("photon_count", photon_count, 0, MAX_DARK_PHOTONS)
     check_integer("mode_count", mode_count, 1, MAX_DARK_PHOTONS)
-    if math.comb(photon_count + mode_count - 1, photon_count) * mode_count > MAX_SWEEP_ENTRIES:
-        raise ValueError(f"{photon_count} photons in {mode_count} modes exceed the bound {MAX_SWEEP_ENTRIES} "
-                         "on occupation entries")
+    check_integer(f"occupation entries of {photon_count} photons in {mode_count} modes",
+                  math.comb(photon_count + mode_count - 1, photon_count) * mode_count, 0, MAX_SWEEP_ENTRIES)
     return tuple(_generate(photon_count, mode_count))
 
 

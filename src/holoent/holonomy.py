@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import entanglement
-from .fock import MAX_DARK_PHOTONS, MAX_SWEEP_ENTRIES, PureState, check_finite, check_integer, check_tolerance
+from .fock import MAX_DARK_PHOTONS, PureState, check_finite, check_integer, check_tolerance, max_sweep_points
 
 UNITARITY_TOL = 1e-9
 # largest photon count multimode_lift accepts: the worst unitarity defect of the lift of a unitary
@@ -137,8 +137,9 @@ def _unitarity_defect(u00: complex, u10: complex, u01: complex, u11: complex) ->
     norm0 = u00 * u00.conjugate() + u01 * u01.conjugate()
     norm1 = u10 * u10.conjugate() + u11 * u11.conjugate()
     overlap = u00 * u10.conjugate() + u01 * u11.conjugate()
-    # math.hypot gives inf where abs() of a complex with finite parts raises OverflowError
-    return max(abs(norm0 - 1.0), abs(norm1 - 1.0), math.hypot(overlap.real, overlap.imag))
+    # the overlap reads every entry, so it is NaN whenever a norm is; it goes first, as max keeps a NaN
+    # only as its first argument. math.hypot gives inf where abs() of a complex with finite parts overflows
+    return max(math.hypot(overlap.real, overlap.imag), abs(norm0 - 1.0), abs(norm1 - 1.0))
 
 
 def fock_lift(u2: np.ndarray, photon_count: int) -> np.ndarray:
@@ -216,13 +217,6 @@ def _check_score(values: np.ndarray, phis: np.ndarray) -> None:
         raise ValueError(f"the phase search's score is not finite at phase {float(phis[bad[0]])!r}")
 
 
-def check_sweep_size(photon_count: int, points: int) -> None:
-    """Reject a sweep whose (points + P + 1) * (P + 1) exceeds MAX_SWEEP_ENTRIES."""
-    if (points + photon_count + 1) * (photon_count + 1) > MAX_SWEEP_ENTRIES:
-        raise ValueError(f"{points} points at {photon_count} photons: the sweep's entries exceed the bound "
-                         f"{MAX_SWEEP_ENTRIES}")
-
-
 class RotationFamily:
     """lift(R(phi)) on dark_basis(P) for every phase phi, in spectral form.
 
@@ -280,9 +274,8 @@ def max_entropy_over_phase(
     g(p) = -w(p) p log2 p, w from `entanglement.floor_ramp`, S' = sum g'(p) p' and
     S'' = sum (g''(p) p'^2 + g'(p) p''); populations at or below EIGENVALUE_FLOOR contribute nothing.
     """
-    check_integer("points", points, 8, MAX_SWEEP_ENTRIES)
-    check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)  # before check_sweep_size's arithmetic
-    check_sweep_size(photon_count, points)
+    check_integer("photon_count", photon_count, 1, MAX_DARK_PHOTONS)  # before max_sweep_points' arithmetic
+    check_integer("points", points, 8, max_sweep_points(photon_count))
     family = RotationFamily(photon_count)
 
     def entropies(phis):

@@ -65,7 +65,7 @@ import numpy as np
 from .entanglement import DensityMatrix, _require_bipartite, _transpose_mode, negativity_bits, trace_norm
 # partial_transpose is re-exported: benchmark tracing wraps it through this binding
 from .entanglement import partial_transpose  # noqa: F401
-from .fock import MEMORY_BUDGET_BYTES, check_finite, check_integer, check_tolerance
+from .fock import MEMORY_BUDGET_BYTES, check_integer, check_positive, check_tolerance
 
 STEP_SIZE_GUARD = 0.01
 # lower bound on the summed negative eigenvalues of rho0, which bound those of every rho(t)
@@ -103,9 +103,7 @@ class LossConfig:
     steps: int = 1000
 
     def __post_init__(self) -> None:
-        check_finite("t_max", self.t_max)
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        check_positive("t_max", self.t_max)
         check_integer("steps", self.steps, 1, MAX_LOSS_STEPS)
         check_tolerance("sampling step gamma*dt", self.t_max / self.steps, STEP_SIZE_GUARD + 1e-15)
 

@@ -527,6 +527,11 @@ class TestDarkHolonomy:
             dark_holonomy(schedule, photons)
         assert cf4_steps == []
 
+    def test_nan_singular_value_gives_nan_leakage(self, monkeypatch):
+        # multimode_lift rejects a non-finite facet block first, so only a broken SVD gets here
+        monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv=True: np.array([1.0, math.nan]))
+        assert math.isnan(dark_holonomy(idle_schedule(), 2)[1])
+
     def test_reversed_schedule_inverts_phase(self, schedule, dark_blocks):
         phi_forward = fit_rotation_phase(dark_blocks[1][0], 1)
         block_rev, _ = dark_holonomy(reversed_schedule(schedule), 1)
@@ -694,6 +699,17 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError):
             CouplingProfile(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_non_positive_sigma_rejected_by_check_positive(self, sigma):
+        with mock.patch.object(adiabatic, "check_positive", wraps=adiabatic.check_positive) as spy:
+            with pytest.raises(ScheduleError, match=rf"^sigma must be positive, got {sigma}$"):
+                CouplingProfile(1.0, 0.0, sigma)
+        assert spy.call_args_list == [mock.call("peak", 1.0, ScheduleError), mock.call("sigma", sigma, ScheduleError)]
+
+    def test_peak_is_checked_before_center(self):
+        with pytest.raises(ScheduleError, match=r"^peak must be positive, got -1$"):
+            CouplingProfile(-1, math.nan, 1.0)
+
     def test_boundary_condition_enforced(self):
         wide = CouplingProfile(1.0, 0.0, 10.0)
         with pytest.raises(ScheduleError):
@@ -777,6 +793,11 @@ class TestScheduleValidation:
     @pytest.mark.parametrize("scale", [math.nan, math.inf])
     def test_dilation_rejects_non_finite_scale(self, schedule, scale):
         with pytest.raises(ScheduleError, match="scale must be finite"):
+            schedule.dilate(scale)
+
+    @pytest.mark.parametrize("scale, shown", [(0, "0"), (-0.0, "-0.0"), (-2, "-2")])
+    def test_dilation_rejects_non_positive_scale(self, schedule, scale, shown):
+        with pytest.raises(ScheduleError, match=rf"^scale must be positive, got {shown}$"):
             schedule.dilate(scale)
 
     def test_invalid_json_rejected(self, tmp_path):

@@ -260,10 +260,14 @@ class TestCheckers:
         # unbounded enumeration from being reached where the sector check is missing
         monkeypatch.setattr(fock, "MAX_SWEEP_ENTRIES", 80)
         assert len(occupation_basis(3, 4)) == 20
-        with pytest.raises(ValueError, match=r"^4 photons in 4 modes exceed the bound 80 on occupation entries$"):
+        # C(7, 4) = 35 tuples hold 140 entries
+        message = r"^occupation entries of 4 photons in 4 modes must be in \[0, 80\], got 140$"
+        with pytest.raises(ValueError, match=message):
             occupation_basis(4, 4)
         monkeypatch.undo()
-        with pytest.raises(ValueError, match=r"^1023 photons in 1023 modes exceed the bound"):
+        entries = math.comb(2 * MAX_DARK_PHOTONS - 1, MAX_DARK_PHOTONS) * MAX_DARK_PHOTONS
+        with pytest.raises(ValueError, match=rf"^occupation entries of 1023 photons in 1023 modes must be in "
+                                             rf"\[0, {fock.MAX_SWEEP_ENTRIES}\], got {entries}$"):
             occupation_basis(MAX_DARK_PHOTONS, MAX_DARK_PHOTONS)
 
     def test_dark_photon_bound_is_inclusive(self):

@@ -19,8 +19,8 @@ from hypothesis.strategies import composite
 from holoent import cli, holonomy
 from holoent.adiabatic import MAX_STEPS, default_schedule
 from holoent.cli import ROW_BLOCK, _fmt, _render_csv, _render_json, main
-from holoent.fock import MEMORY_BUDGET_BYTES
-from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS, MAX_SWEEP_ENTRIES
+from holoent.fock import MAX_SWEEP_ENTRIES, MEMORY_BUDGET_BYTES
+from holoent.holonomy import DEFAULT_SWEEP_POINTS, MAX_LIFT_PHOTONS
 from holoent.open_system import MAX_LOSS_STEPS, STEP_SIZE_GUARD
 from render_oracle import render_csv, render_json
 
@@ -30,7 +30,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
-# the largest P with (P + 1)^2 <= MAX_SWEEP_ENTRIES, the bound of holonomy.check_sweep_size(P, 0)
+# the largest P with (P + 1)^2 <= MAX_SWEEP_ENTRIES, where fock.max_sweep_points(P) is still >= 0
 BASIS_PHOTON_BOUND = math.isqrt(MAX_SWEEP_ENTRIES) - 1
 
 
@@ -320,8 +320,9 @@ class TestSweepSizeBound:
         "args, message",
         [
             (["sweep", "--input", "1,0", "--photons", "1", "--points", str(MAX_SWEEP_ENTRIES // 2 - 1)],
-             "exceed the bound"),
-            (["volume", "--max-photons", "4", "--points", str(MAX_SWEEP_ENTRIES // 5 - 4)], "exceed the bound"),
+             f"--points must be in [1, {MAX_SWEEP_ENTRIES // 2 - 2}], got {MAX_SWEEP_ENTRIES // 2 - 1}"),
+            (["volume", "--max-photons", "4", "--points", str(MAX_SWEEP_ENTRIES // 5 - 4)],
+             f"--points must be in [8, {MAX_SWEEP_ENTRIES // 5 - 5}], got {MAX_SWEEP_ENTRIES // 5 - 4}"),
             # this photon count is past MAX_LIFT_PHOTONS too, which sweep checks first
             (
                 [
@@ -331,7 +332,8 @@ class TestSweepSizeBound:
                     "--photons",
                     str(smallest_photons_above_bound(DEFAULT_SWEEP_POINTS)),
                 ],
-                "--photons must be in",
+                f"--photons must be in [1, {MAX_LIFT_PHOTONS}], "
+                f"got {smallest_photons_above_bound(DEFAULT_SWEEP_POINTS)}",
             ),
             (
                 [
@@ -343,7 +345,8 @@ class TestSweepSizeBound:
                     "--points",
                     str(MAX_SWEEP_ENTRIES // (MAX_LIFT_PHOTONS + 1) - MAX_LIFT_PHOTONS),
                 ],
-                "exceed the bound",
+                f"--points must be in [1, {MAX_SWEEP_ENTRIES // (MAX_LIFT_PHOTONS + 1) - MAX_LIFT_PHOTONS - 1}], "
+                f"got {MAX_SWEEP_ENTRIES // (MAX_LIFT_PHOTONS + 1) - MAX_LIFT_PHOTONS}",
             ),
         ],
         ids=["sweep-points", "volume-points", "sweep-photons", "sweep-points-at-the-lift-bound"],
@@ -357,9 +360,30 @@ class TestSweepSizeBound:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
         assert peak < 1 << 20
+
+
+    @pytest.mark.parametrize("photons", [1, 2, 6, 42])
+    def test_points_bound_passes_and_one_more_exits_2(self, tmp_path, monkeypatch, capsys, photons):
+        # past the size checks, sweep parses --input and volume searches: both stop there
+        def checked(*args):
+            raise ValueError("checked")
+
+        monkeypatch.setattr(cli, "_parse_input_label", checked)
+        monkeypatch.setattr(holonomy, "max_entropy_over_phase", checked)
+        out = tmp_path / "out.csv"
+        commands = [(["sweep", "--input", "1,0", "--photons", str(photons)], 1)]
+        if photons <= 6:
+            commands.append((["volume", "--max-photons", str(photons)], 8))
+        bound = MAX_SWEEP_ENTRIES // (photons + 1) - photons - 1
+        for argv, lowest in commands:
+            assert main([*argv, "--points", str(bound), "--output", str(out)]) == 2
+            assert capsys.readouterr().err == "error: checked\n"
+            assert main([*argv, "--points", str(bound + 1), "--output", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: --points must be in [{lowest}, {bound}], got {bound + 1}\n"
+            assert not out.exists()
 
 
 class TestSweepMemory:
@@ -370,7 +394,7 @@ class TestSweepMemory:
         main([*argv, "8"])  # a first run imports modules: keep that out of the growth
         # both counts are past where the per-point arrays, not one rendered row block, set the peak
         small, large = peak_bytes([*argv, "8192"]), peak_bytes([*argv, "32768"])
-        most_points = MAX_SWEEP_ENTRIES // 2 - 2  # the largest sweep check_sweep_size allows, at one photon
+        most_points = MAX_SWEEP_ENTRIES // 2 - 2  # the largest sweep fock.max_sweep_points allows, at one photon
         assert (large - small) / (32768 - 8192) * most_points <= MEMORY_BUDGET_BYTES
 
 
@@ -673,7 +697,8 @@ class TestCliBasics:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["volume", "--points=0"], f"--points must be in [8, {MAX_SWEEP_ENTRIES}], got 0"),
+            # the bound of --points at the default --max-photons 4: (points + 5) * 5 <= MAX_SWEEP_ENTRIES
+            (["volume", "--points=0"], f"--points must be in [8, {MAX_SWEEP_ENTRIES // 5 - 5}], got 0"),
             (["loss", "--steps=0"], f"--steps must be in [1, {MAX_LOSS_STEPS}], got 0"),
             # checked before the schedule is read: the path does not exist
             (["diabatic", "--schedule=missing.json", "--scan-points=1"],

@@ -137,6 +137,10 @@ class TestReduce:
         expected[0, 0] = 1.0
         assert np.abs(reduced.matrix - expected).max() < 1e-12
 
+    def test_rejects_an_unknown_side_by_name(self):
+        with pytest.raises(ValueError, match=r"^keep must be 'east' or 'west', got 'north'$"):
+            reduce(density_from_pure(hom_state()), "north")
+
     @settings(max_examples=50)
     @given(dark_states())
     def test_reductions_are_valid_densities(self, state):
@@ -226,6 +230,10 @@ class TestSchmidt:
 
 
 class TestPartialTranspose:
+    def test_rejects_an_unknown_side_by_name(self):
+        with pytest.raises(ValueError, match=r"^side must be 'east' or 'west', got 'up'$"):
+            partial_transpose(bell_qutrit_density(), "up")
+
     def test_product_state_spectrum_unchanged(self):
         rho = density_from_pure(basis_state(2, 1))
         pt = partial_transpose(rho, "east")

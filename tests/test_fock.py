@@ -22,6 +22,7 @@ from holoent.fock import (
     OccupationState,
     PureState,
     basis_state,
+    check_positive,
     check_tolerance,
     dark_basis,
     occupation_basis,
@@ -73,6 +74,12 @@ class TestDarkBasis:
     def test_rejects_negative_photon_count(self):
         with pytest.raises(ValueError):
             dark_basis(-1)
+
+    def test_index_of_a_state_outside_the_basis_names_it(self):
+        assert dark_basis(2).index_of(OccupationState(1, 1)) == 1
+        message = r"^OccupationState\(n_east=2, n_west=1\) is not in the 2-photon dark basis$"
+        with pytest.raises(ValueError, match=message):
+            dark_basis(2).index_of(OccupationState(2, 1))
 
 
 class TestHilbertDimension:
@@ -327,3 +334,68 @@ class TestCheckTolerance:
                         outside.append(f"{path.name}:{node.lineno} reads {node.id}")
         assert outside == []
         assert inside == TOLERANCES
+
+
+def raising_zero_comparisons(tree: ast.AST, function: str = "") -> list[tuple[str, int]]:
+    """(enclosing function, line) of each `if` whose body raises and whose test, `not` aside, is one
+    comparison with the constant 0."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.If) and any(isinstance(statement, ast.Raise) for statement in node.body):
+            test = node.test.operand if isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not) \
+                else node.test
+            if isinstance(test, ast.Compare) and len(test.ops) == 1 and any(
+                isinstance(side, ast.Constant) and not isinstance(side.value, bool) and side.value == 0
+                for side in (test.left, *test.comparators)
+            ):
+                found.append((function, node.lineno))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        found += raising_zero_comparisons(node, inner)
+    return found
+
+
+class TestCheckPositive:
+    """check_positive is the one check of a real that must be above zero: check_finite, then value > 0."""
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, 1, 2.5, np.float32(0.5), np.int64(3), 1e308])
+    def test_accepts_positive_reals(self, value):
+        check_positive("x", value)
+
+    @pytest.mark.parametrize("value, shown", [(0, "0"), (0.0, "0.0"), (-0.0, "-0.0"), (-5e-324, "-5e-324"),
+                                              (-1, "-1"), (np.float64(-2.5), "-2.5")])
+    def test_rejects_zero_and_negatives(self, value, shown):
+        with pytest.raises(ValueError) as info:
+            check_positive("x", value)
+        assert str(info.value) == f"x must be positive, got {shown}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1", None, 10**400])
+    def test_checks_finiteness_first(self, value):
+        with pytest.raises(ValueError, match=r"^x must be finite, got "):
+            check_positive("x", value)
+
+    @pytest.mark.parametrize("error", [ValueError, ScheduleError])
+    def test_raises_the_class_it_is_given(self, error):
+        for value in (0.0, math.nan):
+            with pytest.raises(error) as info:
+                check_positive("x", value, error)
+            assert type(info.value) is error
+
+    def test_sizes_and_positivity_have_one_home(self):
+        # sizes are counts checked by check_integer against fock's bounds, and the one inline
+        # `if <one comparison with 0>: raise` is check_positive's own
+        comparisons, sweep_entry_reads, size_checkers = [], [], []
+        for path in sorted(SOURCES.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            comparisons += [(path.name, function) for function, _ in raising_zero_comparisons(tree)]
+            for node in ast.walk(tree):
+                if path.name != "fock.py" and (
+                    isinstance(node, ast.Name) and node.id == "MAX_SWEEP_ENTRIES"
+                    or isinstance(node, ast.Attribute) and node.attr == "MAX_SWEEP_ENTRIES"
+                    or isinstance(node, ast.alias) and node.name == "MAX_SWEEP_ENTRIES"
+                ):
+                    sweep_entry_reads.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "check_sweep_size":
+                    size_checkers.append(f"{path.name}:{node.lineno}")
+        assert comparisons == [("fock.py", "check_positive")]
+        assert sweep_entry_reads == []
+        assert size_checkers == []

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from holoent import holonomy
 from holoent.entanglement import EIGENVALUE_FLOOR, FLOOR_RAMP, entanglement_entropy_bits, schmidt
-from holoent.fock import basis_state
+from holoent.fock import MAX_SWEEP_ENTRIES, basis_state, check_tolerance, max_sweep_points
 from holoent.holonomy import (
     MAX_DARK_PHOTONS,
     MAX_LIFT_PHOTONS,
-    MAX_SWEEP_ENTRIES,
     UNITARITY_TOL,
     RotationFamily,
     _lift_terms,
     _phase_max,
     _unitarity_defect,
     apply_holonomy,
-    check_sweep_size,
     entropy_at_phase,
     fock_lift,
     max_entropy_over_phase,
@@ -204,6 +203,16 @@ class TestLift:
                 u = random_unitary(rng) + scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
                 expected = np.abs(u @ u.conj().T - np.eye(2)).max()
                 assert abs(_unitarity_defect(*u.ravel(order="F").tolist()) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    @pytest.mark.parametrize("entry", range(4))
+    def test_nan_entry_gives_nan_unitarity_defect(self, entry, nan):
+        entries = [1.0 + 0j, 0j, 0j, 1.0 + 0j]  # u00, u10, u01, u11 of the identity
+        entries[entry] = nan
+        defect = _unitarity_defect(*entries)
+        assert math.isnan(defect)
+        with pytest.raises(ValueError, match=r"^unitarity defect of u nan exceeds 1e-09$"):
+            check_tolerance("unitarity defect of u", defect, UNITARITY_TOL)
 
     def test_rejects_bad_photon_count(self):
         with pytest.raises(ValueError):
@@ -441,16 +450,30 @@ class TestRotationFamily:
 class TestSweepSizeBound:
     @pytest.mark.parametrize("photons", [1, 2, 6])
     def test_bound_is_exact(self, photons):
-        points = MAX_SWEEP_ENTRIES // (photons + 1) - photons - 1
-        check_sweep_size(photons, points)
-        with pytest.raises(ValueError):
-            check_sweep_size(photons, points + 1)
+        # the most points whose (points + P + 1) * (P + 1) entries fit the bound
+        points = max_sweep_points(photons)
+        assert (points + photons + 1) * (photons + 1) <= MAX_SWEEP_ENTRIES < (points + photons + 2) * (photons + 1)
+
+    @pytest.mark.parametrize("photons", [1, 2, 6, 42])
+    def test_max_entropy_accepts_the_bound_and_rejects_one_more(self, monkeypatch, photons):
+        class Checked(Exception):
+            pass
+
+        def checked(photon_count):
+            raise Checked
+
+        monkeypatch.setattr(holonomy, "RotationFamily", checked)  # the first step after the checks
+        points = max_sweep_points(photons)
+        with pytest.raises(Checked):
+            max_entropy_over_phase(photons, 0, points)
+        with pytest.raises(ValueError, match=rf"^points must be in \[8, {points}\], got {points + 1}$"):
+            max_entropy_over_phase(photons, 0, points + 1)
 
     def test_max_entropy_rejects_points_above_bound_without_allocating(self):
         points = MAX_SWEEP_ENTRIES // 2 - 1  # one above the bound at one photon
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="exceed the bound"):
+            with pytest.raises(ValueError, match=rf"^points must be in \[8, {points - 1}\], got {points}$"):
                 max_entropy_over_phase(1, 0, points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -463,9 +486,7 @@ class TestSweepSizeBound:
             RotationFamily(photons)
 
     def test_dark_photon_bound_is_the_largest_square_within_the_entries(self):
-        check_sweep_size(MAX_DARK_PHOTONS, 0)
-        with pytest.raises(ValueError):
-            check_sweep_size(MAX_DARK_PHOTONS + 1, 0)
+        assert max_sweep_points(MAX_DARK_PHOTONS) >= 0 > max_sweep_points(MAX_DARK_PHOTONS + 1)
 
     def test_family_bound_message_names_photons(self):
         photons = MAX_DARK_PHOTONS + 1

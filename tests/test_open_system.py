@@ -545,6 +545,20 @@ class TestCoherenceBlocks:
         states = damped_states(rho0, traj.times)
         assert np.array_equal(traj.negativity, log_negativity_bits(states, rho0.dims))
 
+    def test_chained_support_is_closed_into_one_block(self):
+        # (|0,0> + |0,1> + |1,1>) / sqrt(3): the partial transpose of its damping table links
+        # 2-0, 0-1 and 1-3 but not 2-3 or 0-3, so only the closure of that chain makes one block
+        rho0 = embedded_state({(0, 0): 1.0 / math.sqrt(3.0), (0, 1): 1.0 / math.sqrt(3.0),
+                               (1, 1): 1.0 / math.sqrt(3.0)}, 2)
+        table = open_system._damping_table(rho0)[0]
+        support = (_transpose_mode(table, rho0.dims, "east") != 0).any(axis=0)
+        assert support[2, 0] and support[0, 1] and support[1, 3] and not support[2, 3] | support[0, 3]
+        groups = coherence_blocks(rho0)[2]
+        assert len(groups) == 1 and np.array_equal(groups[0][0], [[0, 1, 2, 3]])
+        traj = evolve(rho0, LossConfig(t_max=3.0, steps=300))
+        assert traj.negativity[0] == pytest.approx(0.737, abs=5e-4)
+        assert np.array_equal(traj.negativity, log_negativity_bits(damped_states(rho0, traj.times), rho0.dims))
+
     def test_sparse_state_blocks_hold_every_eigenvalue(self):
         # (|0,1> + |1,3>) / sqrt(2) mixed with (|0,0> + i |1,2>) / sqrt(2) and |1,1>
         psi = np.zeros((2, 8), dtype=complex)
