@@ -45,7 +45,7 @@ from holoent import adiabatic, cli, holonomy, open_system  # noqa: E402
 from holoent.diagnostics import StageTimer  # noqa: E402
 from holoent.entanglement import DensityMatrix, density_from_pure, trace_norm  # noqa: E402
 from holoent.fock import basis_state  # noqa: E402
-from holoent.open_system import LossConfig, bell_qutrit_state, evolve  # noqa: E402
+from holoent.open_system import LossConfig, bell_qutrit_state, evolve, plan_loss  # noqa: E402
 
 L2_SEED = 1
 L2_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
@@ -72,10 +72,11 @@ def command(argv: list[str], output: Path):
 def first_blocks(rho0: DensityMatrix) -> np.ndarray:
     """The largest coherence blocks of rho0's first TRACE_NORM_BLOCKS samples at the default loss
     spacing, shaped as `evolve` hands them to `trace_norm`."""
-    flat, pair_photons, groups, _ = open_system._coherence_blocks(*open_system._damping_table(rho0), rho0.dims)
-    index, entries = groups[-1]
+    plan = plan_loss(rho0)
+    index, entries = plan.groups[-1]
     cfg = LossConfig()
-    samples = open_system._sample(flat, pair_photons, np.arange(TRACE_NORM_BLOCKS) * (cfg.t_max / cfg.steps))
+    gamma_t = np.arange(TRACE_NORM_BLOCKS) * (cfg.t_max / cfg.steps)
+    samples = open_system._sample(plan.flat, plan.pair_photons, gamma_t)
     return samples[:, entries].reshape((len(samples),) + index.shape + index.shape[-1:])
 
 
@@ -91,6 +92,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
     east_phase = np.kron(np.diag([1.0, 1.0j, -1.0]), np.eye(3))
     rotated_bell = DensityMatrix(east_phase @ bell.matrix @ east_phase.conj().T, bell.dims)
     bell_blocks = first_blocks(bell)  # (TRACE_NORM_BLOCKS, 1, 3, 3) float64
+    bell_plan = plan_loss(bell)  # the Bell qutrit's plan, built once as `holoent loss` builds it
     holonomic = density_from_pure(
         holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
     )
@@ -122,6 +124,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L1", "dark_holonomy P=2, cold", cold(lambda: adiabatic.dark_holonomy(schedule, 2))),
         ("L1", "dark_holonomy P=2, warm", lambda: adiabatic.dark_holonomy(schedule, 2)),
         ("L1", "evolve, 1000 samples", lambda: evolve(bell, LossConfig(t_max=10.0, steps=1000))),
+        ("L1", "evolve from a plan, 1000 samples", lambda: evolve(bell_plan, LossConfig(t_max=10.0, steps=1000))),
         ("L1", "evolve, 10000 samples", lambda: evolve(bell, LossConfig(t_max=10.0, steps=10000))),
         ("L1", "evolve holonomic state, 1000 samples",
          lambda: evolve(holonomic, LossConfig(t_max=10.0, steps=1000))),

@@ -28,7 +28,7 @@ from .entanglement import (
     schmidt,
     von_neumann_entropy_bits,
 )
-from .open_system import LossConfig, Trajectory, bell_qutrit_state, evolve
+from .open_system import LossConfig, LossPlan, Trajectory, bell_qutrit_state, evolve, plan_loss
 from .adiabatic import (
     CouplingProfile,
     PulseSchedule,

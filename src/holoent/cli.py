@@ -202,12 +202,21 @@ def cmd_sweep(args) -> int:
                         "purity": purities, "renyi2_bits": renyi2, "input_label": args.input})
 
 
+@functools.cache
+def _loss_plans() -> tuple[open_system.LossPlan, open_system.LossPlan]:
+    """The loss plans of the holonomic state and the Bell qutrit: constants of the CLI, built by the
+    first `loss` of a process. Only the plans are kept, not the states."""
+    out = holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
+    return (open_system.plan_loss(entanglement.density_from_pure(out)),
+            open_system.plan_loss(open_system.bell_qutrit_state()))
+
+
 def cmd_loss(args) -> int:
     check_integer("--steps", args.steps, 1, open_system.MAX_LOSS_STEPS)
     cfg = open_system.LossConfig(t_max=args.t_max, steps=args.steps)
-    out = holonomy.apply_holonomy(holonomy.u3(holonomy.phi_maximally_entangled()), basis_state(2, 1))
-    traj_holonomic = open_system.evolve(entanglement.density_from_pure(out), cfg)
-    traj_bell = open_system.evolve(open_system.bell_qutrit_state(), cfg)
+    holonomic, bell = _loss_plans()
+    traj_holonomic = open_system.evolve(holonomic, cfg)
+    traj_bell = open_system.evolve(bell, cfg)
     times = traj_holonomic.times
     exp_decay = np.fromiter(map(math.exp, -times), float, len(times))
     return _emit(args, {"t_gamma": times, "negativity_holonomic": traj_holonomic.negativity,

@@ -34,12 +34,24 @@ def max_sweep_points(photon_count: int) -> int:
     return MAX_SWEEP_ENTRIES // (photon_count + 1) - photon_count - 1
 
 
+def _shown(value, show=str) -> str:
+    """How a check shows the value it rejects: show(value), or "an integer of N digits" for an int of
+    more than 20 digits, whose text is unreadable and past 4300 digits cannot be formatted at all."""
+    if not isinstance(value, int) or -10**20 < value < 10**20:
+        return show(value)
+    magnitude = abs(value)
+    digits = int(math.log10(magnitude)) + 1
+    digits += magnitude >= 10**digits  # log10 can round across a power of ten
+    digits -= magnitude < 10 ** (digits - 1)
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def check_integer(name: str, value, lowest, highest, error: type[ValueError] = ValueError) -> None:
     """Raise `error` naming `name` unless value is an int or numpy integer (not a bool) in [lowest, highest]."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
     if not lowest <= value <= highest:
-        raise error(f"{name} must be in [{lowest}, {highest}], got {value}")
+        raise error(f"{name} must be in [{lowest}, {highest}], got {_shown(value)}")
 
 
 def check_finite(name: str, value, error: type[ValueError] = ValueError) -> None:
@@ -49,14 +61,14 @@ def check_finite(name: str, value, error: type[ValueError] = ValueError) -> None
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise error(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {_shown(value, repr)}")
 
 
 def check_positive(name: str, value, error: type[ValueError] = ValueError) -> None:
     """Raise `error` naming `name` unless value passes `check_finite` and is above zero."""
     check_finite(name, value, error)
     if not value > 0:
-        raise error(f"{name} must be positive, got {value}")
+        raise error(f"{name} must be positive, got {_shown(value)}")
 
 
 def check_tolerance(name: str, value, bound, error: type[Exception] = ValueError) -> None:

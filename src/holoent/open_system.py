@@ -14,17 +14,17 @@ v_i = eta^(N_i / 2) for the photon number N_i = a + b of basis state i = (a, b) 
     C_q[(a, b), (c, e)] = sum over l + l' = q of
         sqrt(C(a+l, l) C(c+l, l) C(b+l', l') C(e+l', l')) rho0[(a+l, b+l'), (c+l, e+l')].
 
-C_q depends on rho0 alone, so `evolve` builds the table once, and a sample costs a
-polynomial of degree d_E + d_W - 2 in x and one scaling. There is no integrator and
-no step-size error; the Lindblad generator and the Kraus sum this form replaces live
-with the tests as their references.
+C_q depends on rho0 alone, so `plan_loss` builds it once into a `LossPlan` that any number of
+samplings reuse, and a sample costs a polynomial of degree d_E + d_W - 2 in x and one
+scaling. There is no integrator and no step-size error; the Lindblad generator and the Kraus
+sum this form replaces live with the tests as their references.
 
 Loss removes the same photons from the ket and the bra, so it keeps the coherence
 orders a - c and b - e of every element |a,b><c,e|: C_q[(a, b), (c, e)] is zero unless
 rho0 has a nonzero element with the same two orders. The east partial transpose, whose
 trace norm gives the negativity, moves |a,b><c,e| to |c,b><a,e| and so keeps this
 sparsity. For the reference states it is block diagonal: three 2x2 and three 1x1 blocks
-for the holonomic state, blocks of 3, 2, 2, 1 and 1 for the Bell qutrit. So `evolve`
+for the holonomic state, blocks of 3, 2, 2, 1 and 1 for the Bell qutrit. So `plan_loss`
 transposes the table once, splits its indices into the connected components of the
 support of the transposed C_q, and sums the blocks' trace norms (`entanglement.trace_norm`).
 An entry outside every block is zero at every time, so the eigenvalues of the blocks are
@@ -33,8 +33,8 @@ for a 1x1 block [[a]], max(|a + d|, hypot(a - d, 2|b|)) for a 2x2 block [[a, b*]
 the trigonometric form of `trace_norm` for a 3x3 block such as the Bell qutrit's, which sends
 only a block whose near-degenerate eigenvalue pair straddles zero to eigvalsh (no Bell-qutrit
 sample up to gamma t = 10 does, real or phase-rotated); only blocks of side 4 and more always
-go through eigvalsh. So for both reference states `evolve` makes no LAPACK call after its
-positivity check.
+go through eigvalsh. So for both reference states `evolve` makes no LAPACK call after the
+plan's positivity check, and none at all on a plan built before.
 
 The entries of every block are laid out side by side in one flat table of shape (Q, E),
 E = 15 for the holonomic state and 19 for the Bell qutrit, each block size's entries in one
@@ -49,7 +49,7 @@ part of the complex one, whose imaginary part is zero, so the samples are the sa
 numbers and their closed-form norms the same bits; only the eigvalsh of a block of side 4 or
 more runs a different LAPACK routine.
 
-Positivity is checked once, on rho0. Write rho0 = P - N with P, N >= 0: the
+Positivity is checked once, on rho0, when it is planned. Write rho0 = P - N with P, N >= 0: the
 channel Phi is completely positive, so Phi(rho0) >= -Phi(N) and, Phi being
 trace preserving, every eigenvalue of rho(t) is >= -tr N, the summed negative
 eigenvalues of rho0. A rho0 that passes the check cannot fail it later.
@@ -140,7 +140,7 @@ def _damping_table(rho0: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _coherence_blocks(
     table: np.ndarray, photon_number: np.ndarray, dims: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, slice]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, slice], ...], np.ndarray]:
     """The east partial transpose of a `_damping_table` as one flat table over the entries of
     the connected components of its support.
 
@@ -168,7 +168,7 @@ def _coherence_blocks(
     position[entries] = np.arange(len(entries))
     pair_photons = np.add.outer(photon_number, photon_number).ravel()[entries]
     # every index lies in its own component, so every diagonal entry is in the flat table
-    return pt.reshape(len(pt), -1)[:, entries], pair_photons, groups, position[:: side + 1]
+    return pt.reshape(len(pt), -1)[:, entries], pair_photons, tuple(groups), position[:: side + 1]
 
 
 def _sample(table: np.ndarray, pair_photons: np.ndarray, gamma_t: np.ndarray) -> np.ndarray:
@@ -206,25 +206,47 @@ def bell_qutrit_state() -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()), (3, 3))
 
 
-def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
-    """Sample the exact loss channel at cfg.steps + 1 equally spaced gamma*t up to t_max.
+@dataclass(frozen=True)
+class LossPlan:
+    """What `evolve` needs that depends on rho0 alone, built by `plan_loss` for any `LossConfig`: the
+    flat table, pair photon numbers, block groups and diagonal positions of `_coherence_blocks`,
+    N_i of each basis state and the mean photon number of rho0. Its arrays are read-only."""
 
-    rho0 may be any two-mode density matrix; its dims set the occupation levels
-    of each mode. Records the logarithmic negativity, the total photon number
-    normalized to its initial value, and the trace error. The coefficient table
-    is built and laid out as the flat table of its partial transpose's blocks once;
-    that table is sampled CHUNK_SAMPLES times at a time, so the working memory does
-    not grow with `steps`.
-    Raises IntegrationError before sampling if the negative eigenvalues of rho0
-    sum below POSITIVITY_ABORT (or to NaN); see the module docstring for why
-    this one check bounds every sample.
-    """
+    flat: np.ndarray
+    pair_photons: np.ndarray
+    groups: tuple[tuple[np.ndarray, slice], ...]
+    diagonal_entries: np.ndarray
+    photon_number: np.ndarray
+    initial_photons: float
+
+
+def plan_loss(rho0: DensityMatrix) -> LossPlan:
+    """The `LossPlan` of rho0, any two-mode density matrix; its dims set the occupation levels of
+    each mode. Raises IntegrationError if the negative eigenvalues of rho0 sum below
+    POSITIVITY_ABORT (or to NaN); see the module docstring for why this one check bounds every
+    sample."""
     table, photon_number = _damping_table(rho0)
     negative_mass = -np.minimum(np.linalg.eigvalsh(rho0.matrix), 0.0).sum()
     check_tolerance("negative eigenvalue mass of the initial state", negative_mass, -POSITIVITY_ABORT,
                     IntegrationError)
-    flat, pair_photons, groups, diagonal_entries = _coherence_blocks(table, photon_number, rho0.dims)
-    initial_photons = float(photon_number @ np.diagonal(rho0.matrix).real)
+    plan = LossPlan(*_coherence_blocks(table, photon_number, rho0.dims), photon_number,
+                    float(photon_number @ np.diagonal(rho0.matrix).real))
+    for array in (plan.flat, plan.pair_photons, plan.diagonal_entries, photon_number,
+                  *(index for index, _ in plan.groups)):
+        array.flags.writeable = False
+    return plan
+
+
+def evolve(rho0: DensityMatrix | LossPlan, cfg: LossConfig) -> Trajectory:
+    """Sample the exact loss channel at cfg.steps + 1 equally spaced gamma*t up to t_max.
+
+    rho0 is a `LossPlan`, which holds what depends on rho0 alone, or a two-mode density matrix,
+    which `plan_loss` plans first (its positivity check may raise IntegrationError). Records the
+    logarithmic negativity, the total photon number normalized to its initial value, and the
+    trace error. The plan's flat table is sampled CHUNK_SAMPLES times at a time, so the working
+    memory does not grow with `steps`.
+    """
+    plan = rho0 if isinstance(rho0, LossPlan) else plan_loss(rho0)
 
     dt = cfg.t_max / cfg.steps
     negativity = np.empty(cfg.steps + 1)
@@ -235,16 +257,16 @@ def evolve(rho0: DensityMatrix, cfg: LossConfig) -> Trajectory:
         stop = min(first + CHUNK_SAMPLES, cfg.steps + 1)
         chunk = slice(first, stop)
         gamma_t = np.arange(first, stop) * dt
-        samples = _sample(flat, pair_photons, gamma_t)
+        samples = _sample(plan.flat, plan.pair_photons, gamma_t)
         norm = np.zeros(stop - first)
-        for index, entries in groups:
+        for index, entries in plan.groups:
             blocks = samples[:, entries].reshape((stop - first,) + index.shape + index.shape[-1:])
             norm += trace_norm(blocks).sum(axis=-1)
         negativity[chunk] = negativity_bits(norm)
         # a partial transpose keeps the diagonal, so the blocks' diagonals are rho(t)'s
-        diagonal = samples.take(diagonal_entries, axis=-1).real
-        if initial_photons > 1e-12:
-            population[chunk] = diagonal @ photon_number / initial_photons
+        diagonal = samples.take(plan.diagonal_entries, axis=-1).real
+        if plan.initial_photons > 1e-12:
+            population[chunk] = diagonal @ plan.photon_number / plan.initial_photons
         else:
             population[chunk] = 0.0
         trace_error[chunk] = np.abs(diagonal.sum(axis=-1) - 1.0)

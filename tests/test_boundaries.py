@@ -255,6 +255,36 @@ class TestCheckers:
         for value in (0, -1e308, np.float32(2.5), np.int64(3)):
             check_finite("x", value)
 
+    @pytest.mark.parametrize(
+        "call, error, name",
+        [
+            (lambda: check_integer("n", 10**5000, 0, 5), ValueError, "n"),
+            (lambda: check_finite("x", 10**5000), ValueError, "x"),
+            (lambda: CouplingProfile(1.0, 10**5000, 1.0), ScheduleError, "center"),
+            (lambda: idle_schedule(steps=10**5000), ScheduleError, "steps"),
+            (lambda: LossConfig(t_max=-(10**5000)), ValueError, "t_max"),
+        ],
+    )
+    def test_an_integer_past_the_str_limit_is_rejected_by_name(self, call, error, name):
+        # str() of an int over 4300 digits raises the interpreter's own ValueError, which names no input
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        message = str(info.value)
+        assert message.startswith(f"{name} must be") and message.endswith(" integer of 5001 digits")
+        assert len(message) <= 200
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(10**20 - 1, "99999999999999999999"), (-(10**20) + 1, "-99999999999999999999"),
+         (10**20, "an integer of 21 digits"), (-(10**20), "a negative integer of 21 digits"),
+         (10**30 - 1, "an integer of 30 digits"), (10**30, "an integer of 31 digits"),
+         (10**400 + 1, "an integer of 401 digits")],
+    )
+    def test_an_integer_of_more_than_20_digits_is_shown_by_its_digit_count(self, value, shown):
+        with pytest.raises(ValueError, match=rf"^n must be in \[0, 5\], got {shown}$"):
+            check_integer("n", value, 0, 5)
+
     def test_occupation_sector_is_bounded_before_it_is_enumerated(self, monkeypatch):
         # C(6, 3) = 20 four-mode tuples hold 80 entries; a bound this small also keeps an
         # unbounded enumeration from being reached where the sector check is missing
@@ -265,9 +295,10 @@ class TestCheckers:
         with pytest.raises(ValueError, match=message):
             occupation_basis(4, 4)
         monkeypatch.undo()
-        entries = math.comb(2 * MAX_DARK_PHOTONS - 1, MAX_DARK_PHOTONS) * MAX_DARK_PHOTONS
+        # C(2045, 1023) * 1023 has 617 digits: the message counts them instead of printing them
+        digits = len(str(math.comb(2 * MAX_DARK_PHOTONS - 1, MAX_DARK_PHOTONS) * MAX_DARK_PHOTONS))
         with pytest.raises(ValueError, match=rf"^occupation entries of 1023 photons in 1023 modes must be in "
-                                             rf"\[0, {fock.MAX_SWEEP_ENTRIES}\], got {entries}$"):
+                                             rf"\[0, {fock.MAX_SWEEP_ENTRIES}\], got an integer of {digits} digits$"):
             occupation_basis(MAX_DARK_PHOTONS, MAX_DARK_PHOTONS)
 
     def test_dark_photon_bound_is_inclusive(self):

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
-from holoent import cli, holonomy
+from holoent import cli, holonomy, open_system
 from holoent.adiabatic import MAX_STEPS, default_schedule
 from holoent.cli import ROW_BLOCK, _fmt, _render_csv, _render_json, main
 from holoent.fock import MAX_SWEEP_ENTRIES, MEMORY_BUDGET_BYTES
@@ -462,6 +462,31 @@ class TestLossCommand:
         # MAX_LOSS_STEPS allows MEMORY_BUDGET_BYTES at 1024 bytes per sample
         assert (large - small) / (16384 - 2048) <= 1024
         assert (MAX_LOSS_STEPS + 1) * 1024 <= MEMORY_BUDGET_BYTES
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_cached_plans_give_the_bytes_of_a_fresh_cache(self, tmp_path, monkeypatch, fmt):
+        builds, damping_table = [], open_system._damping_table
+
+        def record(rho0):
+            builds.append(rho0.dims)
+            return damping_table(rho0)
+
+        def run(*args) -> bytes:
+            out = tmp_path / "loss.out"
+            assert main(["loss", *args, *fmt, "--output", str(out)]) == 0
+            return out.read_bytes()
+
+        monkeypatch.setattr(open_system, "_damping_table", record)
+        first_args, second_args = ("--t-max", "2", "--steps", "200"), ("--t-max", "3.3", "--steps", "777")
+        cli._loss_plans.cache_clear()
+        first = run(*first_args)
+        assert builds == [(3, 3), (3, 3)]  # the first loss of a process plans both reference states
+        builds.clear()
+        second = run(*second_args)
+        assert builds == []  # later ones reuse the plans
+        for args, cached in ((first_args, first), (second_args, second)):
+            cli._loss_plans.cache_clear()
+            assert run(*args) == cached
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["--t-max", "--steps"]), st.data())

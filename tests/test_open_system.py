@@ -28,8 +28,10 @@ from holoent.open_system import (
     POSITIVITY_ABORT,
     IntegrationError,
     LossConfig,
+    LossPlan,
     bell_qutrit_state,
     evolve,
+    plan_loss,
 )
 from loss_oracle import damped_states, damping_kraus, lindblad_rhs, rk4_states
 
@@ -61,6 +63,12 @@ def rotated_bell_qutrit() -> DensityMatrix:
     so its coefficient table is complex."""
     s = 1.0 / math.sqrt(3.0)
     return embedded_state({(0, 0): s, (1, 1): 1j * s, (2, 2): -s}, 3)
+
+
+def chained_support_state() -> DensityMatrix:
+    """(|0,0> + |0,1> + |1,1>) / sqrt(3) on two levels per mode: its blocks are one chain."""
+    return embedded_state({(0, 0): 1.0 / math.sqrt(3.0), (0, 1): 1.0 / math.sqrt(3.0),
+                           (1, 1): 1.0 / math.sqrt(3.0)}, 2)
 
 
 @composite
@@ -546,10 +554,9 @@ class TestCoherenceBlocks:
         assert np.array_equal(traj.negativity, log_negativity_bits(states, rho0.dims))
 
     def test_chained_support_is_closed_into_one_block(self):
-        # (|0,0> + |0,1> + |1,1>) / sqrt(3): the partial transpose of its damping table links
-        # 2-0, 0-1 and 1-3 but not 2-3 or 0-3, so only the closure of that chain makes one block
-        rho0 = embedded_state({(0, 0): 1.0 / math.sqrt(3.0), (0, 1): 1.0 / math.sqrt(3.0),
-                               (1, 1): 1.0 / math.sqrt(3.0)}, 2)
+        # the partial transpose of its damping table links 2-0, 0-1 and 1-3 but not 2-3 or 0-3,
+        # so only the closure of that chain makes one block
+        rho0 = chained_support_state()
         table = open_system._damping_table(rho0)[0]
         support = (_transpose_mode(table, rho0.dims, "east") != 0).any(axis=0)
         assert support[2, 0] and support[0, 1] and support[1, 3] and not support[2, 3] | support[0, 3]
@@ -628,4 +635,50 @@ class TestInitialPositivityCheck:
         for gamma_t in np.array_split(np.linspace(0.0, 10.0, 100_001), 100):
             norm = trace_norm(group_blocks(open_system._sample(flat, pair_photons, gamma_t), index, entries))
             assert np.isfinite(norm).all()
+        assert eigvalsh_calls == []
+
+
+class TestLossPlan:
+    """A plan holds what evolve needs of rho0 alone; evolve samples it for any LossConfig."""
+
+    @pytest.mark.parametrize("make_state", [me_density, bell_qutrit_state, rotated_bell_qutrit,
+                                            chained_support_state])
+    def test_reused_plan_matches_a_fresh_evolve_bit_for_bit(self, make_state):
+        plan = plan_loss(make_state())
+        # two chunks, then one, then a configuration the plan has served before
+        for cfg in (LossConfig(t_max=10.0, steps=1000), LossConfig(t_max=3.3, steps=777),
+                    LossConfig(t_max=10.0, steps=1000)):
+            fresh, planned = evolve(make_state(), cfg), evolve(plan, cfg)
+            for field in dataclasses.fields(fresh):
+                assert np.array_equal(getattr(planned, field.name), getattr(fresh, field.name)), field.name
+
+    def test_plan_arrays_are_read_only(self):
+        plan = plan_loss(rotated_bell_qutrit())
+        arrays = [plan.flat, plan.pair_photons, plan.diagonal_entries, plan.photon_number]
+        arrays += [index for index, _ in plan.groups]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.initial_photons = 0.0
+
+    def test_non_positive_state_is_rejected_when_planned(self):
+        m = np.diag([1.0 + 1e-5, -1e-5] + [0.0] * 7).astype(complex)
+        message = r"^negative eigenvalue mass of the initial state 1\.000e-05 exceeds 1e-06$"
+        with pytest.raises(IntegrationError, match=message):
+            plan_loss(DensityMatrix(m, (3, 3)))
+
+    @pytest.mark.parametrize("make_state", [me_density, bell_qutrit_state])
+    def test_evolve_on_a_plan_rebuilds_nothing(self, monkeypatch, eigvalsh_calls, make_state):
+        plan = plan_loss(make_state())
+        assert isinstance(plan, LossPlan)
+        eigvalsh_calls.clear()
+
+        def unexpected(*args):
+            raise AssertionError("a plan was rebuilt")
+
+        monkeypatch.setattr(open_system, "_damping_table", unexpected)
+        monkeypatch.setattr(open_system, "_coherence_blocks", unexpected)
+        evolve(plan, LossConfig(t_max=2.0, steps=2 * CHUNK_SAMPLES))
         assert eigvalsh_calls == []
