@@ -84,8 +84,7 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
     """(layer, name, call) of every timed row; CLI rows write into outdir."""
     schedule = adiabatic.default_schedule()
     rotation = holonomy.single_mode_rotation(0.3)
-    modes = [adiabatic.MODE_EAST, adiabatic.MODE_WEST]  # the sub-unitary facet block dark_holonomy lifts
-    facet = adiabatic.propagate_single_photon(schedule)[np.ix_(modes, modes)]
+    facet = adiabatic.facet_block(schedule)  # the sub-unitary block dark_holonomy lifts
     block_phases = np.arange(cli.ROW_BLOCK) * (np.pi / cli.ROW_BLOCK)  # one block of the sweep's rotations
     bell = bell_qutrit_state()
     # the Bell qutrit after the local phase i^n on the east mode: same trajectory, complex table

@@ -3,7 +3,9 @@
 Mode order is (east, central, west, aux). The central waveguide is a hub: it
 couples to each outer waveguide with a Gaussian profile along the propagation
 axis and all propagation constants are equal (zero diagonal), which keeps the
-zero-eigenvalue dark subspace two-dimensional for a single photon.
+zero-eigenvalue dark subspace two-dimensional for a single photon. A schedule's
+fields are 11 reals: peak, center and sigma of each profile in PROFILES order
+(east, west, aux), then both ends of z_span; PulseSchedule.fields() returns them.
 
 The default schedule uses a wide auxiliary pulse bridging the whole chip with
 offset east/west pulses inside it. At both facets the auxiliary coupling
@@ -56,6 +58,7 @@ from .holonomy import MAX_LIFT_PHOTONS, RotationFamily, _phase_max, multimode_li
 from .open_system import IntegrationError
 
 MODE_EAST, MODE_CENTRAL, MODE_WEST, MODE_AUX = 0, 1, 2, 3
+PROFILES = ("east", "west", "aux")  # the schedule's profiles in the order of PulseSchedule.fields()
 
 BOUNDARY_DECAY = 1e-6
 STEP_ERROR_ABORT = 1e-6
@@ -107,7 +110,8 @@ class PulseSchedule:
 
     `steps` caps the step-doubling levels of one propagation, which stop earlier
     when their error estimate meets STEP_ERROR_TARGET; it must admit at least
-    three levels from the step count resolving the narrowest pulse.
+    three levels from the step count resolving the narrowest pulse. `fields()` is the schedule
+    as 11 reals, peak, center and sigma of east, west and aux (PROFILES), then z_start and z_end.
     """
 
     east: CouplingProfile
@@ -117,9 +121,9 @@ class PulseSchedule:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self) -> None:
-        for name in ("east", "west", "aux"):
-            if not isinstance(getattr(self, name), CouplingProfile):
-                raise ScheduleError(f"{name} must be a CouplingProfile, got {getattr(self, name)!r}")
+        for name, profile in zip(PROFILES, self.profiles):
+            if not isinstance(profile, CouplingProfile):
+                raise ScheduleError(f"{name} must be a CouplingProfile, got {profile!r}")
         try:
             z_start, z_end = self.z_span
         except (TypeError, ValueError):
@@ -128,51 +132,51 @@ class PulseSchedule:
         check_finite("z_span", z_end, ScheduleError)
         if not z_start < z_end:
             raise ScheduleError(f"z_span must be increasing, got {self.z_span}")
+        check_finite("z_span length", z_end - z_start, ScheduleError)
         check_integer("steps", self.steps, 16, MAX_STEPS, ScheduleError)
-        for name, profile in (("east", self.east), ("west", self.west), ("aux", self.aux)):
+        for name, profile in zip(PROFILES, self.profiles):
             for z in (z_start, z_end):  # a coupling left at a facet would make its states bright
                 check_tolerance(f"{name} coupling at the facet z = {z}", profile.value(z),
                                 BOUNDARY_DECAY * profile.peak, ScheduleError)
         object.__setattr__(self, "z_span", (float(z_start), float(z_end)))
 
     @property
+    def profiles(self) -> tuple[CouplingProfile, ...]:
+        return tuple(getattr(self, name) for name in PROFILES)
+
+    @property
     def omega_t(self) -> float:
         """Working pulse area Omega*T with T = sqrt(2) * sigma of the east pulse."""
         return math.sqrt(2.0) * self.east.peak * self.east.sigma
 
+    def fields(self) -> tuple[float, ...]:
+        """Peak, center and sigma of each profile in PROFILES order, then z_start and z_end."""
+        return tuple(value for p in self.profiles for value in (p.peak, p.center, p.sigma)) + self.z_span
+
+    def with_fields(self, values) -> "PulseSchedule":
+        """This schedule with fields() `values`, 11 reals that the constructors check in that order."""
+        if len(values) != 11:
+            raise ScheduleError(f"fields must be 11 reals, got {len(values)} values")
+        profiles = (CouplingProfile(*values[k:k + 3]) for k in range(0, 9, 3))
+        return PulseSchedule(*profiles, tuple(values[9:]), self.steps)
+
     def dilate(self, scale: float) -> "PulseSchedule":
         """Stretch every length scale by `scale`, leaving peak couplings fixed."""
         check_positive("scale", scale, ScheduleError)
-
-        def stretch(p: CouplingProfile) -> CouplingProfile:
-            return CouplingProfile(p.peak, p.center * scale, p.sigma * scale)
-
-        return PulseSchedule(
-            stretch(self.east),
-            stretch(self.west),
-            stretch(self.aux),
-            (self.z_span[0] * scale, self.z_span[1] * scale),
-            self.steps,
-        )
+        factors = (1.0, scale, scale) * len(PROFILES) + (scale, scale)
+        return self.with_fields([value * factor for value, factor in zip(self.fields(), factors)])
 
     def to_dict(self) -> dict:
-        return {
-            "east": dict(vars(self.east)),
-            "west": dict(vars(self.west)),
-            "aux": dict(vars(self.aux)),
-            "z_span": list(self.z_span),
-            "steps": self.steps,
-        }
+        profiles = {name: dict(vars(profile)) for name, profile in zip(PROFILES, self.profiles)}
+        return {**profiles, "z_span": list(self.z_span), "steps": self.steps}
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
     """The schedule a JSON object describes (keys east/west/aux, z_span, steps). Values reach
     CouplingProfile and PulseSchedule as they are, and the constructors validate every field."""
     try:
-        profiles = {
-            name: CouplingProfile(data[name]["peak"], data[name]["center"], data[name]["sigma"])
-            for name in ("east", "west", "aux")
-        }
+        profiles = [CouplingProfile(data[name]["peak"], data[name]["center"], data[name]["sigma"])
+                    for name in PROFILES]
         z_span = data["z_span"]
         steps = data.get("steps", DEFAULT_STEPS)
         if isinstance(steps, float) and steps == int(steps):  # int() rejects inf and NaN
@@ -181,7 +185,7 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
         if isinstance(exc, ScheduleError):
             raise
         raise ScheduleError(f"malformed schedule: {exc}") from exc
-    return PulseSchedule(profiles["east"], profiles["west"], profiles["aux"], z_span, steps)
+    return PulseSchedule(*profiles, z_span, steps)
 
 
 def load_schedule(path: str | Path) -> PulseSchedule:
@@ -259,7 +263,7 @@ def _cf4_transfer(schedule: PulseSchedule, steps: int) -> np.ndarray:
     for first in range(0, steps, CHUNK_STEPS):
         left = z_start + h * np.arange(first, min(first + CHUNK_STEPS, steps))
         zs = left[:, None] + h * _GAUSS_NODES
-        b = np.array([p.value(zs) for p in (schedule.east, schedule.west, schedule.aux)]) @ _CF4_WEIGHTS
+        b = np.array([p.value(zs) for p in schedule.profiles]) @ _CF4_WEIGHTS
         pair = _quaternion_product(_ordered_product(_step_quaternions(b.reshape(3, -1), h)), pair)
     return _quaternion_transfer(pair)
 
@@ -292,7 +296,7 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     """
     cap = schedule.steps
     span = schedule.z_span[1] - schedule.z_span[0]
-    first = np.ceil(4.0 * span / min(p.sigma for p in (schedule.east, schedule.west, schedule.aux)))
+    first = np.ceil(4.0 * span / min(p.sigma for p in schedule.profiles))
     if not 4.0 * first <= cap:  # an h^6 estimate needs three levels; a count rule with advice, not a tolerance
         advice = (f"increase steps to at least {4.0 * first:.0f}" if 4.0 * first <= MAX_STEPS
                   else f"the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}")
@@ -314,6 +318,13 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     return x
 
 
+def facet_block(schedule: PulseSchedule) -> np.ndarray:
+    """The read-only east/west 2x2 block of the single-photon transfer; sub-unitary when photons leak."""
+    block = propagate_single_photon(schedule)[np.ix_([MODE_EAST, MODE_WEST], [MODE_EAST, MODE_WEST])]
+    block.flags.writeable = False
+    return block
+
+
 def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarray, float]:
     """Holonomy estimate on the P-photon dark facet states {|n_E, 0, n_W, 0>}.
 
@@ -327,8 +338,7 @@ def dark_holonomy(schedule: PulseSchedule, photon_count: int) -> tuple[np.ndarra
     photon_count is checked before the propagation.
     """
     check_integer("photon_count", photon_count, 1, MAX_LIFT_PHOTONS)
-    transfer = propagate_single_photon(schedule)
-    facet = transfer[np.ix_([MODE_EAST, MODE_WEST], [MODE_EAST, MODE_WEST])]
+    facet = facet_block(schedule)
     block = multimode_lift(facet, photon_count)
     smallest = np.linalg.svd(facet, compute_uv=False)[-1]
     leakage = max(1.0 - float(smallest) ** (2 * photon_count), 0.0)  # max keeps a NaN only as its first argument

@@ -29,6 +29,7 @@ from holoent.adiabatic import (
     dark_holonomy,
     default_schedule,
     diabatic_scan,
+    facet_block,
     fit_rotation_phase,
     load_schedule,
     lz_error,
@@ -88,14 +89,10 @@ def strong_pulse_schedule() -> PulseSchedule:
     Its three levels run, but a step of sigma/16 is still coarse against the 10x couplings,
     so the estimate at the cap is about 1e-3, over STEP_ERROR_ABORT.
     """
-    sched = default_schedule()
-
-    def strong(p: CouplingProfile) -> CouplingProfile:
-        return dataclasses.replace(p, peak=10.0 * p.peak)
-
-    return dataclasses.replace(
-        sched, east=strong(sched.east), west=strong(sched.west), aux=strong(sched.aux), steps=544
-    )
+    sched = dataclasses.replace(default_schedule(), steps=544)
+    values = list(sched.fields())
+    values[0:9:3] = [10.0 * peak for peak in values[0:9:3]]
+    return sched.with_fields(values)
 
 
 def wide_pulse() -> CouplingProfile:
@@ -109,13 +106,28 @@ def narrow_aux_pulse() -> CouplingProfile:
 def reversed_schedule(schedule: PulseSchedule) -> PulseSchedule:
     """Mirror the schedule in z (traverse the coupling loop backwards)."""
     z_start, z_end = schedule.z_span
+    values = list(schedule.fields())
+    values[1:9:3] = [z_start + z_end - center for center in values[1:9:3]]
+    return schedule.with_fields(values)
 
-    def mirror(p: CouplingProfile) -> CouplingProfile:
-        return CouplingProfile(p.peak, z_start + z_end - p.center, p.sigma)
 
-    return dataclasses.replace(
-        schedule, east=mirror(schedule.east), west=mirror(schedule.west), aux=mirror(schedule.aux)
-    )
+def hand_dilated(schedule: PulseSchedule, scale) -> PulseSchedule:
+    """The dilation built profile by profile, as before PulseSchedule.fields() existed."""
+
+    def stretch(p: CouplingProfile) -> CouplingProfile:
+        return CouplingProfile(p.peak, p.center * scale, p.sigma * scale)
+
+    return PulseSchedule(stretch(schedule.east), stretch(schedule.west), stretch(schedule.aux),
+                         (schedule.z_span[0] * scale, schedule.z_span[1] * scale), schedule.steps)
+
+
+def outcome(build) -> tuple:
+    """("ok", the fields as float.hex strings, steps) of build(), or ("error", its ScheduleError's message)."""
+    try:
+        sched = build()
+    except ScheduleError as exc:
+        return "error", str(exc)
+    return "ok", [value.hex() for value in sched.fields()], sched.steps
 
 
 def propagate_recording_levels(schedule: PulseSchedule):
@@ -298,11 +310,12 @@ class TestPropagation:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the Gaussian's overflow to 0 warns no more
     @pytest.mark.parametrize(
         "sigma, z_span",
-        [(5e-324, (-10.0, 10.0)), (1.0, (-1e308, 1e308)), (1e-5, (-17.0, 17.0))],
+        [(5e-324, (-10.0, 10.0)), (1.0, (-1e308, 5e307)), (1e-5, (-17.0, 17.0))],
         ids=["subnormal-sigma", "overflowing-span", "finite-floor-past-max-steps"],
     )
     def test_floor_level_past_every_cap_is_named(self, cf4_steps, sigma, z_span):
-        # 4 span / sigma overflows to inf, or 4 N0 = 4 * 34 / (1e-5/4) = 5.44e7 exceeds MAX_STEPS
+        # 4 span / sigma overflows to inf (a span of 1.5e308 is finite, 4 times it is not),
+        # or 4 N0 = 4 * 34 / (1e-5/4) = 5.44e7 exceeds MAX_STEPS
         sched = PulseSchedule(CouplingProfile(1.0, 0.0, sigma), far_profile(), far_profile(), z_span, steps=320)
         assert not 4.0 * (4.0 * (z_span[1] - z_span[0]) / sigma) <= MAX_STEPS
         message = f"; the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}$"
@@ -537,6 +550,88 @@ class TestDarkHolonomy:
         block_rev, _ = dark_holonomy(reversed_schedule(schedule), 1)
         phi_backward = fit_rotation_phase(block_rev, 1)
         assert abs(phi_forward + phi_backward) < 1e-3
+
+
+class TestFacetBlock:
+    def test_read_only_slice_of_the_one_propagation(self, schedule, cf4_steps):
+        block = facet_block(schedule)
+        levels = list(cf4_steps)
+        assert np.array_equal(block, propagate_single_photon(schedule)[np.ix_([MODE_EAST, MODE_WEST],
+                                                                               [MODE_EAST, MODE_WEST])])
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+        assert np.array_equal(facet_block(schedule), block)
+        dark_holonomy(schedule, 2)
+        assert levels == [136, 272, 544, 1088, 2176]
+        assert cf4_steps == levels
+
+    def test_dark_holonomy_lifts_the_facet_block(self, schedule, dark_blocks):
+        assert np.array_equal(dark_blocks[1][0], facet_block(schedule))
+
+
+class TestFieldVector:
+    def test_fields_order(self, schedule):
+        east, west, aux = schedule.east, schedule.west, schedule.aux
+        assert adiabatic.PROFILES == ("east", "west", "aux")
+        assert schedule.profiles == (east, west, aux)
+        assert schedule.fields() == (east.peak, east.center, east.sigma, west.peak, west.center, west.sigma,
+                                     aux.peak, aux.center, aux.sigma, -17.0, 17.0)
+
+    def test_round_trip_is_equal_and_served_from_the_cache(self, schedule, cf4_steps):
+        first = propagate_single_photon(schedule)
+        calls = len(cf4_steps)
+        values = schedule.fields()
+        for vector in (values, list(values), np.array(values), [np.float64(v) for v in values]):
+            rebuilt = schedule.with_fields(vector)
+            assert rebuilt == schedule and hash(rebuilt) == hash(schedule)
+            assert all(type(value) is float for value in rebuilt.fields())
+            assert propagate_single_photon(rebuilt) is first
+        assert len(cf4_steps) == calls
+
+    def test_steps_stay_outside_the_vector(self, schedule):
+        capped = dataclasses.replace(schedule, steps=6000)
+        assert capped.fields() == schedule.fields()
+        assert capped.with_fields(schedule.fields()).steps == 6000
+
+    @settings(max_examples=60)
+    @given(
+        sched=st.builds(pulse_schedule, profiles, profiles, profiles, st.floats(0.0, 15.0)),
+        scale=st.floats(min_value=1e-3, max_value=1e3) | st.sampled_from([2, np.float64(0.7)]),
+    )
+    @example(sched=default_schedule(), scale=1.0 + 2.0**-20)
+    @example(sched=default_schedule(), scale=1e307)  # the span's length overflows
+    @example(sched=default_schedule(), scale=1e308)  # sigma overflows
+    @example(sched=default_schedule(), scale=5e-324)  # sigma underflows to 0
+    def test_dilate_is_bit_identical_to_the_hand_built_dilation(self, sched, scale):
+        expected = outcome(lambda: hand_dilated(sched, scale))
+        event(expected[0])
+        assert outcome(lambda: sched.dilate(scale)) == expected
+        if expected[0] == "ok":
+            assert hash(sched.dilate(scale)) == hash(hand_dilated(sched, scale))
+
+    @pytest.mark.parametrize("position", range(11))
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, True, "1"], ids=["nan", "minus-one", "true", "text"])
+    def test_bad_value_raises_the_constructors_error(self, schedule, position, bad):
+        values = list(schedule.fields())
+        values[position] = bad
+
+        def by_hand():
+            east, west, aux = (CouplingProfile(peak=values[k], center=values[k + 1], sigma=values[k + 2])
+                               for k in (0, 3, 6))
+            return PulseSchedule(east, west, aux, (values[9], values[10]), schedule.steps)
+
+        expected = outcome(by_hand)
+        assert outcome(lambda: schedule.with_fields(values)) == expected
+        if bad != -1.0:  # NaN, a bool and text are no real at any position
+            name = (["peak", "center", "sigma"] * 3 + ["z_span"] * 2)[position]
+            assert expected[0] == "error" and expected[1].startswith(f"{name} must be finite")
+
+    @pytest.mark.parametrize("count", [0, 9, 10, 12])
+    def test_wrong_length_is_named(self, schedule, count):
+        values = (schedule.fields() * 2)[:count]
+        with pytest.raises(ScheduleError, match=rf"^fields must be 11 reals, got {count} values$"):
+            schedule.with_fields(values)
 
 
 class TestFitRotationPhase:

@@ -340,6 +340,25 @@ def check_run(argv: list[str]) -> None:
         assert text is None
 
 
+class TestOverflowingSpan:
+    """A z_span whose ends are finite but whose length is not is refused where the schedule is built."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: idle_schedule(z_span=(-1e308, 1e308)), lambda: default_schedule().dilate(1e307)],
+        ids=["constructor", "dilate"],
+    )
+    def test_library_names_z_span(self, build):
+        with pytest.raises(ScheduleError, match=r"^z_span length must be finite, got inf$"):
+            build()
+
+    def test_diabatic_exits_5_before_its_first_propagation(self, cf4_steps):
+        # the scan's last point dilates the packaged span (-17, 17) by 1e307; every point is dilated first
+        code, err, text = run_main(["diabatic", "--scan-from", "2", "--scan-to", "1e308"])
+        assert (code, err, text) == (5, "error: z_span length must be finite, got inf\n", None)
+        assert cf4_steps == []
+
+
 class TestCliBoundaries:
     @settings(max_examples=25)
     @given(COUNT_TEXT, COUNT_TEXT, st.sampled_from(["1,0", "1,1", "nan,0", "1.5,0", "-1,2", "true,0", ""]),

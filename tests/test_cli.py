@@ -633,7 +633,8 @@ class TestDiabaticCommand:
     def test_unresolvable_span_prints_only_the_error(self, tmp_path):
         # far facets overflow the Gaussian's argument, which underflows the coupling to 0 without a warning
         data = default_schedule().to_dict()
-        data["z_span"] = [-1e308, 1.7e308]
+        # the span, 1.5e308, is finite; 4 span / sigma is not
+        data["z_span"] = [-1e308, 5e307]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "out.csv"
@@ -643,6 +644,18 @@ class TestDiabaticCommand:
             "error: step cap 36000 admits fewer than three doubling levels from inf steps, the first within a "
             f"quarter of the narrowest pulse width; the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}"
         ]
+        assert not out.exists()
+
+    def test_span_of_overflowing_length_exits_5(self, tmp_path):
+        # both ends are finite, but z_end - z_start is not: the schedule is refused, nothing propagates
+        data = default_schedule().to_dict()
+        data["z_span"] = [-1e308, 1.7e308]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        cp = run_cli("diabatic", "--schedule", str(path), "--output", str(out))
+        assert cp.returncode == 5
+        assert cp.stderr.splitlines() == ["error: z_span length must be finite, got inf"]
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
