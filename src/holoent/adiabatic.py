@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import check_finite, check_integer, check_positive, check_tolerance
+from .fock import _shown, check_array, check_finite, check_integer, check_positive, check_tolerance
 from .holonomy import MAX_LIFT_PHOTONS, RotationFamily, _phase_max, multimode_lift
 from .open_system import IntegrationError
 
@@ -123,11 +123,11 @@ class PulseSchedule:
     def __post_init__(self) -> None:
         for name, profile in zip(PROFILES, self.profiles):
             if not isinstance(profile, CouplingProfile):
-                raise ScheduleError(f"{name} must be a CouplingProfile, got {profile!r}")
+                raise ScheduleError(f"{name} must be a CouplingProfile, got {_shown(profile, repr)}")
         try:
             z_start, z_end = self.z_span
         except (TypeError, ValueError):
-            raise ScheduleError(f"z_span must be a pair of finite reals, got {self.z_span!r}") from None
+            raise ScheduleError(f"z_span must be a pair of finite reals, got {_shown(self.z_span, repr)}") from None
         check_finite("z_span", z_start, ScheduleError)
         check_finite("z_span", z_end, ScheduleError)
         if not z_start < z_end:
@@ -284,7 +284,8 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     estimate is within STEP_ERROR_ABORT, and IntegrationError is raised
     otherwise (NaN included). A cap under 4 N0 admits fewer than three levels,
     so it raises IntegrationError before any propagation, naming the cap 4 N0
-    or, past MAX_STEPS, saying that the pulses cannot be resolved.
+    or, past MAX_STEPS, saying that the pulses cannot be resolved (and naming N0
+    only if it is within MAX_STEPS).
 
     The result is cached with the schedule's value as the key: equal schedules,
     however they were built, share one propagation, and any changed field (one
@@ -295,16 +296,18 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     schedule fails on every call.
     """
     cap = schedule.steps
-    span = schedule.z_span[1] - schedule.z_span[0]
-    first = np.ceil(4.0 * span / min(p.sigma for p in schedule.profiles))
-    if not 4.0 * first <= cap:  # an h^6 estimate needs three levels; a count rule with advice, not a tolerance
-        advice = (f"increase steps to at least {4.0 * first:.0f}" if 4.0 * first <= MAX_STEPS
+    # in Python floats, a ratio past the float range is inf with no overflow warning; N0 is an int within MAX_STEPS
+    ratio = 4.0 * (schedule.z_span[1] - schedule.z_span[0]) / min(p.sigma for p in schedule.profiles)
+    first = math.ceil(ratio) if ratio <= MAX_STEPS else math.inf
+    if not 4 * first <= cap:  # an h^6 estimate needs three levels; a count rule with advice, not a tolerance
+        count = f"{first} steps, the first" if first <= MAX_STEPS else "the first step count"
+        advice = (f"increase steps to at least {4 * first}" if 4 * first <= MAX_STEPS
                   else f"the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}")
         raise IntegrationError(
-            f"step cap {cap} admits fewer than three doubling levels from {first:.0f} steps, the first "
-            f"within a quarter of the narrowest pulse width; {advice}"
+            f"step cap {cap} admits fewer than three doubling levels from {count} within a quarter of the "
+            f"narrowest pulse width; {advice}"
         )
-    steps = int(first)
+    steps = first
     coarse, x, estimate = _cf4_transfer(schedule, steps), None, math.inf
     while 2 * steps <= cap and not estimate <= STEP_ERROR_TARGET:
         steps *= 2
@@ -355,17 +358,12 @@ def fit_rotation_phase(block: np.ndarray, photon_count: int) -> float:
     Bernstein's inequality |score''| <= P^2 sum |c_m|, so the grid point nearest a peak lies
     within 1/2 P^2 sum |c_m| (step/2)^2 of it; that is the candidate margin. The result is the
     least-squares maximizer in [-period/2, period/2); an exactly represented rotation is
-    recovered to rounding. `block` must be a finite (P+1)x(P+1) matrix with rotation content:
+    recovered to rounding. `block` must be a (P+1)x(P+1) matrix that passes `check_array`, with rotation content:
     a block whose sum |c_m| is not above 1e-12 of its Frobenius norm, the all-zero block
     included, has no best phase and raises ValueError.
     """
     family = RotationFamily(photon_count)
-    block = np.asarray(block, dtype=complex)
-    side = photon_count + 1
-    if block.shape != (side, side):
-        raise ValueError(f"block must be {side}x{side} for {photon_count} photons, got shape {block.shape}")
-    if not np.isfinite(block).all():
-        raise ValueError("block has non-finite entries")
+    block = np.asarray(check_array("block", block, (photon_count + 1,) * 2), dtype=complex)
     coefficients = family.trace_coefficients(block)
     weight = float(np.abs(coefficients).sum())
     # a strict lower bound, so not a check_tolerance: the zero block would pass there as 0 <= 0

@@ -157,7 +157,7 @@ def _emit(args, columns: dict) -> int:
 def _parse_input_label(label: str, photons: int) -> int:
     occ = OccupationState.from_label(label)
     if occ.total != photons:
-        raise ValueError(f"input {label!r} has {occ.total} photons, expected {photons}")
+        raise ValueError(f"input {fock._shown(label, repr)} has {occ.total} photons, expected {photons}")
     return dark_basis(photons).index_of(occ)
 
 
@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("loss", help="negativity decay of the two reference states under equal loss")
-    p.add_argument("--t-max", type=float, default=10.0, help="duration in units of 1/gamma")
-    p.add_argument("--steps", type=int, default=1000, help="sampling intervals up to t_max")
+    p.add_argument("--t-max", type=float, default=open_system.LossConfig.t_max, help="duration in units of 1/gamma")
+    p.add_argument("--steps", type=int, default=open_system.LossConfig.steps, help="sampling intervals up to t_max")
     add_common(p)
     p.set_defaults(func=cmd_loss)
 
@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, open_system.IntegrationError, ValueError) as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import PureState, check_integer, check_tolerance
+from .fock import PureState, _shown, as_array, check_array, check_integer, check_tolerance
 
 Side = Literal["east", "west"]
 
@@ -40,13 +40,10 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.dims, Sequence) and self.dims):
-            raise ValueError(f"dims must be a non-empty sequence of mode dimensions, got {self.dims!r}")
+            raise ValueError(f"dims must be a non-empty sequence of mode dimensions, got {_shown(self.dims, repr)}")
         for dim in self.dims:
             check_integer("dims", dim, 1, math.inf)
-        m = np.asarray(self.matrix, dtype=complex)
-        side = math.prod(self.dims)
-        if m.shape != (side, side):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
+        m = np.asarray(check_array("matrix", self.matrix, (math.prod(self.dims),) * 2), dtype=complex)
         check_tolerance("Hermiticity defect", np.abs(m - m.conj().T).max(), HERMITICITY_TOL)
         check_tolerance("trace defect", abs(np.trace(m) - 1.0), TRACE_TOL)
         object.__setattr__(self, "matrix", m)
@@ -64,7 +61,7 @@ def density_from_pure(state: PureState) -> DensityMatrix:
 
 def _require_bipartite(dims: tuple[int, ...]) -> tuple[int, int]:
     if len(dims) != 2:
-        raise ValueError(f"operation needs a bipartite density matrix, got dims {dims}")
+        raise ValueError(f"operation needs a bipartite density matrix, got dims {_shown(dims)}")
     return dims[0], dims[1]
 
 
@@ -79,7 +76,7 @@ def reduce(rho: DensityMatrix, keep: Side) -> DensityMatrix:
         reduced = np.einsum("ijil->jl", t)
         dims = (d_west,)
     else:
-        raise ValueError(f"keep must be 'east' or 'west', got {keep!r}")
+        raise ValueError(f"keep must be 'east' or 'west', got {_shown(keep, repr)}")
     return DensityMatrix(reduced, dims)
 
 
@@ -164,7 +161,7 @@ def _transpose_mode(matrices: np.ndarray, dims: tuple[int, int], side: Side) -> 
     elif side == "west":
         swapped = np.swapaxes(t, -3, -1)
     else:
-        raise ValueError(f"side must be 'east' or 'west', got {side!r}")
+        raise ValueError(f"side must be 'east' or 'west', got {_shown(side, repr)}")
     return swapped.reshape(matrices.shape)
 
 
@@ -282,13 +279,13 @@ def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarr
     index convention of DensityMatrix; one `trace_norm` covers the whole batch, in
     closed form when the side is 1 to 3 and by one eigvalsh otherwise. Either
     side's partial transpose serves: the west one is the transpose of the east one.
-    Raises ValueError if an entry is not finite, where the closed forms would return
-    NaN and eigvalsh would fail to converge.
+    `check_array` refuses a non-finite entry, where the closed forms would return NaN and eigvalsh
+    would fail to converge.
     """
-    if not np.isfinite(matrices).all():
-        raise ValueError("log_negativity_bits needs finite matrices, got a NaN or infinite entry")
-    pt = _transpose_mode(matrices, _require_bipartite(dims), "east")
-    return negativity_bits(trace_norm(pt))
+    dims = _require_bipartite(dims)
+    array = as_array("matrices", matrices)
+    array = check_array("matrices", array, array.shape[:-2] + (math.prod(dims),) * 2)
+    return negativity_bits(trace_norm(_transpose_mode(array, dims, "east")))
 
 
 def negativity_bits(trace_norm: np.ndarray) -> np.ndarray:

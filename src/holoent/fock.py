@@ -4,9 +4,9 @@ Every other module builds its states from the primitives here.
 Basis ordering is fixed (descending east occupation) so that matrices written
 in the dark basis have a single, unambiguous row/column convention.
 
-It also owns the dark-sector bounds and the rules every module applies where a value enters or a
-result is certified: `check_integer`, the one check of any count (photon counts and sizes too), index or
-step; `check_finite` for reals; `check_positive` for positive reals; `check_tolerance` against a tolerance.
+It also owns the dark-sector bounds and the rules every module applies where a value enters or a result is
+certified: `check_integer` for any count (photon counts and sizes too), index or step; `check_finite` for reals;
+`check_positive` for positive reals; `check_array` for arrays; `check_tolerance` against a tolerance.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ MAX_SWEEP_ENTRIES = MEMORY_BUDGET_BYTES // 64
 # largest photon count of a dark basis or dark-sector matrix: its (P + 1)^2 entries stay
 # within MAX_SWEEP_ENTRIES
 MAX_DARK_PHOTONS = math.isqrt(MAX_SWEEP_ENTRIES) - 1
+SHOWN_CHARS = 60  # the most characters of a rejected value that a message shows
 
 
 def max_sweep_points(photon_count: int) -> int:
@@ -35,10 +36,11 @@ def max_sweep_points(photon_count: int) -> int:
 
 
 def _shown(value, show=str) -> str:
-    """How a check shows the value it rejects: show(value), or "an integer of N digits" for an int of
-    more than 20 digits, whose text is unreadable and past 4300 digits cannot be formatted at all."""
+    """How a check shows the value it rejects: show(value) cut to SHOWN_CHARS characters ending in "...", or
+    "an integer of N digits" for an int of more than 20 digits (past 4300 digits str cannot format it)."""
     if not isinstance(value, int) or -10**20 < value < 10**20:
-        return show(value)
+        text = show(value)
+        return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
     magnitude = abs(value)
     digits = int(math.log10(magnitude)) + 1
     digits += magnitude >= 10**digits  # log10 can round across a power of ten
@@ -49,7 +51,7 @@ def _shown(value, show=str) -> str:
 def check_integer(name: str, value, lowest, highest, error: type[ValueError] = ValueError) -> None:
     """Raise `error` naming `name` unless value is an int or numpy integer (not a bool) in [lowest, highest]."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value, repr)}")
     if not lowest <= value <= highest:
         raise error(f"{name} must be in [{lowest}, {highest}], got {_shown(value)}")
 
@@ -69,6 +71,29 @@ def check_positive(name: str, value, error: type[ValueError] = ValueError) -> No
     check_finite(name, value, error)
     if not value > 0:
         raise error(f"{name} must be positive, got {_shown(value)}")
+
+
+def as_array(name: str, value, error: type[ValueError] = ValueError) -> np.ndarray:
+    """np.asarray(value); raise `error` naming `name` if numpy cannot make an array of it (a ragged sequence)."""
+    try:
+        return np.asarray(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an array of numbers, got {_shown(value, repr)}") from None
+
+
+def check_array(name: str, value, shape: tuple[int, ...], error: type[ValueError] = ValueError) -> np.ndarray:
+    """`as_array(name, value)`; raise `error` naming `name` unless its dtype is int, unsigned, float or complex
+    (not bool, text or object), its shape is `shape` and every entry is finite, naming the first that is not."""
+    array = as_array(name, value, error)
+    if array.dtype.kind not in "iufc":
+        raise error(f"{name} must hold real or complex numbers, got dtype {_shown(array.dtype)}")
+    if array.shape != shape:
+        raise error(f"{name} must have shape {_shown(shape)}, got shape {_shown(array.shape)}")
+    finite = np.isfinite(array)
+    if not finite.all():
+        index = finite.argmin()  # the first False
+        raise error(f"{name} must be finite, got {_shown(array.flat[index])} at flat index {index}")
+    return array
 
 
 def check_tolerance(name: str, value, bound, error: type[Exception] = ValueError) -> None:
@@ -100,11 +125,11 @@ class OccupationState:
     def from_label(cls, label: str) -> "OccupationState":
         parts = label.split(",")
         if len(parts) != 2:
-            raise ValueError(f"expected 'n_east,n_west', got {label!r}")
+            raise ValueError(f"expected 'n_east,n_west', got {_shown(label, repr)}")
         try:
             n_east, n_west = (int(p.strip()) for p in parts)
         except ValueError as exc:
-            raise ValueError(f"expected 'n_east,n_west', got {label!r}") from exc
+            raise ValueError(f"expected 'n_east,n_west', got {_shown(label, repr)}") from exc
         return cls(n_east, n_west)
 
 
@@ -162,17 +187,14 @@ def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm complex amplitude vector over an ordered dark basis."""
+    """Unit-norm complex amplitude vector over an ordered dark basis; amplitudes of any shape are flattened."""
 
     basis: DarkBasis
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amp.shape[0] != self.basis.dimension:
-            raise ValueError(
-                f"amplitude vector has length {amp.shape[0]}, basis dimension is {self.basis.dimension}"
-            )
+        flat = as_array("amplitudes", self.amplitudes).reshape(-1)
+        amp = np.asarray(check_array("amplitudes", flat, (self.basis.dimension,)), dtype=complex)
         check_tolerance("state norm defect", abs(np.linalg.norm(amp) - 1.0), NORM_TOL)
         object.__setattr__(self, "amplitudes", amp)
 

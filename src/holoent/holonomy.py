@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from . import entanglement
-from .fock import MAX_DARK_PHOTONS, PureState, check_finite, check_integer, check_tolerance, max_sweep_points
+from .fock import (MAX_DARK_PHOTONS, PureState, _shown, as_array, check_array, check_finite, check_integer,
+                   check_tolerance, max_sweep_points)
 
 UNITARITY_TOL = 1e-9
 # largest photon count multimode_lift accepts: the worst unitarity defect of the lift of a unitary
@@ -49,17 +50,15 @@ def single_mode_rotation(phi) -> np.ndarray:
 
     phi is a real scalar or an array (or sequence) of phases; the result has shape
     phi.shape + (2, 2), from one np.cos/np.sin pass, and entry i is R(phi[i]) bit for bit. A
-    scalar must pass `check_finite`. An array of bool or non-real dtype raises ValueError, and so
-    does a non-finite entry, naming the first one.
+    scalar must pass `check_finite`. An array of bool or non-real dtype raises ValueError, and
+    `check_array` names a ragged sequence or the first non-finite entry.
     """
-    if np.ndim(phi) == 0 and not isinstance(phi, np.ndarray):
+    phis = as_array("phi", phi)
+    if phis.ndim == 0 and not isinstance(phi, np.ndarray):
         check_finite("phi", phi)
-    phis = np.asarray(phi)
     if phis.dtype.kind not in "iuf":
-        raise ValueError(f"phi must hold real numbers, got dtype {phis.dtype}")
-    bad = np.flatnonzero(~np.isfinite(phis))
-    if bad.size:
-        raise ValueError(f"phi must be finite, got {float(phis.flat[bad[0]])!r} at flat index {bad[0]}")
+        raise ValueError(f"phi must hold real numbers, got dtype {_shown(phis.dtype)}")
+    check_array("phi", phis, phis.shape)
     c, s = np.cos(phis), np.sin(phis)
     return np.stack([c, -s, s, c], axis=-1).reshape(phis.shape + (2, 2)).astype(complex)
 
@@ -129,7 +128,8 @@ def multimode_lift(u: np.ndarray, photon_count: int) -> np.ndarray:
     finiteness and the photon count, runs the kernel `fock_lift` shares, and checks last that
     the lift did not overflow.
     """
-    return _lift(u, photon_count, False)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lift is refused by name instead
+        return _lift(u, photon_count, False)
 
 
 def _unitarity_defect(u00: complex, u10: complex, u01: complex, u11: complex) -> float:
@@ -154,12 +154,8 @@ def fock_lift(u2: np.ndarray, photon_count: int) -> np.ndarray:
 
 
 def apply_holonomy(u: np.ndarray, state: PureState) -> PureState:
-    """Apply a dark-basis unitary to a dark state (column-vector convention)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (state.basis.dimension, state.basis.dimension):
-        raise ValueError(
-            f"matrix of side {u.shape[0]} does not match basis dimension {state.basis.dimension}"
-        )
+    """Apply a dark-basis unitary to a dark state (column-vector convention); u passes `check_array`."""
+    u = np.asarray(check_array("u", u, (state.basis.dimension,) * 2), dtype=complex)
     return PureState(state.basis, u @ state.amplitudes)
 
 

@@ -33,10 +33,12 @@ from holoent.adiabatic import (
     schedule_from_dict,
 )
 from holoent.cli import MAX_SCAN_POINTS, main
-from holoent.entanglement import DensityMatrix
+from holoent.entanglement import DensityMatrix, log_negativity_bits, partial_transpose, reduce
 from holoent.fock import (
     MAX_DARK_PHOTONS,
+    SHOWN_CHARS,
     OccupationState,
+    PureState,
     basis_state,
     check_finite,
     check_integer,
@@ -46,6 +48,7 @@ from holoent.fock import (
 from holoent.holonomy import (
     MAX_LIFT_PHOTONS,
     RotationFamily,
+    apply_holonomy,
     entropy_at_phase,
     fock_lift,
     max_entropy_over_phase,
@@ -305,6 +308,135 @@ class TestCheckers:
         assert len(dark_basis(MAX_DARK_PHOTONS).states) == MAX_DARK_PHOTONS + 1
         with pytest.raises(ValueError, match=rf"^photon_count must be in \[0, {MAX_DARK_PHOTONS}\]"):
             dark_basis(MAX_DARK_PHOTONS + 1)
+
+
+# each array input: (entry point, argument name, call, a value it accepts); the value's shape is the one
+# the entry point requires (PureState flattens its amplitudes first; single_mode_rotation takes any shape),
+# and its entries are exact in float32. U3_HALF_PI is u3(pi/2), the swap of |2,0> and |0,2>
+U3_HALF_PI = [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
+MIXED = np.diag([0.5, 0.25, 0.25])
+ARRAY_ENTRIES = [
+    ("single_mode_rotation", "phi", single_mode_rotation, [0.5, 0.25, 0.125]),
+    ("fit_rotation_phase", "block", lambda v: fit_rotation_phase(v, 2), U3_HALF_PI),
+    ("apply_holonomy", "u", lambda v: apply_holonomy(v, basis_state(2, 1)), U3_HALF_PI),
+    ("DensityMatrix", "matrix", lambda v: DensityMatrix(v, (3,)), MIXED),
+    ("PureState", "amplitudes", lambda v: PureState(dark_basis(2), v), [1, 0, 0]),
+    ("log_negativity_bits", "matrices", lambda v: log_negativity_bits(v, (3, 1)), MIXED),
+]
+RAGGED = [[1.0, 2.0], [3.0]]
+
+
+def array_message(entry: str, name: str, case: str) -> str | None:
+    """The whole message of ValueError for one bad input `case`, or None where the entry point accepts it."""
+    required = "(3,)" if entry == "PureState" else "(3, 3)"
+    if entry == "single_mode_rotation":  # a scalar passes check_finite, and only reals are phases
+        shapes = {"0-d": None, "1-d": None, "wrong shape": None, "str": "phi must be finite, got 'abc'",
+                  "bool": "phi must hold real numbers, got dtype bool"}
+    else:
+        shapes = {"0-d": f"got shape {'(1,)' if entry == 'PureState' else '()'}", "1-d": "got shape (2,)",
+                  "wrong shape": f"got shape {'(4,)' if entry == 'PureState' else '(2, 2)'}"}
+        shapes = {case: f"{name} must have shape {required}, {got}" for case, got in shapes.items()}
+        shapes.update(str=f"{name} must hold real or complex numbers, got dtype <U3",
+                      bool=f"{name} must hold real or complex numbers, got dtype bool")
+    shapes.update(ragged=f"{name} must be an array of numbers, got {RAGGED!r}",
+                  nan=f"{name} must be finite, got nan at flat index 2",
+                  inf=f"{name} must be finite, got -inf at flat index 2")
+    return shapes[case]
+
+
+def bad_array(good, case: str):
+    good = np.asarray(good, dtype=float)
+    if case in ("nan", "inf"):
+        bad = good.copy()
+        bad.flat[2] = math.nan if case == "nan" else -math.inf
+        return bad
+    return {"str": "abc", "ragged": RAGGED, "bool": good != 0.0, "0-d": np.float64(1.0), "1-d": np.ones(2),
+            "wrong shape": np.ones((2, 2))}[case]
+
+
+class TestArrayInputs:
+    """fock.check_array is the one check of an array input's type, shape and finiteness: each entry point
+    names a bad array in a ValueError of at most 200 characters, and names its first non-finite entry."""
+
+    @pytest.mark.parametrize("case", ["str", "ragged", "bool", "0-d", "1-d", "wrong shape", "nan", "inf"])
+    @pytest.mark.parametrize("entry, name, call, good", ARRAY_ENTRIES, ids=[e[0] for e in ARRAY_ENTRIES])
+    def test_bad_array_is_named(self, entry, name, call, good, case):
+        message = array_message(entry, name, case)
+        if message is None:
+            call(bad_array(good, case))
+            return
+        with pytest.raises(ValueError) as info:
+            call(bad_array(good, case))
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+        assert len(message) <= 200
+
+    @pytest.mark.parametrize("entry, name, call, good", ARRAY_ENTRIES, ids=[e[0] for e in ARRAY_ENTRIES])
+    def test_every_numeric_dtype_and_a_nested_list_pass(self, entry, name, call, good):
+        good = np.asarray(good)
+        values = [good.tolist(), good.astype(np.float32), good.astype(float)]
+        if entry != "single_mode_rotation":  # phases are real
+            values += [good.astype(np.complex64), good.astype(complex)]
+        if good.dtype.kind == "i":
+            values += [good.astype(np.int8), good.astype(np.int64)]
+        if good.dtype.kind == "i" and good.min() >= 0:
+            values.append(good.astype(np.uint8))
+        for value in values:
+            call(value)
+
+    def test_a_long_ragged_sequence_is_shown_cut(self):
+        with pytest.raises(ValueError) as info:
+            DensityMatrix([[0.5] * 1000, [0.5]], (2,))
+        message = str(info.value)
+        assert message.startswith("matrix must be an array of numbers, got [[0.5, 0.5, ")
+        assert message.endswith("...") and len(message) <= 200
+
+
+class TestShownValues:
+    """Each check shows at most SHOWN_CHARS characters of the value it rejects, the last three "..."."""
+
+    @pytest.mark.parametrize(
+        "call, start",
+        [
+            (lambda text: check_integer("n", text, 0, 5), "n must be an integer, got 'xxx"),
+            (lambda text: check_finite("x", text), "x must be finite, got 'xxx"),
+            (lambda text: OccupationState.from_label(text), "expected 'n_east,n_west', got 'xxx"),
+            (lambda text: OccupationState.from_label(text.replace("x", "1")), "expected 'n_east,n_west', got '111"),
+            (lambda text: reduce(DensityMatrix(np.eye(4) / 4.0, (2, 2)), text),
+             "keep must be 'east' or 'west', got 'xxx"),
+            (lambda text: partial_transpose(DensityMatrix(np.eye(4) / 4.0, (2, 2)), text),
+             "side must be 'east' or 'west', got 'xxx"),
+        ],
+    )
+    @pytest.mark.parametrize("length", [3000, 5000])
+    def test_long_text_is_cut(self, call, start, length):
+        with pytest.raises(ValueError) as info:
+            call("x" * length)
+        message = str(info.value)
+        assert message.startswith(start) and message.endswith("...")
+        assert len(message) <= 200 and len(message) - message.index("got ") - 4 == SHOWN_CHARS
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: reduce(DensityMatrix(np.eye(1), (1,) * 3000), "east"),
+             "operation needs a bipartite density matrix, got dims (1, 1, 1, "),
+            (lambda: DensityMatrix(np.eye(1), {1: "x" * 3000}),
+             "dims must be a non-empty sequence of mode dimensions, got {1: 'xx"),
+            (lambda: idle_schedule(z_span=[1.0] * 3000), "z_span must be a pair of finite reals, got [1.0, 1.0, "),
+            (lambda: dataclasses.replace(default_schedule(), aux=("x" * 3000,)),
+             "aux must be a CouplingProfile, got ('xxx"),
+        ],
+    )
+    def test_long_sequence_is_cut(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(message) and str(info.value).endswith("...")
+        assert len(str(info.value)) <= 200
+
+    def test_short_text_is_shown_whole(self):
+        with pytest.raises(ValueError, match=r"^expected 'n_east,n_west', got '1;1'$"):
+            OccupationState.from_label("1;1")
 
 
 # option text around every boundary: non-finite, huge, negative, zero, non-integral, bool-like,

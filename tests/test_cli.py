@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -223,6 +224,15 @@ class TestSweepCommand:
         assert run_cli("sweep", "--input", "x,y").returncode == 2
         assert run_cli("sweep", "--input", "3,0", "--photons", "2").returncode == 2
 
+    @pytest.mark.parametrize("label", ["1,1" * 1000, "1" * 5000, " " * 3000 + "1,1"],
+                             ids=["3000-characters", "5000-digits", "padded-with-the-wrong-total"])
+    def test_long_label_error_is_one_short_line(self, label):
+        # the last label parses, with 2 photons where 3 are asked for
+        cp = run_cli("sweep", "--input", label, "--photons", "3", "--points", "16")
+        assert cp.returncode == 2 and cp.stdout == ""
+        [line] = cp.stderr.splitlines()
+        assert line.startswith("error: ") and "..." in line and len(line) <= 200
+
     def test_unwritable_path_exits_3(self, tmp_path):
         cp = run_cli("sweep", "--input", "1,1", "--points", "16",
                      "--output", str(tmp_path / "missing_dir" / "out.csv"))
@@ -423,6 +433,10 @@ class TestRenderers:
 
 
 class TestLossCommand:
+    def test_option_defaults_are_the_loss_config_defaults(self):
+        args = cli.build_parser().parse_args(["loss"])
+        assert (args.t_max, args.steps) == (open_system.LossConfig().t_max, open_system.LossConfig().steps)
+
     def test_columns_and_invariants(self, tmp_path):
         out = tmp_path / "loss.csv"
         cp = run_cli("loss", "--t-max", "2", "--steps", "200", "--output", str(out))
@@ -641,7 +655,7 @@ class TestDiabaticCommand:
         cp = run_cli("diabatic", "--schedule", str(path), "--output", str(out))
         assert cp.returncode == 4
         assert cp.stderr.splitlines() == [
-            "error: step cap 36000 admits fewer than three doubling levels from inf steps, the first within a "
+            "error: step cap 36000 admits fewer than three doubling levels from the first step count within a "
             f"quarter of the narrowest pulse width; the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}"
         ]
         assert not out.exists()
@@ -708,6 +722,24 @@ class TestDeterminism:
 
 
 class TestCliBasics:
+    @pytest.mark.parametrize(
+        "error, code",
+        [(cli.CliError, cli.EXIT_UNWRITABLE), (cli.adiabatic.ScheduleError, cli.EXIT_SCHEDULE),
+         (open_system.IntegrationError, cli.EXIT_INTEGRATOR), (ValueError, cli.EXIT_INVALID_INPUT)],
+    )
+    def test_each_error_class_exits_with_its_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_basis", fail)
+        monkeypatch.setattr(cli, "_parser", functools.lru_cache(maxsize=1)(cli.build_parser))
+        assert main(["basis"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
+        monkeypatch.setattr(cli, "cmd_basis", lambda args: 1 / 0)
+        cli._parser.cache_clear()
+        with pytest.raises(ZeroDivisionError):  # a class outside _EXIT_CODES is a bug, not an exit code
+            main(["basis"])
+
     def test_help(self):
         cp = run_cli("--help")
         assert cp.returncode == 0

@@ -22,6 +22,7 @@ from holoent.fock import (
     OccupationState,
     PureState,
     basis_state,
+    check_array,
     check_positive,
     check_tolerance,
     dark_basis,
@@ -399,3 +400,114 @@ class TestCheckPositive:
         assert comparisons == [("fock.py", "check_positive")]
         assert sweep_entry_reads == []
         assert size_checkers == []
+
+
+def raising_array_tests(tree: ast.AST, function: str = "", assigned: dict | None = None) -> list[tuple[str, str]]:
+    """(enclosing function, test source) of each `if` that raises, in its body or its else, and whose test
+    reads an array's shape, dtype or ndim, or an isfinite other than the scalar rule's math.isfinite. A
+    name in the test counts by every value the enclosing function assigned to it."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function, assigned = tree.name, {}
+        for node in ast.walk(tree):
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, []).append(node.value)
+
+    def reads_array(expression, seen=()):
+        for node in ast.walk(expression):
+            if isinstance(node, ast.Attribute) and (
+                node.attr in ("shape", "dtype", "ndim") or node.attr == "isfinite" and ast.unparse(node.value) != "math"
+            ):
+                return True
+            if isinstance(node, ast.Name) and node.id in (assigned or {}) and node.id not in seen:
+                if any(reads_array(value, seen + (node.id,)) for value in assigned[node.id]):
+                    return True
+        return False
+
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.If) and any(isinstance(statement, ast.Raise) for statement in node.body + node.orelse):
+            if reads_array(node.test):
+                found.append((function, ast.unparse(node.test)))
+        found += raising_array_tests(node, function, assigned)
+    return found
+
+
+class TestCheckArray:
+    """check_array is the one check of an array input: numpy can make an array of it, its dtype is int,
+    unsigned, float or complex, its shape is the one asked for and its entries are finite."""
+
+    def test_returns_the_array_itself(self):
+        matrix = np.eye(2)
+        assert check_array("m", matrix, (2, 2)) is matrix
+        listed = check_array("m", [[1, 0], [0, 1]], (2, 2))
+        assert isinstance(listed, np.ndarray) and listed.dtype.kind == "i"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([[1.0], [1.0, 2.0]], "m must be an array of numbers, got [[1.0], [1.0, 2.0]]"),
+            (np.eye(2, dtype=bool), "m must hold real or complex numbers, got dtype bool"),
+            (np.array([["1", "0"], ["0", "1"]]), "m must hold real or complex numbers, got dtype <U1"),
+            (np.eye(2, dtype=object), "m must hold real or complex numbers, got dtype object"),
+            (None, "m must hold real or complex numbers, got dtype object"),
+            (np.eye(3), "m must have shape (2, 2), got shape (3, 3)"),
+            (np.array([[1.0, 2.0], [complex(0.0, math.inf), math.nan]]), "m must be finite, got infj at flat index 2"),
+            (np.array([[1.0, 2.0], [3.0, -math.inf]], dtype=np.float32), "m must be finite, got -inf at flat index 3"),
+        ],
+    )
+    def test_messages(self, value, message):
+        with pytest.raises(ValueError) as info:
+            check_array("m", value, (2, 2))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [np.eye(3), np.full((2, 2), math.nan), "ab", [[1], []]])
+    def test_raises_the_class_it_is_given(self, value):
+        with pytest.raises(ScheduleError) as info:
+            check_array("m", value, (2, 2), ScheduleError)
+        assert type(info.value) is ScheduleError
+
+    def test_takes_no_flag(self):
+        assert list(inspect.signature(check_array).parameters) == ["name", "value", "shape", "error"]
+
+    def test_guard_finds_a_raising_array_test(self):
+        source = """
+def direct(m):
+    if m.shape != (2, 2):
+        raise ValueError
+def through_a_name(m):
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        raise ValueError
+def in_the_else(m):
+    if m.dtype.kind in "iufc":
+        pass
+    else:
+        raise ValueError
+def scalar(x):
+    if not math.isfinite(x):
+        raise ValueError
+"""
+        found = raising_array_tests(ast.parse(source))
+        assert [function for function, _ in found] == ["direct", "through_a_name", "in_the_else"]
+
+    def test_array_inputs_have_one_home(self):
+        # outside check_array, the only raising tests of a shape, dtype or finiteness are _lift's inline
+        # checks (the per-phase lift of sweep, where the rule's cost would show), the two result checks
+        # (_check_score and _lift's overflow test) and single_mode_rotation's real-dtype clause
+        found = []
+        for path in sorted(SOURCES.glob("*.py")):
+            tests = raising_array_tests(ast.parse(path.read_text(encoding="utf-8")))
+            found += [(path.name, function, test) for function, test in tests]
+        assert [test for test in found if test[1] == "check_array"] == [
+            ("fock.py", "check_array", "array.dtype.kind not in 'iufc'"),
+            ("fock.py", "check_array", "array.shape != shape"),
+            ("fock.py", "check_array", "not finite.all()"),
+        ]
+        assert [test for test in found if test[1] != "check_array"] == [
+            ("holonomy.py", "single_mode_rotation", "phis.dtype.kind not in 'iuf'"),
+            ("holonomy.py", "_lift", "u.shape != (2, 2)"),
+            ("holonomy.py", "_lift", "not all(map(cmath.isfinite, scalars))"),
+            ("holonomy.py", "_lift", "not unitary and (not np.isfinite(lifted).all())"),
+            ("holonomy.py", "_check_score", "bad.size"),
+        ]

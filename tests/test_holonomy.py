@@ -317,9 +317,12 @@ class TestClosedFormLift:
         with pytest.raises(ValueError, match="u has non-finite entries"):
             multimode_lift(u, 2)
 
-    def test_rejects_overflowing_lift(self):
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="lift of u overflows"):
-            multimode_lift(1e10 * np.eye(2), MAX_LIFT_PHOTONS)
+    @pytest.mark.filterwarnings("error")  # the kernel's overflow is named, not warned about
+    @pytest.mark.parametrize("u", [1e10 * np.eye(2), 1e200 * np.ones((2, 2))], ids=["1e10-identity", "1e200-ones"])
+    def test_rejects_overflowing_lift(self, u):
+        with pytest.raises(ValueError) as info:
+            multimode_lift(u, MAX_LIFT_PHOTONS)
+        assert str(info.value) == "the 42-photon lift of u overflows"
 
     @pytest.mark.parametrize("photons", [-1, MAX_LIFT_PHOTONS + 1])
     def test_rejects_photon_count_out_of_range(self, photons):
