@@ -296,18 +296,17 @@ def propagate_single_photon(schedule: PulseSchedule) -> np.ndarray:
     schedule fails on every call.
     """
     cap = schedule.steps
-    # in Python floats, a ratio past the float range is inf with no overflow warning; N0 is an int within MAX_STEPS
+    # N0 = ceil(ratio); in Python floats a ratio past the float range is inf, with no overflow warning
     ratio = 4.0 * (schedule.z_span[1] - schedule.z_span[0]) / min(p.sigma for p in schedule.profiles)
-    first = math.ceil(ratio) if ratio <= MAX_STEPS else math.inf
-    if not 4 * first <= cap:  # an h^6 estimate needs three levels; a count rule with advice, not a tolerance
-        count = f"{first} steps, the first" if first <= MAX_STEPS else "the first step count"
-        advice = (f"increase steps to at least {4 * first}" if 4 * first <= MAX_STEPS
+    if not ratio <= cap // 4:  # 4 N0 <= cap: an h^6 estimate needs three levels; a count rule with advice
+        count = f"{math.ceil(ratio)} steps, the first" if ratio <= MAX_STEPS else "the first step count"
+        advice = (f"increase steps to at least {4 * math.ceil(ratio)}" if ratio <= MAX_STEPS // 4
                   else f"the pulses cannot be resolved within MAX_STEPS = {MAX_STEPS}")
         raise IntegrationError(
             f"step cap {cap} admits fewer than three doubling levels from {count} within a quarter of the "
             f"narrowest pulse width; {advice}"
         )
-    steps = first
+    steps = math.ceil(ratio)
     coarse, x, estimate = _cf4_transfer(schedule, steps), None, math.inf
     while 2 * steps <= cap and not estimate <= STEP_ERROR_TARGET:
         steps *= 2

@@ -73,26 +73,26 @@ def check_positive(name: str, value, error: type[ValueError] = ValueError) -> No
         raise error(f"{name} must be positive, got {_shown(value)}")
 
 
-def as_array(name: str, value, error: type[ValueError] = ValueError) -> np.ndarray:
-    """np.asarray(value); raise `error` naming `name` if numpy cannot make an array of it (a ragged sequence)."""
+def as_array(name: str, value) -> np.ndarray:
+    """np.asarray(value); raise ValueError naming `name` if numpy cannot make an array of it (a ragged sequence)."""
     try:
         return np.asarray(value)
     except (TypeError, ValueError):
-        raise error(f"{name} must be an array of numbers, got {_shown(value, repr)}") from None
+        raise ValueError(f"{name} must be an array of numbers, got {_shown(value, repr)}") from None
 
 
-def check_array(name: str, value, shape: tuple[int, ...], error: type[ValueError] = ValueError) -> np.ndarray:
-    """`as_array(name, value)`; raise `error` naming `name` unless its dtype is int, unsigned, float or complex
+def check_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """`as_array(name, value)`; raise ValueError naming `name` unless its dtype is int, unsigned, float or complex
     (not bool, text or object), its shape is `shape` and every entry is finite, naming the first that is not."""
-    array = as_array(name, value, error)
+    array = as_array(name, value)
     if array.dtype.kind not in "iufc":
-        raise error(f"{name} must hold real or complex numbers, got dtype {_shown(array.dtype)}")
+        raise ValueError(f"{name} must hold real or complex numbers, got dtype {_shown(array.dtype)}")
     if array.shape != shape:
-        raise error(f"{name} must have shape {_shown(shape)}, got shape {_shown(array.shape)}")
+        raise ValueError(f"{name} must have shape {_shown(shape)}, got shape {_shown(array.shape)}")
     finite = np.isfinite(array)
     if not finite.all():
         index = finite.argmin()  # the first False
-        raise error(f"{name} must be finite, got {_shown(array.flat[index])} at flat index {index}")
+        raise ValueError(f"{name} must be finite, got {_shown(array.flat[index])} at flat index {index}")
     return array
 
 

@@ -461,14 +461,8 @@ class TestCheckArray:
             check_array("m", value, (2, 2))
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("value", [np.eye(3), np.full((2, 2), math.nan), "ab", [[1], []]])
-    def test_raises_the_class_it_is_given(self, value):
-        with pytest.raises(ScheduleError) as info:
-            check_array("m", value, (2, 2), ScheduleError)
-        assert type(info.value) is ScheduleError
-
     def test_takes_no_flag(self):
-        assert list(inspect.signature(check_array).parameters) == ["name", "value", "shape", "error"]
+        assert list(inspect.signature(check_array).parameters) == ["name", "value", "shape"]
 
     def test_guard_finds_a_raising_array_test(self):
         source = """
