@@ -6,17 +6,20 @@ Usage (from anywhere; holoent is imported from this checkout's src):
 
 L0 and L1 rows, and the L2 rows of single CLI commands, run in this process through
 holoent.diagnostics.StageTimer: each row is called --repeats times after one untimed
-call, and the file keeps the min and the median. A CLI row calls holoent.cli.main and
-writes its dataset into a temporary directory. A "cold" row clears the transfer cache
-before every call. The perfbench L2 rows run perfbench/run.py once per workload (seed
-L2_SEED, --seconds each, tracing off) and copy its drift-corrected medians; --seconds 0
-skips them. The file also
-records the git SHA, whether the tree differs from it, a SHA-256 of src/ that names
-the measured tree even when it does, the line count of each src/holoent module and their
-total (`src_lines`, as `wc -l` counts), the numpy and Python versions, nproc and whether
-PYTHONDONTWRITEBYTECODE is set, which makes setup_s include compiling holoent. Run as a
-script, it first sets perfbench's THREAD_ENV (one BLAS thread, as in perfbench's children)
-and records the thread settings in effect.
+call, and the file keeps the min and the median. perfbench's reference kernel
+(child.calibrate) is timed before the first row and after each one, and each row also
+keeps its min and median drift-corrected as perfbench corrects its times: scaled by
+KERNEL_REF_S (recorded as `kernel_ref_s`) over the mean of the two kernel times beside the
+row (`calibration_s`), as `corrected_min_s` and `corrected_median_s`. A CLI row calls
+holoent.cli.main and writes its dataset into a temporary directory. A "cold" row clears
+the transfer cache before every call. The perfbench L2 rows run perfbench/run.py once per
+workload (seed L2_SEED, --seconds each, tracing off) and copy its drift-corrected medians;
+--seconds 0 skips them. The file also records the git SHA, whether the tree differs from
+it, a SHA-256 of src/ that names the measured tree even when it does, the line count of
+each src/holoent module and their total (`src_lines`, as `wc -l` counts), the numpy and
+Python versions, nproc and whether PYTHONDONTWRITEBYTECODE is set, which makes setup_s
+include compiling holoent. Run as a script, it first sets perfbench's THREAD_ENV (one BLAS
+thread, as in perfbench's children) and records the thread settings in effect.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from run import THREAD_ENV  # noqa: E402  (perfbench/run.py, which never imports numpy)
+from child import calibrate  # noqa: E402  (perfbench/child.py, which imports numpy only to calibrate)
+from run import KERNEL_REF_S, THREAD_ENV  # noqa: E402  (perfbench/run.py, which never imports numpy)
 
 if __name__ == "__main__":  # before numpy loads its BLAS; an importing process keeps its own
     os.environ.update(THREAD_ENV)
@@ -71,7 +75,7 @@ def command(argv: list[str], output: Path):
 
 def first_blocks(rho0: DensityMatrix) -> np.ndarray:
     """The largest coherence blocks of rho0's first TRACE_NORM_BLOCKS samples at the default loss
-    spacing, shaped as `evolve` hands them to `trace_norm`."""
+    spacing, matrices last as `trace_norm` takes them: a view of the entry-first samples."""
     plan = plan_loss(rho0)
     index, entries = plan.groups[-1]
     cfg = LossConfig()
@@ -142,15 +146,23 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
 
 
 def time_rows(repeats: int) -> list[dict]:
-    timer, layers = StageTimer(), {}
+    timer, layers, kernels = StageTimer(), {}, {}
     with tempfile.TemporaryDirectory() as outdir:
+        kernel = calibrate()
         for layer, name, call in rows(Path(outdir)):
             layers[name] = layer
             call()  # imports, tables and caches outside the timed calls
             for _ in range(repeats):
                 with timer.stage(name):
                     call()
-    return [{"layer": layers[name], "name": name, **stats} for name, stats in timer.summary().items()]
+            before, kernel = kernel, calibrate()
+            kernels[name] = [before, kernel]
+    out = []
+    for name, stats in timer.summary().items():
+        factor = KERNEL_REF_S / (0.5 * sum(kernels[name]))
+        out.append({"layer": layers[name], "name": name, **stats, "calibration_s": kernels[name],
+                    "corrected_min_s": stats["min_s"] * factor, "corrected_median_s": stats["median_s"] * factor})
+    return out
 
 
 def end_to_end(seconds: float) -> list[dict]:
@@ -219,6 +231,7 @@ def main(argv: list[str] | None = None) -> None:
         "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
         "repeats": args.repeats,
+        "kernel_ref_s": KERNEL_REF_S,
         "rows": time_rows(args.repeats) + (end_to_end(args.seconds) if args.seconds > 0 else []),
     }
     args.output.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -173,10 +173,12 @@ def partial_transpose(rho: DensityMatrix, side: Side) -> np.ndarray:
 def trace_norm(matrices: np.ndarray) -> np.ndarray:
     """Sum of |eigenvalues| of Hermitian matrices over the last two axes, batched over leading axes.
 
-    Reads the lower triangle, as eigvalsh does. A 1x1 matrix [[a]] has norm |Re a|. A 2x2
-    matrix [[a, b*], [b, d]] has eigenvalues mean +- radius with mean (a + d) / 2 and
-    radius hypot((a - d) / 2, |b|), so its norm is 2 max(|mean|, radius), computed as
-    max(|a + d|, hypot(a - d, 2 |b|)) so that no halving rounds a subnormal entry away.
+    A view of the matrices goes to the one kernel, `_entry_first_trace_norm`, which reads the
+    entries off its first two axes and the lower triangle, as eigvalsh does; matrices of side 4
+    and up go through eigvalsh. A 1x1 matrix [[a]] has norm |Re a|. A 2x2 matrix [[a, b*], [b, d]]
+    has eigenvalues mean +- radius with mean (a + d) / 2 and radius hypot((a - d) / 2, |b|), so its
+    norm is 2 max(|mean|, radius), computed as max(|a + d|, hypot(a - d, 2 |b|)) so that no halving
+    rounds a subnormal entry away.
 
     A 3x3 matrix A is first divided by its largest lower-triangle magnitude s (a complex
     entry counts its real and imaginary parts), so that no square or cube of an entry
@@ -192,22 +194,10 @@ def trace_norm(matrices: np.ndarray) -> np.ndarray:
     through eigvalsh, held as complex so that real input gives the bits of complex input.
     The norm is within 1e-14 s of eigvalsh's on near-degenerate, rank-one and subnormal
     matrices alike (tests/test_entanglement.py::TestTraceNorm).
-
-    Larger matrices go through eigvalsh.
     """
-    side = matrices.shape[-1]
-    if side == 1:
-        return np.abs(matrices[..., 0, 0].real)
-    if side == 2:
-        a, d = matrices[..., 0, 0].real, matrices[..., 1, 1].real
-        return np.maximum(np.abs(a + d), np.hypot(a - d, 2.0 * np.abs(matrices[..., 1, 0])))
-    if side == 3:
-        return _trace_norm_3x3(matrices)
-    return np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1)
+    return _entry_first_trace_norm(matrices.transpose((-2, -1) + tuple(range(matrices.ndim - 2))))
 
 
-# flat indices of a 3x3 matrix's lower triangle: the diagonal, then entries (1, 0), (2, 0), (2, 1)
-_LOWER_3X3 = [0, 4, 8, 3, 6, 7]
 # rounding error allowed for r in `trace_norm`'s 3x3 form: twice the largest seen, 7.8 eps, on
 # rotated spectra (1, e, -e), (-1, e, -e) and (0.3, 0.3 + e, -0.3) for e from 1e-1 to 1e-15
 PHASE_ROUNDING = 16.0 * np.finfo(float).eps
@@ -215,10 +205,11 @@ PHASE_ROUNDING = 16.0 * np.finfo(float).eps
 PAIR_ERROR_TOL = 3e-15
 
 
-def _invariants_3x3(flat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The scale s of 3x3 Hermitian matrices, one per row of `flat` (shape (n, 9), row-major), and
-    tr A, m, p and r of `trace_norm`'s docstring for each matrix A divided by its s."""
-    lower = flat.T[_LOWER_3X3]  # a copy, so it is divided by the scale in place
+def _invariants_3x3(entries: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The scale s of 3x3 Hermitian matrices, entry (i, j) in entries[i, j], one per matrix of the flat batch,
+    and tr A, m, p and r of `trace_norm`'s docstring for each matrix A divided by its s."""
+    # the lower triangle: the diagonal, then entries (1, 0), (2, 0), (2, 1); a copy, so it is divided in place
+    lower = entries[[0, 1, 2, 1, 2, 2], [0, 1, 2, 0, 0, 1]].reshape(6, -1)
     # u, v, w are the entries (1, 0), (2, 0), (2, 1); cross is Re(u w conj(v)). A real matrix skips
     # the imaginary terms, which add zeros to the same products when it is held as complex
     if np.iscomplexobj(lower):
@@ -245,13 +236,19 @@ def _invariants_3x3(flat: np.ndarray) -> tuple[np.ndarray, ...]:
     return scale, trace, mean, p, r
 
 
-def _trace_norm_3x3(matrices: np.ndarray) -> np.ndarray:
-    """`trace_norm` of 3x3 Hermitian matrices: the closed form of its docstring, eigvalsh where that fails.
-
-    The invariants come from `_invariants_3x3`, whose intermediates die when it returns, so they
-    are never held beside the spectrum's."""
-    flat = matrices.reshape(-1, 9)  # a single matrix too, so that the fallback can assign into the batch
-    scale, trace, mean, p, r = _invariants_3x3(flat)
+def _entry_first_trace_norm(entries: np.ndarray) -> np.ndarray:
+    """`trace_norm` of the matrices whose entry (i, j) is entries[i, j], shape (side, side) + batch. A 3x3
+    matrix's invariants come from `_invariants_3x3`, whose intermediates die when it returns, so they are
+    never held beside the spectrum's."""
+    side = len(entries)
+    if side == 1:
+        return np.abs(entries[0, 0].real)
+    if side == 2:
+        a, d = entries[0, 0].real, entries[1, 1].real
+        return np.maximum(np.abs(a + d), np.hypot(a - d, 2.0 * np.abs(entries[1, 0])))
+    if side != 3:
+        return np.abs(np.linalg.eigvalsh(np.moveaxis(entries, (0, 1), (-2, -1)))).sum(axis=-1)
+    scale, trace, mean, p, r = _invariants_3x3(entries)
     phi = np.arccos(r) / 3.0
     top = mean + 2.0 * p * np.cos(phi)
     bottom = mean + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
@@ -267,9 +264,9 @@ def _trace_norm_3x3(matrices: np.ndarray) -> np.ndarray:
     uncertain &= np.maximum(other, middle) > -pair_error
     norm *= scale
     if uncertain.any():
-        fallback = flat[uncertain].reshape(-1, 3, 3).astype(complex)
-        norm[uncertain] = np.abs(np.linalg.eigvalsh(fallback)).sum(axis=-1)
-    return norm.reshape(matrices.shape[:-2])
+        matrices = np.moveaxis(entries, (0, 1), (-2, -1)).reshape(-1, 3, 3)
+        norm[uncertain] = np.abs(np.linalg.eigvalsh(matrices[uncertain].astype(complex))).sum(axis=-1)
+    return norm.reshape(entries.shape[2:])
 
 
 def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

@@ -36,10 +36,13 @@ def max_sweep_points(photon_count: int) -> int:
 
 
 def _shown(value, show=str) -> str:
-    """How a check shows the value it rejects: show(value) cut to SHOWN_CHARS characters ending in "...", or
-    "an integer of N digits" for an int of more than 20 digits (past 4300 digits str cannot format it)."""
+    """How a check shows the value it rejects: show(value) cut to SHOWN_CHARS characters ending in "...", its type
+    where show(value) raises, or "an integer of N digits" for an int of over 20 digits (str fails past 4300)."""
     if not isinstance(value, int) or -10**20 < value < 10**20:
-        text = show(value)
+        try:
+            text = show(value)
+        except Exception:  # any str or repr may raise, and the check must still name its input
+            text = f"a {type(value).__name__} that cannot be shown"
         return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
     magnitude = abs(value)
     digits = int(math.log10(magnitude)) + 1
@@ -187,14 +190,13 @@ def occupation_basis(photon_count: int, mode_count: int) -> tuple[tuple[int, ...
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm complex amplitude vector over an ordered dark basis; amplitudes of any shape are flattened."""
+    """Unit-norm complex amplitude vector over an ordered dark basis, of shape (basis.dimension,)."""
 
     basis: DarkBasis
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        flat = as_array("amplitudes", self.amplitudes).reshape(-1)
-        amp = np.asarray(check_array("amplitudes", flat, (self.basis.dimension,)), dtype=complex)
+        amp = np.asarray(check_array("amplitudes", self.amplitudes, (self.basis.dimension,)), dtype=complex)
         check_tolerance("state norm defect", abs(np.linalg.norm(amp) - 1.0), NORM_TOL)
         object.__setattr__(self, "amplitudes", amp)
 

@@ -41,8 +41,8 @@ E = 15 for the holonomic state and 19 for the Bell qutrit, each block size's ent
 stretch. One sampler evaluates it: one Horner pass per chunk of sample times over all E
 entries, then one scaling of entry (i, j) by eta^((N_i + N_j) / 2). The partial transpose
 keeps N_i + N_j, so a block holds the same bits as the matching entries of the transposed
-rho(t). Each block size's stretch is reshaped into its blocks for `trace_norm`, and rho(t)'s
-diagonal, which the partial transpose keeps, is read from the flat samples by one `take`.
+rho(t). The samples are held entry-first, a row per entry: each block size's stretch is a view for
+`trace_norm`'s entry-first kernel, and rho(t)'s diagonal, kept by the partial transpose, is one `take`.
 The table is float64 when rho0 is real, as both reference states are, and complex
 otherwise. A real entry goes through the same multiplications and additions as the real
 part of the complex one, whose imaginary part is zero, so the samples are the same
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import DensityMatrix, _require_bipartite, _transpose_mode, negativity_bits, trace_norm
+from .entanglement import DensityMatrix, _entry_first_trace_norm, _require_bipartite, _transpose_mode, negativity_bits
 # partial_transpose is re-exported: benchmark tracing wraps it through this binding
 from .entanglement import partial_transpose  # noqa: F401
 from .fock import MEMORY_BUDGET_BYTES, check_integer, check_positive, check_tolerance
@@ -72,11 +72,12 @@ STEP_SIZE_GUARD = 0.01
 POSITIVITY_ABORT = -1e-6
 # sample times evaluated per batch; bounds the working memory of evolve, which holds per
 # sample the blocks of the partial transpose: 19 entries for the Bell qutrit, 15 for the
-# holonomic state, against 81 for the whole 9x9 matrix. The default 1001 samples take two
-# passes. On the Bell qutrit at 2 x 512 samples, evolve's tracemalloc peak is 213 791 bytes
-# under numpy 2.4.6, 82 % of the 256 KiB its test allows; one pass would not fit, as the
-# samples and their scaling alone take 304 bytes per sample
+# holonomic state, against 81 for the whole 9x9 matrix, each entry a row of samples. 1001
+# samples take two passes. On the Bell qutrit at 2 x 512 samples, evolve's tracemalloc peak is
+# about 211 000 bytes under numpy 2.4.6, 80 % of the 256 KiB its test allows; one pass would not
+# fit, as the samples and their scaling alone take 304 bytes per sample
 CHUNK_SAMPLES = 512
+HORNER_BUFSIZE = 512  # ufunc buffer size, in elements, of `_sample`'s Horner loop (numpy's default is 8192)
 # upper bound on steps: the memory budget at 1024 bytes per sample. One `holoent loss`
 # run holds four float64 arrays for each of its two trajectories and one more column,
 # and renders its table a block of rows at a time; its tracemalloc peak grows by about
@@ -175,27 +176,32 @@ def _sample(table: np.ndarray, pair_photons: np.ndarray, gamma_t: np.ndarray) ->
     """The table's entries of rho(t) at each gamma*t, shape gamma_t.shape + table.shape[1:], in its dtype.
 
     `table` has shape (Q,) + entries, the flat table of `_coherence_blocks` or a whole
-    `_damping_table`, and `pair_photons` holds N_i + N_j for each entry (i, j). The polynomial
-    in x runs by Horner's rule, one elementwise pass per degree, so a sample does not depend
-    on the other times in its batch (a BLAS product's rounding can depend on the batch
-    length). Entry (i, j) is then scaled once, by exp(-gamma t (N_i + N_j) / 2).
+    `_damping_table`, and `pair_photons` holds N_i + N_j for each entry (i, j). The samples fill
+    an entry-first buffer, one contiguous row per entry, returned as its transposed view. The
+    polynomial in x runs by Horner's rule, one elementwise pass per degree along the rows, so a
+    sample does not depend on the other times in its batch (a BLAS product's rounding can depend
+    on the batch length). Entry (i, j) is then scaled once, by exp(-gamma t (N_i + N_j) / 2).
 
-    The products gamma t (N_i + N_j) come from einsum, not from a broadcast multiply: under
-    numpy 2.4.6 a broadcast multiply into a (256, 19) result allocates iterator buffers of about
-    79 000 bytes beside its 38 912 (up to 64 KiB per broadcast operand), which einsum does not.
+    Under numpy 2.4.6 a broadcast operation at the default buffer size allocates an iterator buffer
+    of up to 64 KiB per operand beside its result. So the products gamma t (N_i + N_j) come from einsum
+    (np.multiply.outer took the Bell qutrit's evolve peak from 211 000 to 328 000 bytes), and the Horner
+    loop runs at HORNER_BUFSIZE, where a real table needs no buffer and the loop takes 2/3 of the time.
     """
     gamma_t = np.asarray(gamma_t, dtype=float)
-    x = -np.expm1(-gamma_t).reshape(gamma_t.shape + (1,) * (table.ndim - 1))
-    rho = np.empty(gamma_t.shape + table.shape[1:], dtype=table.dtype)
-    rho[...] = table[-1]
-    for coefficient in table[-2::-1]:
-        rho *= x
-        rho += coefficient
-    scale = np.einsum("...,j->...j", gamma_t, pair_photons.ravel().astype(float))
-    scale = scale.reshape(gamma_t.shape + pair_photons.shape)
+    x = -np.expm1(-gamma_t)
+    coefficients = table.reshape(table.shape + (1,) * gamma_t.ndim)
+    rho = np.broadcast_to(coefficients[-1], table.shape[1:] + gamma_t.shape).copy()
+    bufsize = np.setbufsize(HORNER_BUFSIZE)
+    try:
+        for coefficient in coefficients[-2::-1]:
+            rho *= x
+            rho += coefficient
+    finally:
+        np.setbufsize(bufsize)
+    scale = np.einsum("j,...->j...", pair_photons.ravel().astype(float), gamma_t).reshape(rho.shape)
     scale *= -0.5
     rho *= np.exp(scale, out=scale)
-    return rho
+    return rho.transpose(tuple(range(pair_photons.ndim, rho.ndim)) + tuple(range(pair_photons.ndim)))
 
 
 def bell_qutrit_state() -> DensityMatrix:
@@ -257,20 +263,20 @@ def evolve(rho0: DensityMatrix | LossPlan, cfg: LossConfig) -> Trajectory:
         stop = min(first + CHUNK_SAMPLES, cfg.steps + 1)
         chunk = slice(first, stop)
         gamma_t = np.arange(first, stop) * dt
-        samples = _sample(plan.flat, plan.pair_photons, gamma_t)
+        rows = _sample(plan.flat, plan.pair_photons, gamma_t).T  # (E, samples), one row per entry
         norm = np.zeros(stop - first)
-        for index, entries in plan.groups:
-            blocks = samples[:, entries].reshape((stop - first,) + index.shape + index.shape[-1:])
-            norm += trace_norm(blocks).sum(axis=-1)
+        for index, entries in plan.groups:  # a view (nb, s, s, samples), handed over as (s, s, nb, samples)
+            blocks = rows[entries].reshape(index.shape + index.shape[-1:] + (stop - first,))
+            norm += _entry_first_trace_norm(blocks.transpose(1, 2, 0, 3)).sum(axis=0)
         negativity[chunk] = negativity_bits(norm)
         # a partial transpose keeps the diagonal, so the blocks' diagonals are rho(t)'s
-        diagonal = samples.take(plan.diagonal_entries, axis=-1).real
+        diagonal = rows.take(plan.diagonal_entries, axis=0).real
         if plan.initial_photons > 1e-12:
-            population[chunk] = diagonal @ plan.photon_number / plan.initial_photons
+            population[chunk] = plan.photon_number @ diagonal / plan.initial_photons
         else:
             population[chunk] = 0.0
-        trace_error[chunk] = np.abs(diagonal.sum(axis=-1) - 1.0)
-        del samples, blocks, norm, diagonal  # so the next chunk is sampled beside none of this one
+        trace_error[chunk] = np.abs(diagonal.sum(axis=0) - 1.0)
+        del rows, blocks, norm, diagonal  # so the next chunk is sampled beside none of this one
 
     # the time grid is built last and in place, so the chunk loop's peak memory grows only by
     # the three arrays it fills and no integer grid is ever held

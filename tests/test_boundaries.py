@@ -288,6 +288,15 @@ class TestCheckers:
         with pytest.raises(ValueError, match=rf"^n must be in \[0, 5\], got {shown}$"):
             check_integer("n", value, 0, 5)
 
+    def test_a_value_holding_an_integer_past_the_str_limit_is_named_by_its_type(self):
+        # the expected shape (10**5000, 10**5000) holds an int that str cannot format
+        with pytest.raises(ValueError) as info:
+            DensityMatrix(np.eye(1), (10**5000,))
+        assert type(info.value) is ValueError
+        message = str(info.value)
+        assert message == "matrix must have shape a tuple that cannot be shown, got shape (1, 1)"
+        assert len(message) <= 200
+
     def test_occupation_sector_is_bounded_before_it_is_enumerated(self, monkeypatch):
         # C(6, 3) = 20 four-mode tuples hold 80 entries; a bound this small also keeps an
         # unbounded enumeration from being reached where the sector check is missing
@@ -311,7 +320,7 @@ class TestCheckers:
 
 
 # each array input: (entry point, argument name, call, a value it accepts); the value's shape is the one
-# the entry point requires (PureState flattens its amplitudes first; single_mode_rotation takes any shape),
+# the entry point requires (single_mode_rotation takes any shape),
 # and its entries are exact in float32. U3_HALF_PI is u3(pi/2), the swap of |2,0> and |0,2>
 U3_HALF_PI = [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
 MIXED = np.diag([0.5, 0.25, 0.25])
@@ -333,8 +342,7 @@ def array_message(entry: str, name: str, case: str) -> str | None:
         shapes = {"0-d": None, "1-d": None, "wrong shape": None, "str": "phi must be finite, got 'abc'",
                   "bool": "phi must hold real numbers, got dtype bool"}
     else:
-        shapes = {"0-d": f"got shape {'(1,)' if entry == 'PureState' else '()'}", "1-d": "got shape (2,)",
-                  "wrong shape": f"got shape {'(4,)' if entry == 'PureState' else '(2, 2)'}"}
+        shapes = {"0-d": "got shape ()", "1-d": "got shape (2,)", "wrong shape": "got shape (2, 2)"}
         shapes = {case: f"{name} must have shape {required}, {got}" for case, got in shapes.items()}
         shapes.update(str=f"{name} must hold real or complex numbers, got dtype <U3",
                       bool=f"{name} must hold real or complex numbers, got dtype bool")
@@ -383,6 +391,13 @@ class TestArrayInputs:
             values.append(good.astype(np.uint8))
         for value in values:
             call(value)
+
+    @pytest.mark.parametrize("photons, value", [(2, [[1.0], [0.0], [0.0]]), (0, 1.0)])
+    def test_pure_state_takes_a_vector_only(self, photons, value):
+        # a (3, 1) column and a 0-d value at P = 0 hold the right number of amplitudes in the wrong shape
+        message = f"amplitudes must have shape ({photons + 1},), got shape {np.shape(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PureState(dark_basis(photons), value)
 
     def test_a_long_ragged_sequence_is_shown_cut(self):
         with pytest.raises(ValueError) as info:

@@ -72,6 +72,13 @@ def test_bench_writes_every_row_and_the_machine(tmp_path):
     assert not any(name.startswith("perfbench") for name in names)  # --seconds 0 skips perfbench
     for row in record["rows"]:
         assert row["n"] == 1 and 0.0 < row["min_s"] <= row["median_s"]
+        # drift-corrected as perfbench corrects: KERNEL_REF_S over the mean kernel time beside the row
+        before, after = row["calibration_s"]
+        factor = record["kernel_ref_s"] / (0.5 * (before + after))
+        assert row["corrected_min_s"] == pytest.approx(row["min_s"] * factor, rel=1e-12)
+        assert row["corrected_median_s"] == pytest.approx(row["median_s"] * factor, rel=1e-12)
+    # each row's kernel before it is the one timed after the row before
+    assert all(a["calibration_s"][1] == b["calibration_s"][0] for a, b in zip(record["rows"], record["rows"][1:]))
 
 
 def test_bench_tree_digest_names_the_files_and_skips_bytecode(tmp_path):

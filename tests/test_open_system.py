@@ -16,6 +16,7 @@ from holoent.entanglement import (
     density_from_pure,
     log_negativity,
     log_negativity_bits,
+    negativity_bits,
     reduce,
     trace_norm,
     von_neumann_entropy_bits,
@@ -651,6 +652,19 @@ class TestLossPlan:
             fresh, planned = evolve(make_state(), cfg), evolve(plan, cfg)
             for field in dataclasses.fields(fresh):
                 assert np.array_equal(getattr(planned, field.name), getattr(fresh, field.name)), field.name
+
+    @pytest.mark.parametrize("make_state", [me_density, bell_qutrit_state, rotated_bell_qutrit])
+    def test_public_trace_norm_of_matrices_last_blocks_gives_evolves_negativity(self, make_state):
+        # evolve hands entry-first views of its sample rows to the trace-norm kernel; the public
+        # trace_norm takes matrices on the last two axes and must give the same bits
+        cfg = LossConfig(t_max=10.0, steps=1000)
+        plan = plan_loss(make_state())
+        samples = open_system._sample(plan.flat, plan.pair_photons, np.arange(cfg.steps + 1) * (cfg.t_max / cfg.steps))
+        norm = np.zeros(cfg.steps + 1)
+        for index, entries in plan.groups:
+            blocks = np.ascontiguousarray(group_blocks(samples, index, entries))  # (samples, nb, s, s)
+            norm += trace_norm(blocks).sum(axis=-1)
+        assert np.array_equal(negativity_bits(norm), evolve(plan, cfg).negativity)
 
     def test_plan_arrays_are_read_only(self):
         plan = plan_loss(rotated_bell_qutrit())
