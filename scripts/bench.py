@@ -11,7 +11,8 @@ call, and the file keeps the min and the median. perfbench's reference kernel
 keeps its min and median drift-corrected as perfbench corrects its times: scaled by
 KERNEL_REF_S (recorded as `kernel_ref_s`) over the mean of the two kernel times beside the
 row (`calibration_s`), as `corrected_min_s` and `corrected_median_s`. A CLI row calls
-holoent.cli.main and writes its dataset into a temporary directory. A "cold" row clears
+holoent.cli.main and writes its dataset into a temporary directory, and the
+generate_datasets.py row calls its main, which writes all six there. A "cold" row clears
 the transfer cache before every call. The perfbench L2 rows run perfbench/run.py once per
 workload (seed L2_SEED, --seconds each, tracing off) and copy its drift-corrected medians;
 --seconds 0 skips them. The file also records the git SHA, whether the tree differs from
@@ -25,7 +26,9 @@ thread, as in perfbench's children) and records the thread settings in effect.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -35,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
 from child import calibrate  # noqa: E402  (perfbench/child.py, which imports numpy only to calibrate)
 from run import KERNEL_REF_S, THREAD_ENV  # noqa: E402  (perfbench/run.py, which never imports numpy)
@@ -45,10 +48,11 @@ if __name__ == "__main__":  # before numpy loads its BLAS; an importing process 
 
 import numpy as np  # noqa: E402
 
+import generate_datasets  # noqa: E402  (scripts/generate_datasets.py)
 from holoent import adiabatic, cli, holonomy, open_system  # noqa: E402
 from holoent.diagnostics import StageTimer  # noqa: E402
 from holoent.entanglement import DensityMatrix, density_from_pure, trace_norm  # noqa: E402
-from holoent.fock import basis_state  # noqa: E402
+from holoent.fock import MAX_DARK_PHOTONS, basis_state  # noqa: E402
 from holoent.open_system import LossConfig, bell_qutrit_state, evolve, plan_loss  # noqa: E402
 
 L2_SEED = 1
@@ -73,15 +77,23 @@ def command(argv: list[str], output: Path):
     return call
 
 
+def datasets(outdir: Path):
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):  # its "wrote PATH" lines
+            generate_datasets.main(["--outdir", str(outdir)])
+    return call
+
+
 def first_blocks(rho0: DensityMatrix) -> np.ndarray:
     """The largest coherence blocks of rho0's first TRACE_NORM_BLOCKS samples at the default loss
-    spacing, matrices last as `trace_norm` takes them: a view of the entry-first samples."""
+    spacing, matrices last as `trace_norm` takes them: a view of the sample rows of that group's stretch."""
     plan = plan_loss(rho0)
     index, entries = plan.groups[-1]
     cfg = LossConfig()
     gamma_t = np.arange(TRACE_NORM_BLOCKS) * (cfg.t_max / cfg.steps)
-    samples = open_system._sample(plan.flat, plan.pair_photons, gamma_t)
-    return samples[:, entries].reshape((len(samples),) + index.shape + index.shape[-1:])
+    rows = open_system._sample(plan.flat, plan.pair_photons, gamma_t)  # (E, samples)
+    nb, side = index.shape
+    return rows[entries].reshape(side, side, nb, TRACE_NORM_BLOCKS).transpose(3, 2, 0, 1)
 
 
 def rows(outdir: Path) -> list[tuple[str, str, object]]:
@@ -141,6 +153,9 @@ def rows(outdir: Path) -> list[tuple[str, str, object]]:
         ("L2", "cli volume --max-photons 4 --points 512",  # the phase-sweep workload's volume job
          command(["volume", "--max-photons", "4", "--points", "512"], outdir / "volume512.csv")),
         ("L2", "cli diabatic, cold", cold(command(["diabatic"], outdir / "diabatic.csv"))),
+        ("L2", f"cli basis --photons {MAX_DARK_PHOTONS}",  # the photon bound
+         command(["basis", "--photons", str(MAX_DARK_PHOTONS)], outdir / "basis.txt")),
+        ("L2", "generate_datasets.py, cold", cold(datasets(outdir / "datasets"))),
     ]
     return out
 

@@ -21,11 +21,11 @@ DATASETS = [
 ]
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("datasets"))
     parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
     for filename, command in DATASETS:
         if args.json:

@@ -199,7 +199,8 @@ def cmd_sweep(args) -> int:
     purities = (populations * populations).sum(axis=-1)
     renyi2 = -np.fromiter(map(math.log2, purities), float, len(purities)) + 0.0
     return _emit(args, {"phi": phis, "entropy_bits": entanglement.entropy_bits(populations),
-                        "purity": purities, "renyi2_bits": renyi2, "input_label": args.input})
+                        "purity": purities, "renyi2_bits": renyi2,
+                        "input_label": dark_basis(args.photons).labels()[index]})
 
 
 @functools.cache

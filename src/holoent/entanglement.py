@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import PureState, _shown, as_array, check_array, check_integer, check_tolerance
+from .fock import PureState, _shown, check_array, check_integer, check_tolerance
 
 Side = Literal["east", "west"]
 
@@ -193,9 +193,12 @@ def trace_norm(matrices: np.ndarray) -> np.ndarray:
     lies within delta of straddling zero, with delta above PAIR_ERROR_TOL (of s), goes
     through eigvalsh, held as complex so that real input gives the bits of complex input.
     The norm is within 1e-14 s of eigvalsh's on near-degenerate, rank-one and subnormal
-    matrices alike (tests/test_entanglement.py::TestTraceNorm).
+    matrices alike (tests/test_entanglement.py::TestTraceNorm). `check_array` names a non-finite entry,
+    where the closed forms would give NaN and eigvalsh fail, and input that is not a stack of square matrices.
     """
-    return _entry_first_trace_norm(matrices.transpose((-2, -1) + tuple(range(matrices.ndim - 2))))
+    array = check_array("matrices", matrices, None)
+    array = check_array("matrices", array, array.shape[:-2] + (max(array.shape[-2:], default=1),) * 2)
+    return _entry_first_trace_norm(array.transpose((-2, -1) + tuple(range(array.ndim - 2))))
 
 
 # rounding error allowed for r in `trace_norm`'s 3x3 form: twice the largest seen, 7.8 eps, on
@@ -276,11 +279,10 @@ def log_negativity_bits(matrices: np.ndarray, dims: tuple[int, int]) -> np.ndarr
     index convention of DensityMatrix; one `trace_norm` covers the whole batch, in
     closed form when the side is 1 to 3 and by one eigvalsh otherwise. Either
     side's partial transpose serves: the west one is the transpose of the east one.
-    `check_array` refuses a non-finite entry, where the closed forms would return NaN and eigvalsh
-    would fail to converge.
+    `check_array` checks the input first, as the partial transpose needs its shape.
     """
     dims = _require_bipartite(dims)
-    array = as_array("matrices", matrices)
+    array = check_array("matrices", matrices, None)
     array = check_array("matrices", array, array.shape[:-2] + (math.prod(dims),) * 2)
     return negativity_bits(trace_norm(_transpose_mode(array, dims, "east")))
 

@@ -76,21 +76,17 @@ def check_positive(name: str, value, error: type[ValueError] = ValueError) -> No
         raise error(f"{name} must be positive, got {_shown(value)}")
 
 
-def as_array(name: str, value) -> np.ndarray:
-    """np.asarray(value); raise ValueError naming `name` if numpy cannot make an array of it (a ragged sequence)."""
+def check_array(name: str, value, shape: tuple[int, ...] | None) -> np.ndarray:
+    """np.asarray(value), checked: raise ValueError naming `name` where numpy cannot make an array of it (a ragged
+    sequence), where its dtype is not int, unsigned, float or complex (so bool, text and object fail), where its shape
+    is not `shape` (None takes any shape), and at its first non-finite entry."""
     try:
-        return np.asarray(value)
+        array = np.asarray(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an array of numbers, got {_shown(value, repr)}") from None
-
-
-def check_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """`as_array(name, value)`; raise ValueError naming `name` unless its dtype is int, unsigned, float or complex
-    (not bool, text or object), its shape is `shape` and every entry is finite, naming the first that is not."""
-    array = as_array(name, value)
     if array.dtype.kind not in "iufc":
         raise ValueError(f"{name} must hold real or complex numbers, got dtype {_shown(array.dtype)}")
-    if array.shape != shape:
+    if shape is not None and array.shape != shape:
         raise ValueError(f"{name} must have shape {_shown(shape)}, got shape {_shown(array.shape)}")
     finite = np.isfinite(array)
     if not finite.all():
@@ -126,11 +122,11 @@ class OccupationState:
 
     @classmethod
     def from_label(cls, label: str) -> "OccupationState":
-        parts = label.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected 'n_east,n_west', got {_shown(label, repr)}")
-        try:
-            n_east, n_west = (int(p.strip()) for p in parts)
+        parts = [part.strip() for part in label.split(",")]  # two ASCII decimal numerals, blanks around each
+        try:  # int() alone also takes a sign, underscores and other scripts' digits, and raises past 4300 digits
+            if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
+                raise ValueError(label)
+            n_east, n_west = map(int, parts)
         except ValueError as exc:
             raise ValueError(f"expected 'n_east,n_west', got {_shown(label, repr)}") from exc
         return cls(n_east, n_west)

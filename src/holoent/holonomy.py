@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import entanglement
-from .fock import (MAX_DARK_PHOTONS, PureState, _shown, as_array, check_array, check_finite, check_integer,
+from .fock import (MAX_DARK_PHOTONS, PureState, _shown, check_array, check_finite, check_integer,
                    check_tolerance, max_sweep_points)
 
 UNITARITY_TOL = 1e-9
@@ -50,15 +50,15 @@ def single_mode_rotation(phi) -> np.ndarray:
 
     phi is a real scalar or an array (or sequence) of phases; the result has shape
     phi.shape + (2, 2), from one np.cos/np.sin pass, and entry i is R(phi[i]) bit for bit. A
-    scalar must pass `check_finite`. An array of bool or non-real dtype raises ValueError, and
-    `check_array` names a ragged sequence or the first non-finite entry.
+    scalar (a str, or a 0-d value that is neither an ndarray nor iterable) must pass `check_finite`,
+    anything else `check_array`, and a complex array raises ValueError.
     """
-    phis = as_array("phi", phi)
-    if phis.ndim == 0 and not isinstance(phi, np.ndarray):
+    # np.ndim runs only on what is not iterable, so no ragged sequence reaches it
+    if isinstance(phi, str) or not (isinstance(phi, np.ndarray) or np.iterable(phi)) and np.ndim(phi) == 0:
         check_finite("phi", phi)
-    if phis.dtype.kind not in "iuf":
+    phis = check_array("phi", phi, None)
+    if phis.dtype.kind == "c":
         raise ValueError(f"phi must hold real numbers, got dtype {_shown(phis.dtype)}")
-    check_array("phi", phis, phis.shape)
     c, s = np.cos(phis), np.sin(phis)
     return np.stack([c, -s, s, c], axis=-1).reshape(phis.shape + (2, 2)).astype(complex)
 

@@ -41,8 +41,8 @@ E = 15 for the holonomic state and 19 for the Bell qutrit, each block size's ent
 stretch. One sampler evaluates it: one Horner pass per chunk of sample times over all E
 entries, then one scaling of entry (i, j) by eta^((N_i + N_j) / 2). The partial transpose
 keeps N_i + N_j, so a block holds the same bits as the matching entries of the transposed
-rho(t). The samples are held entry-first, a row per entry: each block size's stretch is a view for
-`trace_norm`'s entry-first kernel, and rho(t)'s diagonal, kept by the partial transpose, is one `take`.
+rho(t). The samples are held entry-first, a row per entry, each block size's stretch entry-major, a view
+(s, s, nb, samples) for `trace_norm`'s kernel; rho(t)'s diagonal, kept by the partial transpose, is one `take`.
 The table is float64 when rho0 is real, as both reference states are, and complex
 otherwise. A real entry goes through the same multiplications and additions as the real
 part of the complex one, whose imaginary part is zero, so the samples are the same
@@ -147,8 +147,8 @@ def _coherence_blocks(
 
     Returns the flat table, shape (len(table), E); the photon-number sum N_i + N_j of each
     entry, shape (E,); for each block size s, in increasing order, the flat indices of its nb
-    blocks, shape (nb, s), and the stretch of the flat table that holds those blocks row-major
-    as (nb, s, s); and the position in the flat table of each diagonal entry, in basis order.
+    blocks, shape (nb, s), and the stretch of the flat table that holds them as (s, s, nb), entry
+    (i, j) of block b at [i, j, b]; and the position in the flat table of each diagonal entry, in basis order.
     """
     pt = _transpose_mode(table, dims, "east")
     side = pt.shape[-1]
@@ -161,7 +161,7 @@ def _coherence_blocks(
     groups, entries, start = [], [], 0
     for size in sorted(set(sizes.tolist())):  # not np.unique: it imports numpy.ma, 12 ms
         index = np.nonzero(reach[roots[sizes == size]])[1].reshape(-1, size)
-        entries.append((index[:, :, None] * side + index[:, None, :]).ravel())
+        entries.append((index[:, :, None] * side + index[:, None, :]).transpose(1, 2, 0).ravel())
         groups.append((index, slice(start, start + len(entries[-1]))))
         start += len(entries[-1])
     entries = np.concatenate(entries)
@@ -173,12 +173,11 @@ def _coherence_blocks(
 
 
 def _sample(table: np.ndarray, pair_photons: np.ndarray, gamma_t: np.ndarray) -> np.ndarray:
-    """The table's entries of rho(t) at each gamma*t, shape gamma_t.shape + table.shape[1:], in its dtype.
+    """The table's entries of rho(t) at each gamma*t, shape (E, len(gamma_t)), one contiguous row per entry.
 
-    `table` has shape (Q,) + entries, the flat table of `_coherence_blocks` or a whole
-    `_damping_table`, and `pair_photons` holds N_i + N_j for each entry (i, j). The samples fill
-    an entry-first buffer, one contiguous row per entry, returned as its transposed view. The
-    polynomial in x runs by Horner's rule, one elementwise pass per degree along the rows, so a
+    `table` is a flat table of shape (Q, E), that of `_coherence_blocks` or a flattened
+    `_damping_table`, `pair_photons` holds N_i + N_j for each entry (i, j), and `gamma_t` is 1-D.
+    The polynomial in x runs by Horner's rule, one elementwise pass per degree along the rows, so a
     sample does not depend on the other times in its batch (a BLAS product's rounding can depend
     on the batch length). Entry (i, j) is then scaled once, by exp(-gamma t (N_i + N_j) / 2).
 
@@ -187,21 +186,19 @@ def _sample(table: np.ndarray, pair_photons: np.ndarray, gamma_t: np.ndarray) ->
     (np.multiply.outer took the Bell qutrit's evolve peak from 211 000 to 328 000 bytes), and the Horner
     loop runs at HORNER_BUFSIZE, where a real table needs no buffer and the loop takes 2/3 of the time.
     """
-    gamma_t = np.asarray(gamma_t, dtype=float)
     x = -np.expm1(-gamma_t)
-    coefficients = table.reshape(table.shape + (1,) * gamma_t.ndim)
-    rho = np.broadcast_to(coefficients[-1], table.shape[1:] + gamma_t.shape).copy()
+    rho = np.broadcast_to(table[-1, :, None], table.shape[1:] + gamma_t.shape).copy()
     bufsize = np.setbufsize(HORNER_BUFSIZE)
     try:
-        for coefficient in coefficients[-2::-1]:
+        for coefficient in table[-2::-1, :, None]:
             rho *= x
             rho += coefficient
     finally:
         np.setbufsize(bufsize)
-    scale = np.einsum("j,...->j...", pair_photons.ravel().astype(float), gamma_t).reshape(rho.shape)
+    scale = np.einsum("j,i->ji", pair_photons.astype(float), gamma_t)
     scale *= -0.5
     rho *= np.exp(scale, out=scale)
-    return rho.transpose(tuple(range(pair_photons.ndim, rho.ndim)) + tuple(range(pair_photons.ndim)))
+    return rho
 
 
 def bell_qutrit_state() -> DensityMatrix:
@@ -263,11 +260,12 @@ def evolve(rho0: DensityMatrix | LossPlan, cfg: LossConfig) -> Trajectory:
         stop = min(first + CHUNK_SAMPLES, cfg.steps + 1)
         chunk = slice(first, stop)
         gamma_t = np.arange(first, stop) * dt
-        rows = _sample(plan.flat, plan.pair_photons, gamma_t).T  # (E, samples), one row per entry
+        rows = _sample(plan.flat, plan.pair_photons, gamma_t)  # (E, samples), one row per entry
         norm = np.zeros(stop - first)
-        for index, entries in plan.groups:  # a view (nb, s, s, samples), handed over as (s, s, nb, samples)
-            blocks = rows[entries].reshape(index.shape + index.shape[-1:] + (stop - first,))
-            norm += _entry_first_trace_norm(blocks.transpose(1, 2, 0, 3)).sum(axis=0)
+        for index, entries in plan.groups:  # nb blocks of side s, their rows a view (s, s, nb, samples)
+            nb, side = index.shape
+            blocks = rows[entries].reshape(side, side, nb, stop - first)
+            norm += _entry_first_trace_norm(blocks).sum(axis=0)
         negativity[chunk] = negativity_bits(norm)
         # a partial transpose keeps the diagonal, so the blocks' diagonals are rho(t)'s
         diagonal = rows.take(plan.diagonal_entries, axis=0).real

@@ -24,7 +24,10 @@ def damped_states(rho0: DensityMatrix, gamma_t: np.ndarray) -> np.ndarray:
     """Exact rho(t) under equal single-photon loss in both modes, shape gamma_t.shape + rho0.matrix.shape;
     float64 when rho0 is real, complex otherwise."""
     table, photon_number = open_system._damping_table(rho0)
-    return open_system._sample(table, np.add.outer(photon_number, photon_number), gamma_t)
+    gamma_t = np.asarray(gamma_t, dtype=float)
+    rows = open_system._sample(table.reshape(len(table), -1), np.add.outer(photon_number, photon_number).ravel(),
+                               gamma_t.ravel())
+    return rows.T.reshape(gamma_t.shape + rho0.matrix.shape)
 
 
 def lowering_operator(cutoff: int) -> np.ndarray:

@@ -340,7 +340,7 @@ def array_message(entry: str, name: str, case: str) -> str | None:
     required = "(3,)" if entry == "PureState" else "(3, 3)"
     if entry == "single_mode_rotation":  # a scalar passes check_finite, and only reals are phases
         shapes = {"0-d": None, "1-d": None, "wrong shape": None, "str": "phi must be finite, got 'abc'",
-                  "bool": "phi must hold real numbers, got dtype bool"}
+                  "bool": "phi must hold real or complex numbers, got dtype bool"}
     else:
         shapes = {"0-d": "got shape ()", "1-d": "got shape (2,)", "wrong shape": "got shape (2, 2)"}
         shapes = {case: f"{name} must have shape {required}, {got}" for case, got in shapes.items()}

@@ -224,6 +224,21 @@ class TestSweepCommand:
         assert run_cli("sweep", "--input", "x,y").returncode == 2
         assert run_cli("sweep", "--input", "3,0", "--photons", "2").returncode == 2
 
+    @pytest.mark.parametrize("label", ["+1, 1", "\u0661,\u0661", "1_0,1", "-1,1", "1,+1", "\uff11,1", "1.0,1"])
+    def test_non_canonical_label_exits_2(self, tmp_path, label):
+        # only ASCII decimal numerals, which int() alone does not require
+        out = tmp_path / "out.csv"
+        code, err = main_in_process(["sweep", f"--input={label}", "--photons", "2", "--points", "4",
+                                     "--output", str(out)])
+        assert code == 2 and err == f"error: expected 'n_east,n_west', got {label!r}\n"
+        assert not out.exists()
+
+    def test_blank_padded_label_writes_the_canonical_label(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--input", " 1, 1 ", "--photons", "2", "--points", "4", "--output", str(out)]) == 0
+        with out.open(newline="") as handle:
+            assert {row["input_label"] for row in csv.DictReader(handle)} == {"1,1"}
+
     @pytest.mark.parametrize("label", ["1,1" * 1000, "1" * 5000, " " * 3000 + "1,1"],
                              ids=["3000-characters", "5000-digits", "padded-with-the-wrong-total"])
     def test_long_label_error_is_one_short_line(self, label):

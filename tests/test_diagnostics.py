@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from holoent import diagnostics
 from holoent.diagnostics import StageTimer
+from holoent.entanglement import _transpose_mode
+from holoent.open_system import LossConfig, bell_qutrit_state, plan_loss
+from loss_oracle import damped_states
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +72,7 @@ def test_bench_writes_every_row_and_the_machine(tmp_path):
     assert "single_mode_rotation, 256 phases" in names and "cli sweep --input 3,3 --photons 6 --points 1024" in names
     assert "fit_rotation_phase P=6" in names and "cli volume --max-photons 4 --points 512" in names
     assert {"cli loss", "cli sweep --input 1,1", "cli volume", "cli diabatic, cold"} <= set(names)
+    assert {"cli basis --photons 1023", "generate_datasets.py, cold"} <= set(names)
     assert {row["layer"] for row in record["rows"]} == {"L0", "L1", "L2"}
     assert not any(name.startswith("perfbench") for name in names)  # --seconds 0 skips perfbench
     for row in record["rows"]:
@@ -81,10 +86,27 @@ def test_bench_writes_every_row_and_the_machine(tmp_path):
     assert all(a["calibration_s"][1] == b["calibration_s"][0] for a, b in zip(record["rows"], record["rows"][1:]))
 
 
-def test_bench_tree_digest_names_the_files_and_skips_bytecode(tmp_path):
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_trace_norm_blocks_are_the_bell_qutrits_first_samples():
+    bench, rho0 = load_bench(), bell_qutrit_state()
+    index = plan_loss(rho0).groups[-1][0]
+    assert index.shape == (1, 3)
+    cfg = LossConfig()
+    gamma_t = np.arange(bench.TRACE_NORM_BLOCKS) * (cfg.t_max / cfg.steps)
+    transposed = _transpose_mode(damped_states(rho0, gamma_t), rho0.dims, "east")
+    blocks = bench.first_blocks(rho0)
+    assert blocks.shape == (bench.TRACE_NORM_BLOCKS, 1, 3, 3)
+    assert np.array_equal(blocks, transposed[:, index[:, :, None], index[:, None, :]])
+
+
+def test_bench_tree_digest_names_the_files_and_skips_bytecode(tmp_path):
+    bench = load_bench()
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
     digest = bench.tree_sha256(tmp_path)

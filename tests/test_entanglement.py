@@ -416,6 +416,26 @@ class TestTraceNorm:
             assert trace_norm(m).shape == ()
             assert trace_norm(m) == trace_norm(m[None])[0]
 
+    @pytest.mark.parametrize("side", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_named(self, side, bad):
+        # unchecked, a NaN gave NaN for sides 1-3 and LinAlgError for side 4, and an inf gave inf or NaN
+        matrices = np.stack([np.eye(side), np.eye(side)])
+        matrices[1, side - 1, 0] = bad
+        with pytest.raises(ValueError) as info:
+            trace_norm(matrices)
+        message = f"matrices must be finite, got {bad} at flat index {side * side + (side - 1) * side}"
+        assert type(info.value) is ValueError and str(info.value) == message and len(message) <= 200
+
+    @pytest.mark.parametrize("value, required", [(np.ones((2, 3)), (3, 3)), (np.ones((4, 3, 2)), (4, 3, 3)),
+                                                 (np.ones(3), (3, 3)), (np.float64(1.0), (1, 1))])
+    def test_input_that_is_not_a_stack_of_square_matrices_is_named(self, value, required):
+        # unchecked, a (2, 3) input gave the norm of its top-left 2x2 and a 1-D one numpy's "axes don't match array"
+        with pytest.raises(ValueError) as info:
+            trace_norm(value)
+        message = f"matrices must have shape {required}, got shape {np.shape(value)}"
+        assert type(info.value) is ValueError and str(info.value) == message and len(message) <= 200
+
     def test_larger_sides_take_eigvalsh(self):
         rng = np.random.default_rng(5)
         for side in (4, 5, 9):

@@ -433,6 +433,19 @@ def raising_array_tests(tree: ast.AST, function: str = "", assigned: dict | None
     return found
 
 
+# (value, message of check_array("m", value, (2, 2))) for every kind of bad array
+CHECK_ARRAY_MESSAGES = [
+    ([[1.0], [1.0, 2.0]], "m must be an array of numbers, got [[1.0], [1.0, 2.0]]"),
+    (np.eye(2, dtype=bool), "m must hold real or complex numbers, got dtype bool"),
+    (np.array([["1", "0"], ["0", "1"]]), "m must hold real or complex numbers, got dtype <U1"),
+    (np.eye(2, dtype=object), "m must hold real or complex numbers, got dtype object"),
+    (None, "m must hold real or complex numbers, got dtype object"),
+    (np.eye(3), "m must have shape (2, 2), got shape (3, 3)"),
+    (np.array([[1.0, 2.0], [complex(0.0, math.inf), math.nan]]), "m must be finite, got infj at flat index 2"),
+    (np.array([[1.0, 2.0], [3.0, -math.inf]], dtype=np.float32), "m must be finite, got -inf at flat index 3"),
+]
+
+
 class TestCheckArray:
     """check_array is the one check of an array input: numpy can make an array of it, its dtype is int,
     unsigned, float or complex, its shape is the one asked for and its entries are finite."""
@@ -443,23 +456,24 @@ class TestCheckArray:
         listed = check_array("m", [[1, 0], [0, 1]], (2, 2))
         assert isinstance(listed, np.ndarray) and listed.dtype.kind == "i"
 
-    @pytest.mark.parametrize(
-        "value, message",
-        [
-            ([[1.0], [1.0, 2.0]], "m must be an array of numbers, got [[1.0], [1.0, 2.0]]"),
-            (np.eye(2, dtype=bool), "m must hold real or complex numbers, got dtype bool"),
-            (np.array([["1", "0"], ["0", "1"]]), "m must hold real or complex numbers, got dtype <U1"),
-            (np.eye(2, dtype=object), "m must hold real or complex numbers, got dtype object"),
-            (None, "m must hold real or complex numbers, got dtype object"),
-            (np.eye(3), "m must have shape (2, 2), got shape (3, 3)"),
-            (np.array([[1.0, 2.0], [complex(0.0, math.inf), math.nan]]), "m must be finite, got infj at flat index 2"),
-            (np.array([[1.0, 2.0], [3.0, -math.inf]], dtype=np.float32), "m must be finite, got -inf at flat index 3"),
-        ],
-    )
+    @pytest.mark.parametrize("value, message", CHECK_ARRAY_MESSAGES)
     def test_messages(self, value, message):
         with pytest.raises(ValueError) as info:
             check_array("m", value, (2, 2))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (0, 4), (3, 3), (2, 1, 5)])
+    def test_no_shape_takes_every_shape(self, shape):
+        value = np.ones(shape)
+        assert check_array("m", value, None) is value
+        assert check_array("m", value.tolist(), None).shape == np.shape(value.tolist())  # (0,) for (0, 4)
+
+    def test_no_shape_still_names_a_ragged_sequence_a_bad_dtype_and_the_first_non_finite_entry(self):
+        for value, message in CHECK_ARRAY_MESSAGES:
+            if "shape" not in message:
+                with pytest.raises(ValueError) as info:
+                    check_array("m", value, None)
+                assert type(info.value) is ValueError and str(info.value) == message
 
     def test_takes_no_flag(self):
         assert list(inspect.signature(check_array).parameters) == ["name", "value", "shape"]
@@ -488,18 +502,18 @@ def scalar(x):
     def test_array_inputs_have_one_home(self):
         # outside check_array, the only raising tests of a shape, dtype or finiteness are _lift's inline
         # checks (the per-phase lift of sweep, where the rule's cost would show), the two result checks
-        # (_check_score and _lift's overflow test) and single_mode_rotation's real-dtype clause
+        # (_check_score and _lift's overflow test) and single_mode_rotation's complex-dtype clause
         found = []
         for path in sorted(SOURCES.glob("*.py")):
             tests = raising_array_tests(ast.parse(path.read_text(encoding="utf-8")))
             found += [(path.name, function, test) for function, test in tests]
         assert [test for test in found if test[1] == "check_array"] == [
             ("fock.py", "check_array", "array.dtype.kind not in 'iufc'"),
-            ("fock.py", "check_array", "array.shape != shape"),
+            ("fock.py", "check_array", "shape is not None and array.shape != shape"),
             ("fock.py", "check_array", "not finite.all()"),
         ]
         assert [test for test in found if test[1] != "check_array"] == [
-            ("holonomy.py", "single_mode_rotation", "phis.dtype.kind not in 'iuf'"),
+            ("holonomy.py", "single_mode_rotation", "phis.dtype.kind == 'c'"),
             ("holonomy.py", "_lift", "u.shape != (2, 2)"),
             ("holonomy.py", "_lift", "not all(map(cmath.isfinite, scalars))"),
             ("holonomy.py", "_lift", "not unitary and (not np.isfinite(lifted).all())"),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import hypothesis.extra.numpy as hnp
@@ -125,7 +126,9 @@ class TestRotationBuilders:
     @pytest.mark.parametrize("phis", [np.array([True, False]), np.array(False), np.array([0.3 + 0j]),
                                       np.array(["0.3"]), np.array([0.3], dtype=object)])
     def test_array_of_non_real_dtype_raises_named(self, phis):
-        with pytest.raises(ValueError, match=r"^phi must hold real numbers, got dtype"):
+        # check_array refuses bool, text and object; the complex dtype is single_mode_rotation's own clause
+        message = "real numbers" if phis.dtype.kind == "c" else "real or complex numbers"
+        with pytest.raises(ValueError, match=rf"^phi must hold {message}, got dtype {re.escape(str(phis.dtype))}$"):
             single_mode_rotation(phis)
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
@@ -138,6 +141,8 @@ class TestRotationBuilders:
             assert np.array_equal(batch[i], single_mode_rotation(float(phis[i])))
         assert np.array_equal(single_mode_rotation(np.arange(3)), single_mode_rotation(np.arange(3.0)))
         assert np.array_equal(single_mode_rotation([0.1, 0.2]), single_mode_rotation(np.array([0.1, 0.2])))
+        # any iterable numpy makes an array of is an array of phases, not a scalar for check_finite
+        assert np.array_equal(single_mode_rotation(range(3)), single_mode_rotation(np.arange(3)))
 
 
 class TestLift:

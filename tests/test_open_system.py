@@ -128,9 +128,11 @@ def coherence_blocks(rho0: DensityMatrix):
     return open_system._coherence_blocks(*open_system._damping_table(rho0), rho0.dims)
 
 
-def group_blocks(samples: np.ndarray, index: np.ndarray, entries: slice) -> np.ndarray:
-    """One block group of flat samples, shape (len(samples), nb, s, s) for block indices of shape (nb, s)."""
-    return samples[:, entries].reshape((len(samples),) + index.shape + index.shape[-1:])
+def group_blocks(rows: np.ndarray, index: np.ndarray, entries: slice) -> np.ndarray:
+    """One block group of `_sample`'s rows, shape (E, n), as a view of matrices on the last two axes, shape
+    (n, nb, s, s) for block indices of shape (nb, s): the group's stretch reshapes to (s, s, nb, n)."""
+    nb, side = index.shape
+    return rows[entries].reshape(side, side, nb, -1).transpose(3, 2, 0, 1)
 
 
 @pytest.fixture
@@ -148,9 +150,10 @@ def eigvalsh_calls(monkeypatch):
 
 def evolve_checking_blocks(monkeypatch, rho0: DensityMatrix, cfg: LossConfig):
     """evolve(rho0, cfg) and damped_states at its times, after checking that evolve samples once per
-    chunk, that its samples are the matching entries of the transposed damped_states, bit for bit and
-    in the same dtype, block by block and on the diagonal, and that its negativity is that of
-    damped_states, bit for bit when the support is one block."""
+    chunk, that its samples are (E, n) rows that hold the matching entries of the transposed
+    damped_states, bit for bit and in the same dtype, block by block and on the diagonal, that each
+    group's stretch reshapes to (s, s, nb) with entry (i, j) of block b at [i, j, b], and that its
+    negativity is that of damped_states, bit for bit when the support is one block."""
     layouts, samples = [], []
     split, sample = open_system._coherence_blocks, open_system._sample
 
@@ -176,11 +179,13 @@ def evolve_checking_blocks(monkeypatch, rho0: DensityMatrix, cfg: LossConfig):
     assert len(samples) == len(chunks)
     for first, sampled in zip(chunks, samples):
         chunk = transposed[first : first + CHUNK_SAMPLES]
-        assert sampled.dtype == states.dtype
+        assert sampled.dtype == states.dtype and sampled.shape == (flat.shape[1], len(chunk))
+        assert sampled.flags.c_contiguous
         for index, entries in groups:
-            expected = chunk[:, index[:, :, None], index[:, None, :]]
-            assert np.array_equal(group_blocks(sampled, index, entries), expected)
-        assert np.array_equal(sampled.take(diagonal, axis=-1), np.diagonal(chunk, axis1=-2, axis2=-1))
+            nb, side = index.shape
+            expected = chunk[:, index[:, :, None], index[:, None, :]]  # (n, nb, s, s)
+            assert np.array_equal(sampled[entries].reshape(side, side, nb, len(chunk)), expected.transpose(2, 3, 1, 0))
+        assert np.array_equal(sampled[diagonal], np.diagonal(chunk, axis1=-2, axis2=-1).T)
     expected = log_negativity_bits(states, rho0.dims)
     assert np.abs(traj.negativity - expected).max() <= 1e-14
     if len(groups) == 1 and len(groups[0][0]) == 1:
@@ -656,7 +661,7 @@ class TestLossPlan:
     @pytest.mark.parametrize("make_state", [me_density, bell_qutrit_state, rotated_bell_qutrit])
     def test_public_trace_norm_of_matrices_last_blocks_gives_evolves_negativity(self, make_state):
         # evolve hands entry-first views of its sample rows to the trace-norm kernel; the public
-        # trace_norm takes matrices on the last two axes and must give the same bits
+        # trace_norm takes matrices on the last two axes, here built from the same rows, and must give the same bits
         cfg = LossConfig(t_max=10.0, steps=1000)
         plan = plan_loss(make_state())
         samples = open_system._sample(plan.flat, plan.pair_photons, np.arange(cfg.steps + 1) * (cfg.t_max / cfg.steps))
